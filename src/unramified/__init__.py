@@ -26,6 +26,7 @@ from .algebras import (
     quotient_by,
     tensor_many,
     tensor_product,
+    tensor_quotient,
 )
 from .differentials import (
     KaehlerModule,

@@ -53,15 +53,23 @@ class Presentation:
 
 class QuotientAlgebra:
     """P/I with a precomputed Groebner basis; equality of elements is
-    equality of normal forms.  Instances are immutable after construction
-    and safe to share."""
+    equality of normal forms.  The staircase is enumerated on first use
+    unless it is passed in.  Instances are immutable after construction
+    (apart from that one-time enumeration) and safe to share."""
 
     def __init__(self, presentation: Presentation, basis: GroebnerBasis,
-                 chart: Staircase, stabilization_exponent: int | None = None):
+                 chart: Staircase | None = None,
+                 stabilization_exponent: int | None = None):
         self.presentation = presentation
         self.groebner = basis
-        self.staircase = chart
+        self._chart = chart
         self.stabilization_exponent = stabilization_exponent
+
+    @property
+    def staircase(self) -> Staircase:
+        if self._chart is None:
+            self._chart = groebner.staircase(self.groebner)
+        return self._chart
 
     @property
     def ring(self) -> PolyRing:
@@ -121,7 +129,7 @@ def make_quotient(presentation: Presentation, *, budget: int = DEFAULT_BUDGET) -
         basis = buchberger(presentation.relations, budget=budget)
     else:
         basis = buchberger([presentation.ring.zero()], budget=budget)
-    return QuotientAlgebra(presentation, basis, groebner.staircase(basis))
+    return QuotientAlgebra(presentation, basis)
 
 
 def _power_generators(ring: PolyRing, n: int) -> list:
@@ -172,7 +180,8 @@ def artinian_local_model(ring: PolyRing, generators, *,
 
 def quotient_by(algebra: QuotientAlgebra, elements, *,
                 budget: int = DEFAULT_BUDGET) -> QuotientAlgebra:
-    """Quotient an algebra by further elements of its ambient ring."""
+    """Quotient an algebra by further elements of its ambient ring.  The
+    algebra's reduced basis is extended by the new elements, not rebuilt."""
     extra = [e for e in elements if not e.is_zero()]
     for e in extra:
         if e.ring != algebra.ring:
@@ -183,7 +192,9 @@ def quotient_by(algebra: QuotientAlgebra, elements, *,
         mode = MODE_PLAIN
     if mode == MODE_LOCAL:
         mode = MODE_PLAIN
-    return make_quotient(Presentation(algebra.ring, relations, mode), budget=budget)
+    basis = buchberger(extra or [algebra.ring.zero()], start=algebra.groebner,
+                       budget=budget)
+    return QuotientAlgebra(Presentation(algebra.ring, relations, mode), basis)
 
 
 def tensor_many(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -212,6 +223,31 @@ def tensor_many(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
         for rel in a.presentation.relations:
             relations.append(cast(rel, ring, rename))
     return Presentation(ring, tuple(relations)), renamings
+
+
+def tensor_quotient(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The tensor product as an algebra: (quotient, renamings), with the
+    presentation and renamings of tensor_many.
+
+    The factors live in disjoint sets of variables, so every pair of rows
+    from different factors has coprime leading terms and the union of the
+    factors' renamed reduced bases is the reduced basis of the product; it
+    is taken as it is.  A factor whose ring order differs from the product's
+    is the exception: its relations go in as ordinary generators (not its
+    basis, which in lex order can be far larger).  A factor whose basis is
+    {1} makes the product's basis {1}.
+    """
+    presentation, renamings = tensor_many(algebras, budget=budget)
+    ring = presentation.ring
+    known: list = []
+    extra: list = []
+    for a, rename in zip(algebras, renamings):
+        if a.ring.order == ring.order:
+            known.extend(cast(g, ring, rename) for g in a.groebner)
+        else:
+            extra.extend(cast(g, ring, rename) for g in a.presentation.relations)
+    basis = buchberger(extra or [ring.zero()], start=known, budget=budget)
+    return QuotientAlgebra(presentation, basis), renamings
 
 
 def tensor_product(a: QuotientAlgebra, b: QuotientAlgebra, *,

@@ -236,17 +236,13 @@ def _verify_killing(args) -> VerificationReport:
     report = VerificationReport("killing", {"field": "QQ"})
     B, f = constructions.gabber_B(5, QQ, budget=args.budget)
     step = killing_step(B, f, cap=args.cap, budget=args.budget)
-    for claim in step.report.claims:
-        claim.label = f"B(5), r=f: {claim.label}"
-        report.claims.append(claim)
+    report.fold("B(5), r=f", step.report.claims)
     from .algebras import Presentation, make_quotient
     ring = PolyRing(QQ, ("Z",))
     Z = ring.variable("Z")
     dual = make_quotient(Presentation(ring, (Z ** 2,)), budget=args.budget)
     step2 = killing_step(dual, Z, cap=args.cap, budget=args.budget)
-    for claim in step2.report.claims:
-        claim.label = f"dual numbers, r=z: {claim.label}"
-        report.claims.append(claim)
+    report.fold("dual numbers, r=z", step2.report.claims)
     report.add("dual numbers, r=z: zero induced map",
                "the embedding kills the whole differential module of the source",
                is_zero_induced_map(step2.embedding),

@@ -33,7 +33,7 @@ from .algebras import (
     make_quotient,
     nilpotency_index,
     quotient_by,
-    tensor_many,
+    tensor_quotient,
 )
 from .differentials import (
     BASE_FIELD,
@@ -94,6 +94,12 @@ class VerificationReport:
     def add(self, label: str, anchor: str, passed: bool, witness=None) -> bool:
         self.claims.append(Claim(label, anchor, bool(passed), witness))
         return bool(passed)
+
+    def fold(self, prefix: str, claims: list):
+        """Append the claims of a sub-report as `prefix: label`, so labels
+        stay unique and a failed sub-claim fails this report."""
+        for c in claims:
+            self.claims.append(Claim(f"{prefix}: {c.label}", c.anchor, c.passed, c.witness))
 
     @property
     def passed(self) -> bool:
@@ -232,23 +238,22 @@ class TensorPowerResult:
     report: VerificationReport
 
 
-def B_tensor_power(n: int, t: int, field: FieldDescriptor = QQ, *,
+def B_tensor_power(B: QuotientAlgebra, n: int, t: int, *,
                    cap: int = DIMENSION_CAP,
                    budget: int = DEFAULT_BUDGET) -> TensorPowerResult:
-    """The tensor product of t-1 copies of B over the coefficient field, with
-    g_i the copy of f in factor i and g their sum.  Verifies g^t = 0 while
-    g^(t-1) = (t-1)! f (x) ... (x) f is nonzero."""
+    """The tensor product of t-1 copies of B = gabber_B(n, field)[0] over its
+    coefficient field, with g_i the copy of f in factor i and g their sum.
+    Verifies g^t = 0 while g^(t-1) = (t-1)! f (x) ... (x) f is nonzero."""
     started = time.perf_counter()
     if t < 2:
         raise ValueError("tensor power needs t >= 2 (at least one factor)")
-    B, _ = gabber_B(n, field, budget=budget)
+    field = B.field
     copies = t - 1
     projected = B.dimension ** copies
     if projected > cap:
         raise CapExceededError(
             f"tensor power dimension {projected} exceeds the cap {cap}")
-    presentation, renames = tensor_many([B] * copies, budget=budget)
-    Bt = make_quotient(presentation, budget=budget)
+    Bt, renames = tensor_quotient([B] * copies, budget=budget)
     _, _, _, F, _, _ = _b_ingredients(n, field)
     gs = [cast(F, Bt.ring, renames[i]) for i in range(copies)]
     g = Bt.ring.zero()
@@ -302,15 +307,17 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *, n: int = 5,
     if t is None:
         raise ValueError("r must be nilpotent")
     # cap the projected product dimension before any tensor is built
-    b_dim = gabber_B(n, R.field, budget=budget)[0].dimension
-    projected = R.dimension * b_dim ** (t - 1)
+    B, _ = gabber_B(n, R.field, budget=budget)
+    projected = R.dimension * B.dimension ** (t - 1)
     if projected > cap:
         raise CapExceededError(
             f"killing step dimension {projected} exceeds the cap {cap}")
-    tensor = B_tensor_power(n, t, R.field, cap=cap, budget=budget)
+    tensor = B_tensor_power(B, n, t, cap=cap, budget=budget)
     Bt = tensor.algebra
-    presentation, renames = tensor_many([R, Bt], budget=budget)
-    big = make_quotient(presentation, budget=budget)
+    # R (x) B_t keeps the union of the two bases; only the relation
+    # r (x) 1 - 1 (x) g costs a Buchberger run, and its staircase is never
+    # enumerated
+    big, renames = tensor_quotient([R, Bt], budget=budget)
     r_emb = cast(r_reduced, big.ring, renames[0])
     g_emb = cast(tensor.summed, big.ring, renames[1])
     Rp = quotient_by(big, [r_emb - g_emb], budget=budget)
@@ -379,8 +386,7 @@ def kill_all_differentials(R: QuotientAlgebra, *, n: int = 5,
                        "be exceeded instead of truncating claims silently",
                        True, {"stopped_at": format_polynomial(e), "reason": str(exc)})
             return KillAllResult(current, embedding, _finish(report, started), killed)
-        for claim in step.report.claims:
-            report.claims.append(claim)
+        report.fold(f"kill {format_polynomial(e)}", step.report.claims)
         killed.append(format_polynomial(e))
         embedding = step.embedding if embedding is None else compose(step.embedding, embedding)
         current = step.algebra
@@ -429,10 +435,9 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
                    current.is_finite and is_local_with_nilpotent_generators(current),
                    {"dimension": current.dimension})
         result = kill_all_differentials(current, n=n, cap=cap, budget=budget)
+        report.fold(f"stage {i}", result.report.claims)
         if result.report.status == STATUS_CAP:
             report.status = STATUS_CAP
-            for claim in result.report.claims:
-                report.claims.append(claim)
             break
         algebras.append(result.algebra)
         embeddings.append(result.embedding)

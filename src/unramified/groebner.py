@@ -8,12 +8,22 @@ S-pairs are processed in the normal strategy (smallest lcm in the order
 first, ties by pair index), and the returned basis is fully interreduced
 with unit leading coefficients, so it is the unique reduced Groebner basis:
 identical inputs always give identical output.
+
+Pairs whose S-vectors are known to reduce to zero are never built: the
+criteria B, M and F of Gebauer and Moeller ("On an installation of
+Buchberger's algorithm", JSC 1988) and, for ideals, Buchberger's product
+criterion.  The same loop can start from a basis already known, such as
+that of an algebra being quotiented further or the union of the bases of
+tensor factors; its rows are kept and paired only with new rows.  Neither
+changes the output, because the reduced basis is unique; only the number of
+S-pairs and reduction steps falls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import le
 
 from .errors import BudgetExceededError
 from .polynomials import (
@@ -45,9 +55,11 @@ class _Budget:
 
 
 class _Row:
-    """One monic basis element in internal term-dict form."""
+    """One monic basis element in internal term-dict form.  `exps` is the
+    dense exponent vector of the leading monomial and `degree` its total
+    degree; the pair criteria work on them."""
 
-    __slots__ = ("terms", "lt", "key", "is_monomial")
+    __slots__ = ("terms", "lt", "key", "is_monomial", "exps", "degree")
 
     def __init__(self, ring: PolyRing, terms: dict):
         mk = ring.module_key
@@ -60,6 +72,16 @@ class _Row:
         self.lt = lt
         self.key = mk(*lt)
         self.is_monomial = len(terms) == 1
+        exps = [0] * ring.nvars
+        for i, e in lt[1]:
+            exps[i] = e
+        self.exps = tuple(exps)
+        self.degree = sum(exps)
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    """Whether the dense exponent vector a divides b."""
+    return all(map(le, a, b))
 
 
 def _to_terms(obj) -> dict:
@@ -198,71 +220,128 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _prepare_input(generators):
+def _prepare_input(generators, start):
     gens = list(generators)
-    if not gens:
+    seed = list(start)
+    if not gens and not seed:
         raise ValueError("at least one generator (possibly zero) is required")
-    first = gens[0]
+    first = (gens or seed)[0]
     ring = first.ring
     rank = None if isinstance(first, Polynomial) else first.rank
-    for g in gens:
+    for g in gens + seed:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
         if rank is None and not isinstance(g, Polynomial):
             raise ValueError("cannot mix polynomials and module vectors")
         if rank is not None and (not isinstance(g, ModuleVector) or g.rank != rank):
             raise ValueError("generators live in different modules")
-    return ring, rank, gens
+    return ring, rank, gens, seed
 
 
-def buchberger(generators, *, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
+def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal (or submodule)
-    generated by `generators`.
+    generated by `generators` together with `start`.
+
+    `start` holds elements already known to form a Groebner basis of what
+    they generate, such as the generators of a GroebnerBasis of the same ring
+    or the union of bases in disjoint sets of variables.  They become rows as
+    they are, without reduction, and are paired only with the rows that the
+    generators add; their pairs among themselves already reduce to zero.
+
+    Pairs are managed by the criteria of Gebauer and Moeller (the UPDATE
+    procedure of Becker and Weispfenning).  When a row h joins:
+
+    - criterion B deletes a queued pair (i, j) whose lcm the lead term of h
+      divides, unless lcm(i, h) or lcm(j, h) equals it;
+    - criterion M drops a new pair (i, h) when some lcm(k, h) properly
+      divides lcm(i, h);
+    - criterion F keeps one new pair per lcm, and none when the lcm is also
+      that of a pair whose S-vector is known to reduce to zero: two monomial
+      rows, or (for ideals only) coprime lead terms, Buchberger's product
+      criterion;
+    - rows whose lead term h divides get no further pairs.
+
+    A deleted pair is only marked, so its S-vector is never built.  Every
+    dropped pair has an S-vector that reduces to zero once the pairs kept
+    are processed, so the final interreduction yields the same unique
+    reduced basis as processing every pair, only with less work.
 
     Termination is guaranteed by Dickson's lemma; `budget` caps the number
     of reduction steps and raises BudgetExceededError beyond it, so a
     runaway input produces an explicit error rather than a wrong answer.
     """
-    ring, rank, gens = _prepare_input(generators)
+    ring, rank, gens, seed = _prepare_input(generators, start)
     budget_obj = _Budget(budget)
     rows: list = []
     buckets: dict = {}
+    active: list = []  # indices of rows that still get new pairs
     pairs: list = []  # heap of (lcm module key, i, j)
+    live: dict = {}  # (i, j) -> (component, lcm exponents) of undeleted pairs
 
-    def push_pairs(idx: int):
-        row = rows[idx]
-        comp = row.lt[0]
-        for i in range(idx):
-            other = rows[i]
-            if other.lt[0] != comp:
-                continue
-            if other.is_monomial and row.is_monomial:
-                continue  # S-vector of two monomials is identically zero
-            lcm = mono_lcm(other.lt[1], row.lt[1])
-            if rank is None and lcm == mono_mul(other.lt[1], row.lt[1]):
-                continue  # product criterion (sound for ideals only)
-            heappush(pairs, (ring.module_key(comp, lcm), i, idx))
-
-    def insert(terms: dict):
+    def add(terms: dict) -> int:
         row = _Row(ring, terms)
         rows.append(row)
         buckets.setdefault(row.lt[0], []).append(row)
-        push_pairs(len(rows) - 1)
+        return len(rows) - 1
+
+    def update(h: int):
+        row = rows[h]
+        comp, lead = row.lt[0], row.exps
+        # criterion B on the queued pairs
+        for pair, (c, lcm) in list(live.items()):
+            if c == comp and _divides(lead, lcm):
+                i, j = pair
+                if (tuple(map(max, rows[i].exps, lead)) != lcm
+                        and tuple(map(max, rows[j].exps, lead)) != lcm):
+                    del live[pair]
+        # criteria M and F on the new pairs, one candidate per lcm
+        candidates: dict = {}  # lcm -> [i, S-vector known to reduce to zero]
+        for i in active:
+            other = rows[i]
+            if other.lt[0] != comp:
+                continue
+            lcm = tuple(map(max, other.exps, lead))
+            known_zero = ((other.is_monomial and row.is_monomial)
+                          or (rank is None and sum(lcm) == other.degree + row.degree))
+            entry = candidates.get(lcm)
+            if entry is None:
+                candidates[lcm] = [i, known_zero]
+            elif known_zero:
+                entry[1] = True
+        minimal: list = []
+        for lcm in sorted(candidates, key=sum):
+            if any(_divides(m, lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
+            i, known_zero = candidates[lcm]
+            if not known_zero:
+                live[(i, h)] = (comp, lcm)
+                mono = tuple((v, e) for v, e in enumerate(lcm) if e)
+                heappush(pairs, (ring.module_key(comp, mono), i, h))
+        active[:] = [i for i in active
+                     if rows[i].lt[0] != comp or not _divides(lead, rows[i].exps)]
+        active.append(h)
+
+    for g in seed:
+        t = _to_terms(g)
+        if t:
+            active.append(add(t))
 
     for g in gens:
-        t = _to_terms(g)
-        t = _reduce_terms(ring, t, buckets, budget_obj)
+        t = _reduce_terms(ring, _to_terms(g), buckets, budget_obj)
         if t:
-            insert(t)
+            update(add(t))
 
     while pairs:
         _, i, j = heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue  # deleted by criterion B
         s = _spair(rows[i], rows[j])
         if not s:
             continue
         r = _reduce_terms(ring, s, buckets, budget_obj)
         if r:
-            insert(r)
+            update(add(r))
 
     # Interreduce: keep rows with minimal leading terms, then tail-reduce each
     # against the others (sequentially, updating as we go) to reach the unique

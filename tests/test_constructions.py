@@ -1,10 +1,13 @@
 """The named constructions and their verification reports."""
 
 import json
+import pathlib
 
 import pytest
 
+from unramified import constructions
 from unramified.algebras import Presentation, make_quotient
+from unramified.cli import main
 from unramified.constructions import (
     B_tensor_power,
     STATUS_CAP,
@@ -57,20 +60,21 @@ def test_preparatory_all_claims(n):
         "x y^3 zero", "cofactor identity", "Y^2 in (F1, F2)"}
 
 
-def test_tensor_power():
-    result = B_tensor_power(5, 2)
+def test_tensor_power(b5):
+    B, _ = b5
+    result = B_tensor_power(B, 5, 2)
     assert result.report.passed
     assert result.algebra.dimension == 11
     assert len(result.factor_elements) == 1
 
-    result3 = B_tensor_power(5, 3)
+    result3 = B_tensor_power(B, 5, 3)
     assert result3.report.passed
     assert result3.algebra.dimension == 121
 
     with pytest.raises(ValueError):
-        B_tensor_power(5, 1)
+        B_tensor_power(B, 5, 1)
     with pytest.raises(CapExceededError):
-        B_tensor_power(5, 3, cap=100)
+        B_tensor_power(B, 5, 3, cap=100)
 
 
 def test_killing_step_b5(b5):
@@ -132,6 +136,64 @@ def test_gabber_sequence(dual_numbers):
 
     capped = gabber_sequence(1, cap=50)
     assert capped.report.status == STATUS_CAP
+    assert [c.label for c in capped.report.claims][-1] == "stage 0: cap honored"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
+
+
+@pytest.mark.parametrize("name,k", [
+    ("killing_b5_f.json", None),
+    ("killing_dual_z.json", 2),
+    ("killing_z3_z.json", 3),
+    ("killing_z4_z.json", 4),
+])
+def test_killing_golden_reports(name, k, b5):
+    """killing_step reports, recorded before Groebner bases were reused, stay
+    byte-identical: B(5) with r = f, and k[Z]/(Z^k) with r = Z."""
+    if k is None:
+        R, r = b5
+    else:
+        ring = PolyRing(QQ, ("Z",))
+        r = ring.variable("Z")
+        R = make_quotient(Presentation(ring, (r ** k,)))
+    assert killing_step(R, r).report.to_json() + "\n" == (GOLDEN / name).read_text()
+
+
+def test_kill_all_labels_name_the_killed_element():
+    ring = PolyRing(QQ, ("Z",))
+    Z = ring.variable("Z")
+    result = kill_all_differentials(make_quotient(Presentation(ring, (Z ** 3,))))
+    labels = [c.label for c in result.report.claims]
+    assert len(labels) == len(set(labels))
+    assert "kill Z: dr dies" in labels
+    assert labels[-1] == "composite kills differentials"
+    assert result.report.passed
+
+
+def test_planted_sub_claim_failure_fails_the_sequence(monkeypatch, dual_numbers):
+    """A failed claim of any killing step fails kill-all, the sequence and
+    `verify gabber`, even when no cap is hit."""
+    real = constructions.killing_step
+
+    def planted(*args, **kwargs):
+        step = real(*args, **kwargs)
+        for claim in step.report.claims:
+            if claim.label == "dr dies":
+                claim.passed = False
+        return step
+
+    monkeypatch.setattr(constructions, "killing_step", planted)
+    assert not kill_all_differentials(dual_numbers).report.passed
+    result = gabber_sequence(1, start=dual_numbers)
+    assert result.report.status == STATUS_OK
+    assert not result.report.passed
+    claims = {c.label: c.passed for c in result.report.claims}
+    assert claims["stage 0: kill Z: dr dies"] is False
+    assert claims["stage 0: kill Z: embedding injective"] is True
+    argv = ["verify", "gabber", "--steps", "1", "--start", str(SAMPLES / "dual_numbers.alg")]
+    assert main(argv + ["--json"]) == 1
 
 
 @pytest.mark.parametrize("p,n_max", [(2, 3), (3, 2)])

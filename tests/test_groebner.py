@@ -184,8 +184,12 @@ def test_determinism_bit_identical():
 
 
 def test_budget_exceeded():
+    # with the pair criteria this ideal takes exactly one reduction step
+    gens = [X ** 3 - 2 * X * Y, X ** 2 * Y + X - 2 * Y ** 2]
     with pytest.raises(BudgetExceededError):
-        buchberger([X ** 3 - 2 * X * Y, X ** 2 * Y + X - 2 * Y ** 2], budget=3)
+        buchberger(gens, budget=0)
+    gb = buchberger(gens, budget=1)
+    assert [format_polynomial(g) for g in gb.generators] == ["Y^2 - 1/2*X", "X*Y", "X^2"]
 
 
 def test_mixed_input_rejected():
