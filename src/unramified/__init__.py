@@ -25,7 +25,6 @@ from .algebras import (
     nilpotency_index,
     quotient_by,
     tensor_many,
-    tensor_product,
     tensor_quotient,
 )
 from .differentials import (

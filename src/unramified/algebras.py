@@ -10,15 +10,12 @@ from dataclasses import dataclass
 
 from . import groebner, linalg
 from .errors import NotMPrimaryError
-from .fields import FieldElement
 from .groebner import DEFAULT_BUDGET, GroebnerBasis, Staircase, buchberger, normal_form
 from .polynomials import (
-    MONOMIAL_ONE,
     PolyRing,
     Polynomial,
     cast,
     is_homogeneous,
-    mono_mul,
     monomials_of_weighted_degree,
     substitute,
 )
@@ -102,21 +99,6 @@ class QuotientAlgebra:
     def is_zero_element(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
 
-    def multiply(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.reduce(f * g)
-
-    def add(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.reduce(f + g)
-
-    def coordinates(self, f: Polynomial) -> list:
-        """Coefficients of f on the staircase monomial basis."""
-        nf = self.reduce(f)
-        index = {m: i for i, m in enumerate(self.basis_monomials())}
-        coords = [self.field.zero()] * len(index)
-        for m, c in nf.terms.items():
-            coords[index[m]] = c
-        return coords
-
     def __repr__(self):
         dim = self.dimension
         size = "inf" if dim is None else str(dim)
@@ -197,7 +179,7 @@ def quotient_by(algebra: QuotientAlgebra, elements, *,
     return QuotientAlgebra(Presentation(algebra.ring, relations, mode), basis)
 
 
-def tensor_many(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
+def tensor_many(algebras: list) -> tuple:
     """Presentation of the tensor product over the common coefficient field.
 
     Factor i (1-based) keeps its weights and gets every variable renamed with
@@ -237,7 +219,7 @@ def tensor_quotient(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
     basis, which in lex order can be far larger).  A factor whose basis is
     {1} makes the product's basis {1}.
     """
-    presentation, renamings = tensor_many(algebras, budget=budget)
+    presentation, renamings = tensor_many(algebras)
     ring = presentation.ring
     known: list = []
     extra: list = []
@@ -248,13 +230,6 @@ def tensor_quotient(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
             extra.extend(cast(g, ring, rename) for g in a.presentation.relations)
     basis = buchberger(extra or [ring.zero()], start=known, budget=budget)
     return QuotientAlgebra(presentation, basis), renamings
-
-
-def tensor_product(a: QuotientAlgebra, b: QuotientAlgebra, *,
-                   budget: int = DEFAULT_BUDGET) -> Presentation:
-    """Presentation of a (x) b over the coefficient field: disjoint renamed
-    variables, union of renamed relations."""
-    return tensor_many([a, b], budget=budget)[0]
 
 
 class AlgebraMap:

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import constructions, differentials, groebner
+from . import constructions
 from .algebras import make_map
 from .constructions import (
     DIMENSION_CAP,
@@ -24,7 +24,6 @@ from .constructions import (
     check_theorem_local_case,
     euler_identity_check,
     gabber_sequence,
-    kill_all_differentials,
     killing_step,
     standard_local_corpus,
     twisted_example,
@@ -97,7 +96,7 @@ def _load_algebra(args):
 
 def _cmd_omega(args) -> int:
     algebra = _load_algebra(args)
-    module = kaehler(algebra, args.base)
+    module = kaehler(algebra)
     payload = {
         "command": "omega",
         "base": args.base,
@@ -112,7 +111,7 @@ def _cmd_omega(args) -> int:
 def _cmd_d_zero(args) -> int:
     algebra = _load_algebra(args)
     element = parse_polynomial(args.element, algebra.ring)
-    module = kaehler(algebra, args.base)
+    module = kaehler(algebra)
     image = module.d_image(element)
     payload = {
         "command": "d-zero",
@@ -221,7 +220,7 @@ def _cmd_verify(args) -> int:
                                  seed=args.seed, budget=args.budget).report
     elif name == "local-case":
         corpus = standard_local_corpus(args.count, args.seed, budget=args.budget)
-        report = check_theorem_local_case(corpus, budget=args.budget)
+        report = check_theorem_local_case(corpus)
     elif name == "euler":
         field = parse_field_spec(args.field)
         report = euler_identity_check(field, trials=args.trials, seed=args.seed)
@@ -271,15 +270,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DIMENSION_CAP,
                        help="dimension cap for iterated constructions")
 
+    def base_alias(p):
+        p.add_argument("--base", choices=("field", "degree0"), default="field",
+                       help="alias kept for compatibility: weights are positive, so "
+                            "the degree-zero subring is the coefficient field and "
+                            "both values give one module; omega echoes the value")
+
     p = sub.add_parser("omega", help="summary of the differential module")
     common(p)
-    p.add_argument("--base", choices=("field", "degree0"), default="field")
+    base_alias(p)
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("d-zero", help="is the differential of an element zero")
     p.add_argument("element", help="polynomial expression")
     common(p)
-    p.add_argument("--base", choices=("field", "degree0"), default="field")
+    base_alias(p)
     p.set_defaults(func=_cmd_d_zero)
 
     p = sub.add_parser("kernel-degree",

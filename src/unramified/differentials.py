@@ -24,25 +24,18 @@ from .polynomials import (
     partial_derivative,
 )
 
-BASE_FIELD = "field"
-BASE_DEGREE_ZERO = "degree0"
-
 
 class KaehlerModule:
-    """Presentation of the differential module of an algebra, relative to the
-    coefficient field or to the degree-zero subring.
+    """Presentation of the differential module of an algebra relative to the
+    coefficient field.
 
-    Since ring weights are strictly positive, the degree-zero subring is just
-    the coefficient field and the two bases give the same module; the flag is
-    kept to make the intent of graded computations explicit.
+    Ring weights are strictly positive, so the degree-zero subring of a
+    graded algebra is the coefficient field itself and this one module also
+    serves graded computations.
     """
 
-    def __init__(self, algebra: QuotientAlgebra, base: str = BASE_FIELD,
-                 *, budget: int = DEFAULT_BUDGET):
-        if base not in (BASE_FIELD, BASE_DEGREE_ZERO):
-            raise ValueError(f"unknown base {base!r}")
+    def __init__(self, algebra: QuotientAlgebra, *, budget: int = DEFAULT_BUDGET):
         self.algebra = algebra
-        self.base = base
         ring = algebra.ring
         self.rank = ring.nvars
         relations = algebra.presentation.relations
@@ -115,49 +108,49 @@ class KaehlerModule:
         return groebner.dimension(self.groebner)
 
     def __repr__(self):
-        return f"<differential module on {self.rank} generators, base {self.base}>"
+        return f"<differential module on {self.rank} generators>"
 
 
 @lru_cache(maxsize=None)
-def kaehler(algebra: QuotientAlgebra, base: str = BASE_FIELD) -> KaehlerModule:
-    """The differential module of an algebra (cached per algebra and base)."""
-    return KaehlerModule(algebra, base)
+def kaehler(algebra: QuotientAlgebra) -> KaehlerModule:
+    """The differential module of an algebra (cached per algebra)."""
+    return KaehlerModule(algebra)
 
 
-def is_omega_zero(algebra: QuotientAlgebra, base: str = BASE_FIELD) -> bool:
-    """Whether the algebra is formally unramified over the base: its module
-    of differentials is zero."""
-    return kaehler(algebra, base).is_zero()
+def is_omega_zero(algebra: QuotientAlgebra) -> bool:
+    """Whether the algebra is formally unramified over the coefficient field:
+    its module of differentials is zero."""
+    return kaehler(algebra).is_zero()
 
 
-def induced_map_on_omega(phi: AlgebraMap, base: str = BASE_FIELD) -> list:
+def induced_map_on_omega(phi: AlgebraMap) -> list:
     """Images of the source generators dX_i in the target differential
     module: dX_i maps to d(phi(X_i)), reduced in the target."""
     if phi.source.field != phi.target.field:
         raise ValueError("base mismatch")
-    target = kaehler(phi.target, base)
+    target = kaehler(phi.target)
     return [target.d_image(phi.apply(phi.source.ring.variable(name)))
             for name in phi.source.ring.names]
 
 
-def is_zero_induced_map(phi: AlgebraMap, base: str = BASE_FIELD) -> bool:
+def is_zero_induced_map(phi: AlgebraMap) -> bool:
     """Whether the induced map on differential modules is zero.  The source
     module is generated by the dX_i, so it suffices that every d(phi(X_i))
     vanishes in the target."""
-    return all(v.is_zero() for v in induced_map_on_omega(phi, base))
+    return all(v.is_zero() for v in induced_map_on_omega(phi))
 
 
-def omega_matrix_on_bases(phi: AlgebraMap, base: str = BASE_FIELD) -> list:
+def omega_matrix_on_bases(phi: AlgebraMap) -> list:
     """Matrix of the induced map between finite-dimensional differential
     modules, in the module staircase bases."""
-    source_k = kaehler(phi.source, base)
-    target_k = kaehler(phi.target, base)
+    source_k = kaehler(phi.source)
+    target_k = kaehler(phi.target)
     source_chart = groebner.staircase(source_k.groebner)
     target_chart = groebner.staircase(target_k.groebner)
     if not source_chart.finite or not target_chart.finite:
         raise ValueError("matrix requires finite-dimensional modules")
     field = phi.source.field
-    images = induced_map_on_omega(phi, base)
+    images = induced_map_on_omega(phi)
     target_index = {entry: i for i, entry in enumerate(target_chart.monomials)}
     rows = [[field.zero() for _ in source_chart.monomials] for _ in target_index]
     ring = phi.source.ring
@@ -171,8 +164,7 @@ def omega_matrix_on_bases(phi: AlgebraMap, base: str = BASE_FIELD) -> list:
     return rows
 
 
-def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int,
-                                base: str = BASE_DEGREE_ZERO) -> list:
+def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     """Basis of the homogeneous elements of the given positive degree killed
     by the universal derivation, by exact linear algebra on the degree slice.
 
@@ -184,7 +176,7 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int,
         raise ValueError("kernel computation requires a graded presentation")
     if degree < 1:
         raise ValueError("degree must be positive")
-    module = kaehler(algebra, base)
+    module = kaehler(algebra)
     domain = staircase_of_degree(algebra.groebner, degree)
     if not domain:
         return []

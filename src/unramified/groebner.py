@@ -29,7 +29,6 @@ from .errors import BudgetExceededError
 from .polynomials import (
     MONOMIAL_ONE,
     ModuleVector,
-    Monomial,
     PolyRing,
     Polynomial,
     mono_div,
@@ -203,15 +202,6 @@ class GroebnerBasis:
         else:
             self.generators = tuple(
                 ModuleVector(ring, rank, dict(row.terms)) for row in rows)
-
-    @property
-    def reduced(self) -> bool:
-        return True
-
-    def leading_terms(self) -> list:
-        if self.rank is None:
-            return [row.lt[1] for row in self._rows]
-        return [row.lt for row in self._rows]
 
     def __len__(self):
         return len(self._rows)

@@ -46,7 +46,6 @@ from .fields import (
 )
 from .groebner import DEFAULT_BUDGET
 from .polynomials import (
-    GREVLEX,
     PolyRing,
     Polynomial,
     format_polynomial,
@@ -305,13 +304,13 @@ def format_presentation(presentation: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_algebra(presentation: Presentation, *, budget: int = DEFAULT_BUDGET,
-                  power_cap: int = 64) -> QuotientAlgebra:
+def build_algebra(presentation: Presentation, *,
+                  budget: int = DEFAULT_BUDGET) -> QuotientAlgebra:
     """Materialize a parsed presentation: local mode goes through the
     power-of-the-maximal-ideal stabilization, the others are plain quotients."""
     if presentation.mode == MODE_LOCAL:
         return artinian_local_model(presentation.ring, presentation.relations,
-                                    power_cap=power_cap, budget=budget)
+                                    budget=budget)
     return make_quotient(presentation, budget=budget)
 
 

@@ -629,18 +629,6 @@ class ModuleVector:
         return format_vector(self)
 
 
-def module_weighted_degree(v: ModuleVector):
-    """Weighted degree of a homogeneous vector, where the component i basis
-    vector carries the weight of variable i; None when inhomogeneous."""
-    ring = v.ring
-    degs = {ring.weighted_degree(m) + ring.weights[comp] for (comp, m) in v.terms}
-    if not degs:
-        return 0
-    if len(degs) == 1:
-        return degs.pop()
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Formatting (parse_polynomial round-trips these forms)
 # ---------------------------------------------------------------------------

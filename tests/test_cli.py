@@ -200,3 +200,29 @@ def test_verify_local_case(capsys):
     assert main(["verify", "local-case", "--count", "5", "--seed", "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
+
+
+SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
+
+
+@pytest.mark.parametrize("argv,name,code", [
+    (["omega", "--file", "b5.alg"], "omega_b5.json", 0),
+    (["omega", "--file", "b5.alg", "--base", "field"], "omega_b5_field.json", 0),
+    (["omega", "--file", "b5.alg", "--base", "degree0"], "omega_b5_degree0.json", 0),
+    (["kernel-degree", "--file", "square_difference.alg", "--deg", "3"],
+     "kernel_square_difference_deg3.json", 0),
+    (["veronese", "--file", "cross_term_f2.alg", "--max-deg", "6"],
+     "veronese_cross_term_f2_6.json", 0),
+    (["verify", "gabber", "--steps", "1", "--start", "dual_numbers.alg"],
+     "gabber_dual_steps1.json", 0),
+    (["verify", "gabber", "--steps", "2", "--start", "dual_numbers.alg"],
+     "gabber_dual_steps2.json", 3),
+    (["verify", "gabber", "--steps", "1"], "gabber_steps1.json", 3),
+    (["verify", "local-case", "--count", "20", "--seed", "0"], "local_case_20_0.json", 0),
+])
+def test_golden_outputs(argv, name, code, capsys):
+    """JSON output and exit code of README verbs, byte for byte; `--base`
+    is an alias whose value only `omega` echoes."""
+    argv = [str(SAMPLES / a) if a.endswith(".alg") else a for a in argv]
+    assert main(argv + ["--json"]) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from unramified import constructions
-from unramified.algebras import Presentation, make_quotient
+from unramified.algebras import Presentation, artinian_local_model, make_quotient
 from unramified.cli import main
 from unramified.constructions import (
     B_tensor_power,
@@ -118,6 +118,57 @@ def test_kill_all_differentials(dual_numbers):
     assert trivial.embedding is None
 
 
+def _truncated(names, exponents):
+    ring = PolyRing(QQ, names)
+    return make_quotient(Presentation(
+        ring, tuple(ring.variable(v) ** e for v, e in zip(names, exponents))))
+
+
+def test_kill_all_kills_the_generators():
+    """Only the ring generators are killed, in ascending monomial order: their
+    differentials generate the module (the maximal ideal's basis is larger)."""
+    result = kill_all_differentials(_truncated(("X", "Y"), (2, 2)))
+    assert result.killed == ["Y", "X"]
+    assert result.algebra.dimension == 121
+    assert result.report.params["generators"] == 2
+    assert result.report.status == STATUS_OK
+    assert result.report.passed
+
+
+def test_kill_all_skips_a_generator_whose_differential_is_zero():
+    # in k[X, Y]/(X^2, Y - X^2) the generator Y is zero: it is skipped and
+    # only X takes a killing step
+    ring = PolyRing(QQ, ("X", "Y"))
+    X, Y = ring.variable("X"), ring.variable("Y")
+    result = kill_all_differentials(make_quotient(Presentation(ring, (X ** 2, Y - X ** 2))))
+    assert result.killed == ["Y", "X"]
+    assert [c.label for c in result.report.claims if c.label.startswith("kill ")] == [
+        "kill X: R' finite dimensional", "kill X: embedding injective", "kill X: dr dies"]
+    assert result.algebra.dimension == 11
+    assert result.report.passed
+
+    # B(5) with a third generator W = f: W is nonzero but dW = df = 0, so it
+    # is skipped and the chain goes on to Y, where the cap stops it
+    ring = PolyRing(QQ, ("X", "Y", "W"))
+    X, Y, W = (ring.variable(v) for v in ring.names)
+    F = X ** 2 * Y ** 2 + X ** 5 + Y ** 5
+    B = artinian_local_model(ring, [X * (2 * Y ** 2 + 5 * X ** 3),
+                                    Y * (2 * X ** 2 + 5 * Y ** 3), W - F])
+    assert not B.is_zero_element(W)
+    result = kill_all_differentials(B, cap=50)
+    assert result.killed == ["W"]
+    assert result.report.status == STATUS_CAP
+    assert result.report.claims[-1].witness["stopped_at"] == "Y"
+
+
+def test_kill_all_z4_fits_the_default_cap():
+    result = kill_all_differentials(_truncated(("Z",), (4,)))
+    assert result.report.status == STATUS_OK
+    assert result.algebra.dimension == 1331
+    assert result.killed == ["Z"]
+    assert all(c.passed for c in result.report.claims)
+
+
 def test_kill_all_cap_status(b5):
     B, _ = b5
     result = kill_all_differentials(B, cap=50)
@@ -162,9 +213,9 @@ def test_killing_golden_reports(name, k, b5):
 
 
 def test_kill_all_labels_name_the_killed_element():
-    ring = PolyRing(QQ, ("Z",))
-    Z = ring.variable("Z")
-    result = kill_all_differentials(make_quotient(Presentation(ring, (Z ** 3,))))
+    result = kill_all_differentials(_truncated(("Z",), (3,)))
+    assert result.killed == ["Z"]
+    assert result.algebra.dimension == 121
     labels = [c.label for c in result.report.claims]
     assert len(labels) == len(set(labels))
     assert "kill Z: dr dies" in labels
