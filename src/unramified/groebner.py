@@ -27,7 +27,6 @@ from operator import le
 
 from .errors import BudgetExceededError
 from .polynomials import (
-    MONOMIAL_ONE,
     ModuleVector,
     PolyRing,
     Polynomial,
@@ -54,11 +53,11 @@ class _Budget:
 
 
 class _Row:
-    """One monic basis element in internal term-dict form.  `exps` is the
-    dense exponent vector of the leading monomial and `degree` its total
-    degree; the pair criteria work on them."""
+    """One monic basis element in internal term-dict form.  `lt` is the
+    leading (component, monomial) pair and `degree` the total degree of its
+    monomial; the pair criteria work on them."""
 
-    __slots__ = ("terms", "lt", "key", "is_monomial", "exps", "degree")
+    __slots__ = ("terms", "lt", "key", "is_monomial", "degree")
 
     def __init__(self, ring: PolyRing, terms: dict):
         mk = ring.module_key
@@ -71,16 +70,7 @@ class _Row:
         self.lt = lt
         self.key = mk(*lt)
         self.is_monomial = len(terms) == 1
-        exps = [0] * ring.nvars
-        for i, e in lt[1]:
-            exps[i] = e
-        self.exps = tuple(exps)
-        self.degree = sum(exps)
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    """Whether the dense exponent vector a divides b."""
-    return all(map(le, a, b))
+        self.degree = sum(lt[1])
 
 
 def _to_terms(obj) -> dict:
@@ -276,13 +266,13 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
 
     def update(h: int):
         row = rows[h]
-        comp, lead = row.lt[0], row.exps
+        comp, lead = row.lt
         # criterion B on the queued pairs
         for pair, (c, lcm) in list(live.items()):
-            if c == comp and _divides(lead, lcm):
+            if c == comp and mono_divides(lead, lcm):
                 i, j = pair
-                if (tuple(map(max, rows[i].exps, lead)) != lcm
-                        and tuple(map(max, rows[j].exps, lead)) != lcm):
+                if (mono_lcm(rows[i].lt[1], lead) != lcm
+                        and mono_lcm(rows[j].lt[1], lead) != lcm):
                     del live[pair]
         # criteria M and F on the new pairs, one candidate per lcm
         candidates: dict = {}  # lcm -> [i, S-vector known to reduce to zero]
@@ -290,7 +280,7 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
             other = rows[i]
             if other.lt[0] != comp:
                 continue
-            lcm = tuple(map(max, other.exps, lead))
+            lcm = mono_lcm(other.lt[1], lead)
             known_zero = ((other.is_monomial and row.is_monomial)
                           or (rank is None and sum(lcm) == other.degree + row.degree))
             entry = candidates.get(lcm)
@@ -300,16 +290,15 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
                 entry[1] = True
         minimal: list = []
         for lcm in sorted(candidates, key=sum):
-            if any(_divides(m, lcm) for m in minimal):
+            if any(mono_divides(m, lcm) for m in minimal):
                 continue
             minimal.append(lcm)
             i, known_zero = candidates[lcm]
             if not known_zero:
                 live[(i, h)] = (comp, lcm)
-                mono = tuple((v, e) for v, e in enumerate(lcm) if e)
-                heappush(pairs, (ring.module_key(comp, mono), i, h))
+                heappush(pairs, (ring.module_key(comp, lcm), i, h))
         active[:] = [i for i in active
-                     if rows[i].lt[0] != comp or not _divides(lead, rows[i].exps)]
+                     if rows[i].lt[0] != comp or not mono_divides(lead, rows[i].lt[1])]
         active.append(h)
 
     for g in seed:
@@ -397,41 +386,35 @@ def _component_staircase(ring: PolyRing, lead_monomials: list):
     pruning: once a partial monomial is divisible by a leading term, every
     deeper or higher-exponent extension is too, so whole subtrees are cut.
     """
-    if MONOMIAL_ONE in lead_monomials:
+    if ring.monomial_one in lead_monomials:
         return []
     n = ring.nvars
     bounds = []
     for var in range(n):
-        pure = [m[0][1] for m in lead_monomials if len(m) == 1 and m[0][0] == var]
+        pure = [m[var] for m in lead_monomials if sum(m) == m[var]]
         if not pure:
             return None
         bounds.append(min(pure))
     by_last_var: dict = {}
     for lm in lead_monomials:
-        by_last_var.setdefault(lm[-1][0], []).append(lm)
+        last = max(i for i, e in enumerate(lm) if e)
+        by_last_var.setdefault(last, []).append(lm)
     out: list = []
     exps = [0] * n
 
     def walk(var: int):
         if var == n:
-            out.append(tuple((i, e) for i, e in enumerate(exps) if e))
+            out.append(tuple(exps))
             return
         for e in range(bounds[var]):
             exps[var] = e
-            blocked = False
-            for lm in by_last_var.get(var, ()):
-                if all(exps[i] >= ex for i, ex in lm):
-                    blocked = True
-                    break
-            if blocked:
+            # exponents past `var` are still zero, as they are in lm
+            if any(all(map(le, lm, exps)) for lm in by_last_var.get(var, ())):
                 break  # higher exponents at this variable stay divisible
             walk(var + 1)
         exps[var] = 0
 
-    if n == 0:
-        out.append(MONOMIAL_ONE)
-    else:
-        walk(0)
+    walk(0)
     return out
 
 

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials with weighted gradings, and vectors in
 finite free modules over the polynomial ring.
 
-Monomials are sparse exponent vectors ((var_index, exponent), ...) sorted by
-index with all exponents positive; () is the monomial 1.  Polynomials map
+Monomials are dense exponent tuples, one non-negative int per ring variable;
+`ring.monomial_one`, all zeros, is the monomial 1.  Polynomials map
 monomials to nonzero field elements; module vectors map (component, monomial)
 pairs to nonzero field elements.  Everything is immutable and canonical.
 """
@@ -10,6 +10,7 @@ pairs to nonzero field elements.  Everything is immutable and canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, mul, sub
 
 from .fields import (
     RATIONAL_FUNCTIONS,
@@ -20,7 +21,6 @@ from .fields import (
 )
 
 Monomial = tuple
-MONOMIAL_ONE: Monomial = ()
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -31,46 +31,22 @@ LEX = "lex"
 # ---------------------------------------------------------------------------
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for i, e in b:
-        merged[i] = merged.get(i, 0) + e
-    return tuple(sorted(merged.items()))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """a / b, or None when b does not divide a."""
-    if not b:
-        return a
-    rest = dict(a)
-    for i, e in b:
-        have = rest.get(i, 0)
-        if have < e:
-            return None
-        if have == e:
-            del rest[i]
-        else:
-            rest[i] = have - e
-    return tuple(sorted(rest.items()))
+    if all(map(le, b, a)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_divides(b: Monomial, a: Monomial) -> bool:
-    return mono_div(a, b) is not None
+    return all(map(le, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    merged = dict(a)
-    for i, e in b:
-        if merged.get(i, 0) < e:
-            merged[i] = e
-    return tuple(sorted(merged.items()))
-
-
-def mono_degree(m: Monomial, weights: tuple) -> int:
-    return sum(weights[i] * e for i, e in m)
+    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +60,8 @@ class PolyRing:
 
     The default order is weighted graded reverse lexicographic, which is
     degree compatible: leading terms respect the grading, so staircase
-    counts of graded pieces are exact.
+    counts of graded pieces are exact.  `monomial_one`, the all-zero
+    exponent tuple, is derived from the variables and is not a field.
     """
 
     field: FieldDescriptor
@@ -108,6 +85,7 @@ class PolyRing:
         if self.field.kind == RATIONAL_FUNCTIONS and self.field.variable in names:
             raise ValueError(
                 f"variable {self.field.variable!r} collides with the coefficient field generator")
+        object.__setattr__(self, "monomial_one", (0,) * len(names))
 
     @property
     def nvars(self) -> int:
@@ -120,18 +98,13 @@ class PolyRing:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def weighted_degree(self, m: Monomial) -> int:
-        return mono_degree(m, self.weights)
+        return sum(map(mul, self.weights, m))
 
     def monomial_key(self, m: Monomial) -> tuple:
         """A flat integer tuple; comparing keys compares monomials."""
-        n = len(self.names)
-        dense = [0] * n
-        for i, e in m:
-            dense[i] = e
         if self.order == LEX:
-            return tuple(dense)
-        wdeg = sum(self.weights[i] * dense[i] for i in range(n))
-        return (wdeg,) + tuple(-dense[i] for i in range(n - 1, -1, -1))
+            return m
+        return (sum(map(mul, self.weights, m)),) + tuple(-e for e in reversed(m))
 
     def module_key(self, comp: int, m: Monomial) -> tuple:
         """Position-over-term: earlier components dominate, then the ring order."""
@@ -148,20 +121,24 @@ class PolyRing:
     def from_scalar(self, c: FieldElement) -> "Polynomial":
         if c.field != self.field:
             raise ValueError("scalar from a different field")
-        return Polynomial(self, {} if c.is_zero() else {MONOMIAL_ONE: c})
+        return Polynomial(self, {} if c.is_zero() else {self.monomial_one: c})
 
     def from_int(self, n: int) -> "Polynomial":
         return self.from_scalar(self.field.from_int(n))
 
     def variable(self, name: str) -> "Polynomial":
-        i = self.index(name)
-        return Polynomial(self, {((i, 1),): self.field.one()})
+        return self.monomial({name: 1})
 
     def monomial(self, exponents: dict, coefficient=None) -> "Polynomial":
-        m = tuple(sorted((self.index(k) if isinstance(k, str) else k, e)
-                         for k, e in exponents.items() if e))
-        if any(e < 0 for _, e in m):
-            raise ValueError("exponents must be non-negative")
+        dense = [0] * len(self.names)
+        for k, e in exponents.items():
+            if e < 0:
+                raise ValueError("exponents must be non-negative")
+            i = self.index(k) if isinstance(k, str) else k
+            if not 0 <= i < len(dense):
+                raise ValueError(f"unknown variable index {k!r}")
+            dense[i] = e
+        m = tuple(dense)
         c = self.field.one() if coefficient is None else coefficient
         if isinstance(c, int):
             c = self.field.from_int(c)
@@ -210,10 +187,10 @@ class Polynomial:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and MONOMIAL_ONE in self.terms)
+        return not self.terms or (len(self.terms) == 1 and self.ring.monomial_one in self.terms)
 
     def constant_coefficient(self) -> FieldElement:
-        return self.terms.get(MONOMIAL_ONE, self.ring.field.zero())
+        return self.terms.get(self.ring.monomial_one, self.ring.field.zero())
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the largest term in the ring order."""
@@ -320,7 +297,7 @@ class Polynomial:
             return self.ring.one()
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
-            pm = tuple((i, e * exponent) for i, e in m)
+            pm = tuple(e * exponent for e in m)
             return Polynomial(self.ring, {pm: c ** exponent})
         result = self.ring.one()
         base = self
@@ -360,18 +337,13 @@ def partial_derivative(p: Polynomial, name: str) -> Polynomial:
     i = p.ring.index(name)
     out = {}
     for m, c in p.terms.items():
-        d = dict(m)
-        e = d.get(i, 0)
+        e = m[i]
         if e == 0:
             continue
         nc = c * e
         if nc.is_zero():
             continue
-        if e == 1:
-            del d[i]
-        else:
-            d[i] = e - 1
-        out[tuple(sorted(d.items()))] = nc
+        out[m[:i] + (e - 1,) + m[i + 1:]] = nc
     return Polynomial(p.ring, out)
 
 
@@ -429,17 +401,19 @@ def rename_variables(p: Polynomial, mapping: dict) -> Polynomial:
 
 def cast(p: Polynomial, target: PolyRing, rename: dict | None = None) -> Polynomial:
     """Re-express p in another ring over the same field, matching variables by
-    (optionally renamed) name."""
+    (optionally renamed) name.  Two variables may not land on one."""
     if p.ring.field != target.field:
         raise ValueError("field mismatch")
     rename = rename or {}
-    index_map = {}
-    for i, n in enumerate(p.ring.names):
-        index_map[i] = target.index(rename.get(n, n))
+    index_map = [target.index(rename.get(n, n)) for n in p.ring.names]
+    if len(set(index_map)) != len(index_map):
+        raise ValueError("variable renaming collides")
     out = {}
     for m, c in p.terms.items():
-        nm = tuple(sorted((index_map[i], e) for i, e in m))
-        out[nm] = c
+        nm = list(target.monomial_one)
+        for j, e in zip(index_map, m):
+            nm[j] = e
+        out[tuple(nm)] = c
     return Polynomial(target, out)
 
 
@@ -457,7 +431,9 @@ def substitute(p: Polynomial, images: dict, target: PolyRing) -> Polynomial:
     total = target.zero()
     for m, c in p.terms.items():
         term = target.from_scalar(c)
-        for i, e in m:
+        for i, e in enumerate(m):
+            if not e:
+                continue
             if i not in imgs:
                 raise ValueError(f"no image for variable {p.ring.names[i]!r}")
             term = term * (imgs[i] ** e)
@@ -468,27 +444,24 @@ def substitute(p: Polynomial, images: dict, target: PolyRing) -> Polynomial:
 def monomials_of_weighted_degree(ring: PolyRing, degree: int) -> list:
     """All monomials of exact weighted degree, ascending in the ring order."""
     out: list = []
+    exps = list(ring.monomial_one)
 
-    def walk(var: int, remaining: int, acc: list):
+    def walk(var: int, remaining: int):
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append(tuple(exps))
             return
         if var >= ring.nvars:
             return
         w = ring.weights[var]
-        walk(var + 1, remaining, acc)
-        e = 1
-        while w * e <= remaining:
-            acc.append((var, e))
-            walk(var + 1, remaining - w * e, acc)
-            acc.pop()
-            e += 1
+        walk(var + 1, remaining)
+        for e in range(1, remaining // w + 1):
+            exps[var] = e
+            walk(var + 1, remaining - w * e)
+        exps[var] = 0
 
-    if degree == 0:
-        return [MONOMIAL_ONE]
     if degree < 0:
         return []
-    walk(0, degree, [])
+    walk(0, degree)
     out.sort(key=ring.monomial_key)
     return out
 
@@ -538,7 +511,7 @@ class ModuleVector:
     def unit(ring: PolyRing, rank: int, comp: int) -> "ModuleVector":
         if not 0 <= comp < rank:
             raise ValueError(f"component {comp} out of range for rank {rank}")
-        return ModuleVector(ring, rank, {(comp, MONOMIAL_ONE): ring.field.one()})
+        return ModuleVector(ring, rank, {(comp, ring.monomial_one): ring.field.one()})
 
     def component(self, comp: int) -> Polynomial:
         return Polynomial(
@@ -634,12 +607,8 @@ class ModuleVector:
 # ---------------------------------------------------------------------------
 
 def format_monomial(ring: PolyRing, m: Monomial) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for i, e in m:
-        parts.append(ring.names[i] if e == 1 else f"{ring.names[i]}^{e}")
-    return "*".join(parts)
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(ring.names, m) if e]
+    return "*".join(parts) or "1"
 
 
 def _coefficient_text(c: FieldElement) -> tuple:
@@ -666,7 +635,7 @@ def format_polynomial(p: Polynomial) -> str:
     for m, c in p.sorted_terms():
         sign, text, parens = _coefficient_text(c)
         mono = format_monomial(p.ring, m)
-        if not m:
+        if not any(m):
             body = text
         elif text == "1":
             body = mono

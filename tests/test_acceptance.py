@@ -196,8 +196,8 @@ def test_criterion_09_groebner_engine():
         for _ in range(rng.randrange(1, 4)):
             terms = []
             for _ in range(rng.randrange(1, 4)):
-                mono = tuple(sorted((i, rng.randrange(1, 5))
-                                    for i in range(nvars) if rng.random() < 0.7))
+                mono = tuple(rng.randrange(1, 5) if rng.random() < 0.7 else 0
+                             for _ in range(nvars))
                 c = ring.field.from_int(rng.randrange(-4, 5))
                 if not c.is_zero():
                     terms.append((mono, c))
@@ -209,33 +209,21 @@ def test_criterion_09_groebner_engine():
         gb = buchberger(gens)
         assert satisfies_buchberger_criterion(gb)
 
-        dense = []
-        for g in gens:
-            row = {}
-            for mono, c in g.terms.items():
-                exps = [0] * nvars
-                for i, e in mono:
-                    exps[i] = e
-                row[tuple(exps)] = Fraction(c.payload)
-            dense.append(row)
+        dense = [{mono: Fraction(c.payload) for mono, c in g.terms.items()}
+                 for g in gens]
         member = ring.zero()
         for g in gens:
             extra = Polynomial.build(ring, [
-                (tuple(sorted((i, rng.randrange(1, 2)) for i in range(nvars)
-                              if rng.random() < 0.5)),
+                (tuple(rng.randrange(1, 2) if rng.random() < 0.5 else 0
+                       for _ in range(nvars)),
                  ring.field.from_int(rng.randrange(-2, 3)))])
             member = member + g * extra
         probe = Polynomial.build(ring, [
-            (tuple(sorted((i, rng.randrange(1, 4)) for i in range(nvars)
-                          if rng.random() < 0.6)),
+            (tuple(rng.randrange(1, 4) if rng.random() < 0.6 else 0
+                   for _ in range(nvars)),
              ring.field.from_int(rng.randrange(-3, 4)))])
         for candidate in (member, probe):
-            dense_f = {}
-            for mono, c in candidate.terms.items():
-                exps = [0] * nvars
-                for i, e in mono:
-                    exps[i] = e
-                dense_f[tuple(exps)] = Fraction(c.payload)
+            dense_f = {mono: Fraction(c.payload) for mono, c in candidate.terms.items()}
             assert ideal_member(candidate, gb) == oracles.membership_oracle(
                 dense_f, dense, nvars, bound=6)
         ideals_checked += 1
@@ -246,8 +234,8 @@ def test_criterion_09_groebner_engine():
     for _ in range(200):
         terms = []
         for _ in range(rng.randrange(0, 5)):
-            mono = tuple(sorted((i, rng.randrange(1, 5)) for i in range(2)
-                                if rng.random() < 0.7))
+            mono = tuple(rng.randrange(1, 5) if rng.random() < 0.7 else 0
+                         for _ in range(2))
             c = QQ.from_int(rng.randrange(-5, 6))
             if not c.is_zero():
                 terms.append((mono, c))

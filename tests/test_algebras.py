@@ -193,7 +193,7 @@ def test_maximal_ideal_power_vanishes():
     # degree basis monomials reduces to zero
     for relations in ([Z ** 2], [Z ** 3]):
         a = make_quotient(Presentation(RZ, tuple(relations)))
-        gens = [Polynomial(RZ, {m: QQ.one()}) for m in a.basis_monomials() if m != ()]
+        gens = [Polynomial(RZ, {m: QQ.one()}) for m in a.basis_monomials() if m != (0,)]
         for combo in itertools.combinations_with_replacement(gens, a.dimension):
             product = RZ.one()
             for g in combo:

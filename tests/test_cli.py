@@ -219,10 +219,20 @@ SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
      "gabber_dual_steps2.json", 3),
     (["verify", "gabber", "--steps", "1"], "gabber_steps1.json", 3),
     (["verify", "local-case", "--count", "20", "--seed", "0"], "local_case_20_0.json", 0),
+    (["dim", "--file", "b5.alg"], "dim_b5.json", 0),
+    (["d-zero", "X^2*Y^2 + X^5 + Y^5", "--file", "b5.alg"], "d_zero_b5_f.json", 0),
+    (["map-omega", "--map", "root_tower_step.map"], "map_omega_root_tower_step.json", 0),
+    (["parse-check", "--file", "b5.alg", "--dump"], "parse_check_b5_dump.txt", 0),
+    (["verify", "preparatory", "--n", "5", "--field", "QQ"], "preparatory_5_qq.json", 0),
+    (["verify", "killing"], "killing.json", 0),
+    (["verify", "euler", "--trials", "100", "--field", "Fp:3"], "euler_100_fp3.json", 0),
 ])
-def test_golden_outputs(argv, name, code, capsys):
+def test_golden_outputs(argv, name, code, capsys, monkeypatch):
     """JSON output and exit code of README verbs, byte for byte; `--base`
-    is an alias whose value only `omega` echoes."""
-    argv = [str(SAMPLES / a) if a.endswith(".alg") else a for a in argv]
+    is an alias whose value only `omega` echoes.  Sample files are passed as
+    `samples/<name>` from the repository root, since `map-omega` echoes the
+    path it was given."""
+    monkeypatch.chdir(SAMPLES.parent)
+    argv = [f"samples/{a}" if a.endswith((".alg", ".map")) else a for a in argv]
     assert main(argv + ["--json"]) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()

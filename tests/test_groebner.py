@@ -33,22 +33,8 @@ R = PolyRing(QQ, ("X", "Y"))
 X, Y = R.variable("X"), R.variable("Y")
 
 
-def dense_to_poly(ring: PolyRing, dense: dict) -> Polynomial:
-    terms = {}
-    for exps, c in dense.items():
-        mono = tuple((i, e) for i, e in enumerate(exps) if e)
-        terms[mono] = ring.field.from_fraction(c.numerator, c.denominator)
-    return Polynomial(ring, terms)
-
-
 def poly_to_dense(p: Polynomial) -> dict:
-    out = {}
-    for mono, c in p.terms.items():
-        exps = [0] * p.ring.nvars
-        for i, e in mono:
-            exps[i] = e
-        out[tuple(exps)] = Fraction(c.payload)
-    return out
+    return {mono: Fraction(c.payload) for mono, c in p.terms.items()}
 
 
 def test_already_reduced():
@@ -98,8 +84,8 @@ def test_normal_form_is_canonical():
 def _random_poly(rng, ring, max_exp=3, max_terms=4):
     terms = []
     for _ in range(rng.randrange(0, max_terms + 1)):
-        mono = tuple(sorted((i, rng.randrange(1, max_exp + 1))
-                            for i in range(ring.nvars) if rng.random() < 0.6))
+        mono = tuple(rng.randrange(1, max_exp + 1) if rng.random() < 0.6 else 0
+                     for _ in range(ring.nvars))
         c = ring.field.from_int(rng.randrange(-4, 5))
         if not c.is_zero():
             terms.append((mono, c))

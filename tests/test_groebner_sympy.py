@@ -60,7 +60,7 @@ def _field(p):
 
 def _poly_of(ring, spec):
     return Polynomial.build(ring, [
-        (tuple((i, e) for i, e in enumerate(exps[:ring.nvars]) if e), ring.field.from_int(c))
+        (exps[:ring.nvars], ring.field.from_int(c))
         for c, exps in spec])
 
 
@@ -71,13 +71,9 @@ def _polys(p, nvars, gens, order=GREVLEX):
 
 def _dense(poly):
     """{exponent tuple: Fraction or int mod p} of one of our polynomials."""
-    out = {}
-    for mono, c in poly.terms.items():
-        exps = [0] * poly.ring.nvars
-        for i, e in mono:
-            exps[i] = e
-        out[tuple(exps)] = Fraction(c.payload) if poly.ring.field.characteristic == 0 else c.payload
-    return out
+    rational = poly.ring.field.characteristic == 0
+    return {mono: Fraction(c.payload) if rational else c.payload
+            for mono, c in poly.terms.items()}
 
 
 def _sympy_basis(p, nvars, polys):
