@@ -66,6 +66,7 @@ from .groebner import (
     satisfies_buchberger_criterion,
     staircase,
     staircase_of_degree,
+    step_budget,
 )
 from .polynomials import (
     ModuleVector,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import groebner, linalg
 from .errors import NotMPrimaryError
-from .groebner import DEFAULT_BUDGET, GroebnerBasis, Staircase, buchberger, normal_form
+from .groebner import GroebnerBasis, Staircase, buchberger, normal_form
 from .polynomials import (
     PolyRing,
     Polynomial,
@@ -105,12 +105,9 @@ class QuotientAlgebra:
         return f"<quotient of {self.ring} by {len(self.presentation.relations)} relations, dim {size}>"
 
 
-def make_quotient(presentation: Presentation, *, budget: int = DEFAULT_BUDGET) -> QuotientAlgebra:
+def make_quotient(presentation: Presentation) -> QuotientAlgebra:
     """Quotient by the relations as a plain polynomial ideal."""
-    if presentation.relations:
-        basis = buchberger(presentation.relations, budget=budget)
-    else:
-        basis = buchberger([presentation.ring.zero()], budget=budget)
+    basis = buchberger(presentation.relations or [presentation.ring.zero()])
     return QuotientAlgebra(presentation, basis)
 
 
@@ -124,8 +121,7 @@ def _power_generators(ring: PolyRing, n: int) -> list:
 
 
 def artinian_local_model(ring: PolyRing, generators, *,
-                         power_cap: int = DEFAULT_POWER_CAP,
-                         budget: int = DEFAULT_BUDGET) -> QuotientAlgebra:
+                         power_cap: int = DEFAULT_POWER_CAP) -> QuotientAlgebra:
     """Realize the power-series quotient k[[X_1..X_s]]/I as a polynomial
     quotient: compute P/(I + m^N) for N = 1, 2, ... and stop at the first N
     where the dimension equals that of N+1.
@@ -145,7 +141,7 @@ def artinian_local_model(ring: PolyRing, generators, *,
     prev = None
     for n in range(1, power_cap + 2):
         relations = tuple(gens) + tuple(_power_generators(ring, n))
-        basis = buchberger(relations, budget=budget)
+        basis = buchberger(relations)
         chart = groebner.staircase(basis)
         dim = chart.dimension
         if dim is None:
@@ -160,8 +156,7 @@ def artinian_local_model(ring: PolyRing, generators, *,
         f"no stabilization below m^{power_cap}: the ideal is not primary to the maximal ideal")
 
 
-def quotient_by(algebra: QuotientAlgebra, elements, *,
-                budget: int = DEFAULT_BUDGET) -> QuotientAlgebra:
+def quotient_by(algebra: QuotientAlgebra, elements) -> QuotientAlgebra:
     """Quotient an algebra by further elements of its ambient ring.  The
     algebra's reduced basis is extended by the new elements, not rebuilt."""
     extra = [e for e in elements if not e.is_zero()]
@@ -174,8 +169,7 @@ def quotient_by(algebra: QuotientAlgebra, elements, *,
         mode = MODE_PLAIN
     if mode == MODE_LOCAL:
         mode = MODE_PLAIN
-    basis = buchberger(extra or [algebra.ring.zero()], start=algebra.groebner,
-                       budget=budget)
+    basis = buchberger(extra or [algebra.ring.zero()], start=algebra.groebner)
     return QuotientAlgebra(Presentation(algebra.ring, relations, mode), basis)
 
 
@@ -207,7 +201,7 @@ def tensor_many(algebras: list) -> tuple:
     return Presentation(ring, tuple(relations)), renamings
 
 
-def tensor_quotient(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
+def tensor_quotient(algebras: list) -> tuple:
     """The tensor product as an algebra: (quotient, renamings), with the
     presentation and renamings of tensor_many.
 
@@ -228,7 +222,7 @@ def tensor_quotient(algebras: list, *, budget: int = DEFAULT_BUDGET) -> tuple:
             known.extend(cast(g, ring, rename) for g in a.groebner)
         else:
             extra.extend(cast(g, ring, rename) for g in a.presentation.relations)
-    basis = buchberger(extra or [ring.zero()], start=known, budget=budget)
+    basis = buchberger(extra or [ring.zero()], start=known)
     return QuotientAlgebra(presentation, basis), renamings
 
 

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 all claims pass, 1 a claim failed, 2 usage or parse error,
-3 budget or dimension cap exceeded.  `--json` prints a canonical report
-(sorted keys, timing omitted unless `--timing` is given), so repeated runs
-are byte-identical; human-readable text goes to stdout otherwise and
-diagnostics to stderr.
+3 budget or dimension cap exceeded.  `--budget` is one `step_budget` for
+the whole command, normal forms included.  `--json` prints a canonical
+report (sorted keys, timing omitted unless `verify` or `map-omega` gets
+`--timing`), so repeated runs are byte-identical; human-readable text goes
+to stdout otherwise and diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .differentials import (
 )
 from .errors import BudgetExceededError, CapExceededError, NotMPrimaryError, ParseError
 from .fields import QQ
-from .groebner import DEFAULT_BUDGET
+from .groebner import DEFAULT_BUDGET, step_budget
 from .parsing import (
     build_algebra,
     format_presentation,
@@ -87,7 +88,7 @@ def _emit_payload(payload: dict, args, passed: bool = True) -> int:
 def _load_algebra(args):
     text = Path(args.file).read_text()
     presentation = parse_presentation(text)
-    return build_algebra(presentation, budget=args.budget)
+    return build_algebra(presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +185,8 @@ def _cmd_parse_check(args) -> int:
 
 def _cmd_map_omega(args) -> int:
     spec = parse_map_file(Path(args.map).read_text())
-    source = build_algebra(spec.source, budget=args.budget)
-    target = build_algebra(spec.target, budget=args.budget)
+    source = build_algebra(spec.source)
+    target = build_algebra(spec.target)
     images = {name: parse_polynomial(expr, target.ring)
               for name, expr in spec.images.items()}
     phi = make_map(source, target, images)
@@ -201,25 +202,20 @@ def _cmd_verify(args) -> int:
     if name == "preparatory":
         field = parse_field_spec(args.field)
         report = verify_preparatory(
-            args.n, field, budget=args.budget,
-            allow_positive_characteristic=args.allow_char_p)
+            args.n, field, allow_positive_characteristic=args.allow_char_p)
     elif name == "killing":
         report = _verify_killing(args)
     elif name == "gabber":
         start = None
         if args.start:
-            start = build_algebra(parse_presentation(Path(args.start).read_text()),
-                                  budget=args.budget)
-        result = gabber_sequence(args.steps, start=start, cap=args.cap,
-                                 budget=args.budget)
-        report = result.report
+            start = build_algebra(parse_presentation(Path(args.start).read_text()))
+        report = gabber_sequence(args.steps, start=start, cap=args.cap).report
     elif name == "charp-tower":
-        report = charp_tower(args.p, args.n_max, budget=args.budget).report
+        report = charp_tower(args.p, args.n_max).report
     elif name == "twisted":
-        report = twisted_example(args.p, args.n, trials=args.trials,
-                                 seed=args.seed, budget=args.budget).report
+        report = twisted_example(args.p, args.n, trials=args.trials, seed=args.seed).report
     elif name == "local-case":
-        corpus = standard_local_corpus(args.count, args.seed, budget=args.budget)
+        corpus = standard_local_corpus(args.count, args.seed)
         report = check_theorem_local_case(corpus)
     elif name == "euler":
         field = parse_field_spec(args.field)
@@ -233,14 +229,14 @@ def _verify_killing(args) -> VerificationReport:
     """The two standard killing-step instances: B(5) with r = f, and the dual
     numbers with r = z (including the full zero-induced-map check)."""
     report = VerificationReport("killing", {"field": "QQ"})
-    B, f = constructions.gabber_B(5, QQ, budget=args.budget)
-    step = killing_step(B, f, cap=args.cap, budget=args.budget)
+    B, f = constructions.gabber_B(5, QQ)
+    step = killing_step(B, f, cap=args.cap)
     report.fold("B(5), r=f", step.report.claims)
     from .algebras import Presentation, make_quotient
     ring = PolyRing(QQ, ("Z",))
     Z = ring.variable("Z")
-    dual = make_quotient(Presentation(ring, (Z ** 2,)), budget=args.budget)
-    step2 = killing_step(dual, Z, cap=args.cap, budget=args.budget)
+    dual = make_quotient(Presentation(ring, (Z ** 2,)))
+    step2 = killing_step(dual, Z, cap=args.cap)
     report.fold("dual numbers, r=z", step2.report.claims)
     report.add("dual numbers, r=z: zero induced map",
                "the embedding kills the whole differential module of the source",
@@ -259,16 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks on differential modules of presented algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
+    def common(p, *, file=True, timing=False, cap=False):
+        """Shared flags; each verb is offered only the flags it reads."""
+        if file:
             p.add_argument("--file", required=True, help="presentation file")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        p.add_argument("--timing", action="store_true",
-                       help="include measured elapsed_ms in JSON output")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="reduction step budget")
-        p.add_argument("--cap", type=int, default=DIMENSION_CAP,
-                       help="dimension cap for iterated constructions")
+                       help="reduction steps the whole command may spend")
+        if timing:
+            p.add_argument("--timing", action="store_true",
+                           help="include measured elapsed_ms in JSON output")
+        if cap:
+            p.add_argument("--cap", type=int, default=DIMENSION_CAP,
+                           help="dimension cap for iterated constructions")
 
     def base_alias(p):
         p.add_argument("--base", choices=("field", "degree0"), default="field",
@@ -304,19 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("parse-check", help="parse a presentation and round-trip it")
-    common(p)
+    p.add_argument("--file", required=True, help="presentation file")
+    p.add_argument("--json", action="store_true", help="canonical JSON output")
     p.add_argument("--dump", action="store_true", help="print the canonical dump")
     p.set_defaults(func=_cmd_parse_check)
 
     p = sub.add_parser("map-omega", help="zero test for an induced map on differentials")
     p.add_argument("--map", required=True, help="map file")
-    common(p, needs_file=False)
+    common(p, file=False, timing=True)
     p.set_defaults(func=_cmd_map_omega)
 
     p = sub.add_parser("verify", help="run a named verification")
     p.add_argument("what", choices=("preparatory", "killing", "gabber",
                                     "charp-tower", "twisted", "local-case", "euler"))
-    common(p, needs_file=False)
+    common(p, file=False, timing=True, cap=True)
     p.add_argument("--n", type=int, default=5, help="exponent parameter")
     p.add_argument("--field", default="QQ", help="QQ, Fp:p or FpX:p")
     p.add_argument("--allow-char-p", action="store_true",
@@ -341,7 +341,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # parse-check takes no --budget: it does no Groebner work, and a
+        # budget of 0 holds it to that
+        with step_budget(getattr(args, "budget", 0)):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,7 +49,6 @@ from .fields import (
     prime_field,
     rational_functions,
 )
-from .groebner import DEFAULT_BUDGET
 from .polynomials import (
     PolyRing,
     Polynomial,
@@ -138,8 +137,7 @@ def _b_ingredients(n: int, field: FieldDescriptor):
 
 
 def gabber_B(n: int, field: FieldDescriptor = QQ, *,
-             allow_positive_characteristic: bool = False,
-             budget: int = DEFAULT_BUDGET):
+             allow_positive_characteristic: bool = False):
     """The local algebra B = k[[X,Y]]/(X F1, Y F2) with F = X^2 Y^2 + X^n + Y^n,
     realized through power-of-the-maximal-ideal stabilization, together with
     the image f of F.
@@ -160,20 +158,18 @@ def gabber_B(n: int, field: FieldDescriptor = QQ, *,
             raise ValueError(
                 "characteristic zero expected; pass allow_positive_characteristic=True to explore")
     ring, X, Y, F, F1, F2 = _b_ingredients(n, field)
-    B = artinian_local_model(ring, [X * F1, Y * F2], budget=budget)
+    B = artinian_local_model(ring, [X * F1, Y * F2])
     return B, B.reduce(F)
 
 
 def verify_preparatory(n: int, field: FieldDescriptor = QQ, *,
-                       allow_positive_characteristic: bool = False,
-                       budget: int = DEFAULT_BUDGET) -> VerificationReport:
+                       allow_positive_characteristic: bool = False) -> VerificationReport:
     """Verify every claim made about B: finite dimension, f nonzero with zero
     square, df = 0, the vanishing x y^3, the membership Y^2 in (F1, F2), and
     the exact cofactor identity behind it."""
     started = time.perf_counter()
     report = VerificationReport("preparatory", {"n": n, "field": str(field)})
-    B, f = gabber_B(n, field, allow_positive_characteristic=allow_positive_characteristic,
-                    budget=budget)
+    B, f = gabber_B(n, field, allow_positive_characteristic=allow_positive_characteristic)
     ring, X, Y, F, F1, F2 = _b_ingredients(n, field)
 
     report.add("dimension finite",
@@ -211,7 +207,7 @@ def verify_preparatory(n: int, field: FieldDescriptor = QQ, *,
                identity_holds and unit_cofactor,
                {"cofactor": format_polynomial(cofactor)})
 
-    local_f1f2 = artinian_local_model(ring, [F1, F2], budget=budget)
+    local_f1f2 = artinian_local_model(ring, [F1, F2])
     report.add("Y^2 in (F1, F2)",
                "Y^2 lies in the ideal (F1, F2) of the power series ring",
                local_f1f2.is_zero_element(Y ** 2),
@@ -232,8 +228,7 @@ class TensorPowerResult:
 
 
 def B_tensor_power(B: QuotientAlgebra, n: int, t: int, *,
-                   cap: int = DIMENSION_CAP,
-                   budget: int = DEFAULT_BUDGET) -> TensorPowerResult:
+                   cap: int = DIMENSION_CAP) -> TensorPowerResult:
     """The tensor product of t-1 copies of B = gabber_B(n, field)[0] over its
     coefficient field, with g_i the copy of f in factor i and g their sum.
     Verifies g^t = 0 while g^(t-1) = (t-1)! f (x) ... (x) f is nonzero."""
@@ -246,7 +241,7 @@ def B_tensor_power(B: QuotientAlgebra, n: int, t: int, *,
     if projected > cap:
         raise CapExceededError(
             f"tensor power dimension {projected} exceeds the cap {cap}")
-    Bt, renames = tensor_quotient([B] * copies, budget=budget)
+    Bt, renames = tensor_quotient([B] * copies)
     _, _, _, F, _, _ = _b_ingredients(n, field)
     gs = [cast(F, Bt.ring, renames[i]) for i in range(copies)]
     g = Bt.ring.zero()
@@ -283,8 +278,7 @@ class KillingStepResult:
 
 
 def killing_step(R: QuotientAlgebra, r: Polynomial, *, n: int = 5,
-                 cap: int = DIMENSION_CAP,
-                 budget: int = DEFAULT_BUDGET) -> KillingStepResult:
+                 cap: int = DIMENSION_CAP) -> KillingStepResult:
     """One differential-killing extension: with t the nilpotency index of r,
     form R' = R (x) B_t / (r (x) 1 - 1 (x) g) and the canonical embedding.
 
@@ -300,20 +294,20 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *, n: int = 5,
     if t is None:
         raise ValueError("r must be nilpotent")
     # cap the projected product dimension before any tensor is built
-    B, _ = gabber_B(n, R.field, budget=budget)
+    B, _ = gabber_B(n, R.field)
     projected = R.dimension * B.dimension ** (t - 1)
     if projected > cap:
         raise CapExceededError(
             f"killing step dimension {projected} exceeds the cap {cap}")
-    tensor = B_tensor_power(B, n, t, cap=cap, budget=budget)
+    tensor = B_tensor_power(B, n, t, cap=cap)
     Bt = tensor.algebra
     # R (x) B_t keeps the union of the two bases; only the relation
     # r (x) 1 - 1 (x) g costs a Buchberger run, and its staircase is never
     # enumerated
-    big, renames = tensor_quotient([R, Bt], budget=budget)
+    big, renames = tensor_quotient([R, Bt])
     r_emb = cast(r_reduced, big.ring, renames[0])
     g_emb = cast(tensor.summed, big.ring, renames[1])
-    Rp = quotient_by(big, [r_emb - g_emb], budget=budget)
+    Rp = quotient_by(big, [r_emb - g_emb])
     iota = make_map(R, Rp, {name: Rp.ring.variable(renames[0][name])
                             for name in R.ring.names})
     report = VerificationReport(
@@ -342,8 +336,7 @@ class KillAllResult:
 
 
 def kill_all_differentials(R: QuotientAlgebra, *, n: int = 5,
-                           cap: int = DIMENSION_CAP,
-                           budget: int = DEFAULT_BUDGET) -> KillAllResult:
+                           cap: int = DIMENSION_CAP) -> KillAllResult:
     """Iterate killing_step over the ring generators so that the composite
     map kills the whole differential module, which the dX_i generate.
 
@@ -373,7 +366,7 @@ def kill_all_differentials(R: QuotientAlgebra, *, n: int = 5,
             killed.append(format_polynomial(e))
             continue
         try:
-            step = killing_step(current, r, n=n, cap=cap, budget=budget)
+            step = killing_step(current, r, n=n, cap=cap)
         except CapExceededError as exc:
             report.status = STATUS_CAP
             report.add("cap honored",
@@ -405,8 +398,7 @@ class SequenceResult:
 
 
 def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
-                    n: int = 5, cap: int = DIMENSION_CAP,
-                    budget: int = DEFAULT_BUDGET) -> SequenceResult:
+                    n: int = 5, cap: int = DIMENSION_CAP) -> SequenceResult:
     """Build the chain R_0 into R_1 into ... by repeatedly killing all
     differentials, verifying at each stage: the base properly contains the
     coefficient field, every stage is finite dimensional local with residue
@@ -429,7 +421,7 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
                    "each stage is a finite dimensional local algebra with residue field k",
                    current.is_finite and is_local_with_nilpotent_generators(current),
                    {"dimension": current.dimension})
-        result = kill_all_differentials(current, n=n, cap=cap, budget=budget)
+        result = kill_all_differentials(current, n=n, cap=cap)
         report.fold(f"stage {i}", result.report.claims)
         if result.report.status == STATUS_CAP:
             report.status = STATUS_CAP
@@ -456,7 +448,7 @@ class TowerResult:
     report: VerificationReport
 
 
-def charp_tower(p: int, n_max: int, *, budget: int = DEFAULT_BUDGET) -> TowerResult:
+def charp_tower(p: int, n_max: int) -> TowerResult:
     """Finite stages of the p-th root tower: A_n = F_p[Y]/(Y^(p^n)) models the
     ring generated by the p^n-th root of a killed element, with transitions
     Y -> Y'^p.  Each stage is non-reduced with nonzero differential module,
@@ -471,7 +463,7 @@ def charp_tower(p: int, n_max: int, *, budget: int = DEFAULT_BUDGET) -> TowerRes
     for n in range(1, n_max + 2):
         ring = PolyRing(field, ("Y",))
         algebras.append(make_quotient(
-            Presentation(ring, (ring.variable("Y") ** (p ** n),)), budget=budget))
+            Presentation(ring, (ring.variable("Y") ** (p ** n),))))
     maps = []
     for n in range(1, n_max + 1):
         A = algebras[n - 1]
@@ -495,8 +487,7 @@ def charp_tower(p: int, n_max: int, *, budget: int = DEFAULT_BUDGET) -> TowerRes
     return TowerResult(algebras[:n_max], maps, _finish(report, started))
 
 
-def twisted_example(p: int, n: int, *, trials: int = 50, seed: int = 0,
-                    budget: int = DEFAULT_BUDGET) -> TowerResult:
+def twisted_example(p: int, n: int, *, trials: int = 50, seed: int = 0) -> TowerResult:
     """The non-perfect-base example: over L = F_p(x) the algebra
     A_n = L[U, Z]/(U^(p^n) - x - Z, Z^2) carries the twisted L-structure
     f(x) -> f(x) + f'(x) z.  Verifies the non-reducedness, dz = 0, the ring
@@ -514,7 +505,7 @@ def twisted_example(p: int, n: int, *, trials: int = 50, seed: int = 0,
         U, Z = ring.variable("U"), ring.variable("Z")
         x = ring.from_scalar(L.generator())
         return make_quotient(
-            Presentation(ring, (U ** (p ** level) - x - Z, Z ** 2)), budget=budget)
+            Presentation(ring, (U ** (p ** level) - x - Z, Z ** 2)))
 
     A = stage(n)
     Z = A.ring.variable("Z")
@@ -599,26 +590,24 @@ def check_theorem_local_case(entries) -> VerificationReport:
     return _finish(report, started)
 
 
-def standard_local_corpus(count: int = 20, seed: int = 0, *,
-                          budget: int = DEFAULT_BUDGET) -> list:
+def standard_local_corpus(count: int = 20, seed: int = 0) -> list:
     """Seeded random Artinian local presentations over the rationals plus the
     named algebras every report exercises."""
     rng = random.Random(seed)
     corpus: list = []
 
     ring0 = PolyRing(QQ, ())
-    corpus.append(("ground field", make_quotient(Presentation(ring0, ()), budget=budget)))
+    corpus.append(("ground field", make_quotient(Presentation(ring0, ()))))
     ringz = PolyRing(QQ, ("Z",))
     Zv = ringz.variable("Z")
-    corpus.append(("dual numbers", make_quotient(Presentation(ringz, (Zv ** 2,)), budget=budget)))
-    corpus.append(("collapsed line", make_quotient(Presentation(ringz, (Zv,)), budget=budget)))
-    corpus.append(("B(5)", gabber_B(5, QQ, budget=budget)[0]))
+    corpus.append(("dual numbers", make_quotient(Presentation(ringz, (Zv ** 2,)))))
+    corpus.append(("collapsed line", make_quotient(Presentation(ringz, (Zv,)))))
+    corpus.append(("B(5)", gabber_B(5, QQ)[0]))
     for p, nn in ((2, 1), (2, 2), (3, 1)):
         field = prime_field(p)
         ring = PolyRing(field, ("Y",))
         corpus.append((f"root stage p={p} n={nn}",
-                       make_quotient(Presentation(ring, (ring.variable("Y") ** (p ** nn),)),
-                                     budget=budget)))
+                       make_quotient(Presentation(ring, (ring.variable("Y") ** (p ** nn),)))))
 
     names = ("X", "Y", "Z")
     for k in range(count):
@@ -638,7 +627,7 @@ def standard_local_corpus(count: int = 20, seed: int = 0, *,
             if not terms.is_zero():
                 relations.append(terms)
         corpus.append((f"random #{k}",
-                       make_quotient(Presentation(ring, tuple(relations)), budget=budget)))
+                       make_quotient(Presentation(ring, tuple(relations)))))
     return corpus
 
 

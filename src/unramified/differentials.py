@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import groebner, linalg
 from .algebras import MODE_GRADED, AlgebraMap, QuotientAlgebra
 from .errors import ComputationError
-from .groebner import DEFAULT_BUDGET, buchberger, normal_form, staircase_of_degree
+from .groebner import buchberger, normal_form, staircase_of_degree
 from .polynomials import (
     ModuleVector,
     Polynomial,
@@ -34,7 +34,7 @@ class KaehlerModule:
     serves graded computations.
     """
 
-    def __init__(self, algebra: QuotientAlgebra, *, budget: int = DEFAULT_BUDGET):
+    def __init__(self, algebra: QuotientAlgebra):
         self.algebra = algebra
         ring = algebra.ring
         self.rank = ring.nvars
@@ -55,10 +55,9 @@ class KaehlerModule:
                                                 {(i, m): c for m, c in g.terms.items()}))
         self.relation_vectors = tuple(vectors)
         if vectors:
-            self.groebner = buchberger(vectors, budget=budget)
+            self.groebner = buchberger(vectors)
         else:
-            self.groebner = buchberger([ModuleVector(ring, self.rank, {})],
-                                       budget=budget) if self.rank else None
+            self.groebner = buchberger([ModuleVector(ring, self.rank, {})]) if self.rank else None
 
     def raw_differential(self, f: Polynomial) -> ModuleVector:
         """sum_i (df/dX_i) dX_i in the free module, not reduced."""

@@ -21,6 +21,8 @@ S-pairs and reduction steps falls.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import le
@@ -41,15 +43,32 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int):
-        self.remaining = limit
+        self.limit = self.remaining = limit
 
     def spend(self):
         self.remaining -= 1
         if self.remaining < 0:
-            raise BudgetExceededError("budget exceeded")
+            raise BudgetExceededError(f"reduction-step budget {self.limit} exceeded")
+
+
+_STEP_BUDGET: ContextVar = ContextVar("step_budget", default=None)
+
+
+@contextmanager
+def step_budget(limit: int):
+    """Make every reduction step in the block spend from one budget of
+    `limit` steps, yielded with its `remaining` count.  A nested block has
+    its own budget until it exits; outside any block each Groebner call
+    gets a fresh DEFAULT_BUDGET."""
+    budget = _Budget(limit)
+    token = _STEP_BUDGET.set(budget)
+    try:
+        yield budget
+    finally:
+        _STEP_BUDGET.reset(token)
 
 
 class _Row:
@@ -218,7 +237,7 @@ def _prepare_input(generators, start):
     return ring, rank, gens, seed
 
 
-def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
+def buchberger(generators, *, start=()) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal (or submodule)
     generated by `generators` together with `start`.
 
@@ -246,12 +265,12 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
     are processed, so the final interreduction yields the same unique
     reduced basis as processing every pair, only with less work.
 
-    Termination is guaranteed by Dickson's lemma; `budget` caps the number
-    of reduction steps and raises BudgetExceededError beyond it, so a
+    Termination is guaranteed by Dickson's lemma; reduction steps spend from
+    the current `step_budget` and raise BudgetExceededError beyond it, so a
     runaway input produces an explicit error rather than a wrong answer.
     """
     ring, rank, gens, seed = _prepare_input(generators, start)
-    budget_obj = _Budget(budget)
+    budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
     rows: list = []
     buckets: dict = {}
     active: list = []  # indices of rows that still get new pairs
@@ -307,7 +326,7 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
             active.append(add(t))
 
     for g in gens:
-        t = _reduce_terms(ring, _to_terms(g), buckets, budget_obj)
+        t = _reduce_terms(ring, _to_terms(g), buckets, budget)
         if t:
             update(add(t))
 
@@ -318,7 +337,7 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
         s = _spair(rows[i], rows[j])
         if not s:
             continue
-        r = _reduce_terms(ring, s, buckets, budget_obj)
+        r = _reduce_terms(ring, s, buckets, budget)
         if r:
             update(add(r))
 
@@ -338,45 +357,42 @@ def buchberger(generators, *, start=(), budget: int = DEFAULT_BUDGET) -> Groebne
             if k == idx:
                 continue
             other_buckets.setdefault(row.lt[0], []).append(row)
-        nf = _reduce_terms(ring, kept[idx].terms, other_buckets, budget_obj)
+        nf = _reduce_terms(ring, kept[idx].terms, other_buckets, budget)
         kept[idx] = _Row(ring, nf)
     kept.sort(key=lambda r: r.key)
     return GroebnerBasis(ring, rank, kept)
 
 
-def normal_form(f, gb: GroebnerBasis, *, budget: int = DEFAULT_BUDGET):
+def normal_form(f, gb: GroebnerBasis):
     """Canonical representative of f modulo the ideal or submodule; zero
     exactly when f is a member.  Idempotent."""
     if isinstance(f, Polynomial):
         if gb.rank is not None:
             raise ValueError("polynomial against a module basis")
-        if f.ring != gb.ring:
-            raise ValueError("ring mismatch")
-        terms = _reduce_terms(gb.ring, _to_terms(f), gb._buckets, _Budget(budget))
-        return Polynomial(gb.ring, {m: c for (_, m), c in terms.items()})
-    if gb.rank is None or f.rank != gb.rank:
+    elif gb.rank is None or f.rank != gb.rank:
         raise ValueError("module rank mismatch")
     if f.ring != gb.ring:
         raise ValueError("ring mismatch")
-    terms = _reduce_terms(gb.ring, _to_terms(f), gb._buckets, _Budget(budget))
+    budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
+    terms = _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget)
+    if gb.rank is None:
+        return Polynomial(gb.ring, {m: c for (_, m), c in terms.items()})
     return ModuleVector(gb.ring, gb.rank, terms)
 
 
-def ideal_member(f: Polynomial, generators, *, budget: int = DEFAULT_BUDGET) -> bool:
+def ideal_member(f: Polynomial, generators) -> bool:
     """True exactly when f lies in the ideal spanned by `generators` (a list
     of polynomials, or an already computed GroebnerBasis)."""
-    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(
-        generators, budget=budget)
-    return normal_form(f, gb, budget=budget).is_zero()
+    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(generators)
+    return normal_form(f, gb).is_zero()
 
 
-def module_member(v: ModuleVector, generators, *, budget: int = DEFAULT_BUDGET) -> bool:
+def module_member(v: ModuleVector, generators) -> bool:
     """True exactly when v lies in the submodule spanned by `generators`."""
     if v.is_zero():
         return True
-    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(
-        generators, budget=budget)
-    return normal_form(v, gb, budget=budget).is_zero()
+    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(generators)
+    return normal_form(v, gb).is_zero()
 
 
 def _component_staircase(ring: PolyRing, lead_monomials: list):
@@ -467,15 +483,15 @@ def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     return out
 
 
-def satisfies_buchberger_criterion(gb: GroebnerBasis, *, budget: int = DEFAULT_BUDGET) -> bool:
+def satisfies_buchberger_criterion(gb: GroebnerBasis) -> bool:
     """Directly check that every S-pair of basis elements reduces to zero."""
     rows = gb._rows
-    budget_obj = _Budget(budget)
+    budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if rows[i].lt[0] != rows[j].lt[0]:
                 continue
             s = _spair(rows[i], rows[j])
-            if _reduce_terms(gb.ring, s, gb._buckets, budget_obj):
+            if _reduce_terms(gb.ring, s, gb._buckets, budget):
                 return False
     return True

@@ -44,7 +44,6 @@ from .fields import (
     rational_functions,
     rationals,
 )
-from .groebner import DEFAULT_BUDGET
 from .polynomials import (
     PolyRing,
     Polynomial,
@@ -304,14 +303,12 @@ def format_presentation(presentation: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_algebra(presentation: Presentation, *,
-                  budget: int = DEFAULT_BUDGET) -> QuotientAlgebra:
+def build_algebra(presentation: Presentation) -> QuotientAlgebra:
     """Materialize a parsed presentation: local mode goes through the
     power-of-the-maximal-ideal stabilization, the others are plain quotients."""
     if presentation.mode == MODE_LOCAL:
-        return artinian_local_model(presentation.ring, presentation.relations,
-                                    budget=budget)
-    return make_quotient(presentation, budget=budget)
+        return artinian_local_model(presentation.ring, presentation.relations)
+    return make_quotient(presentation)
 
 
 @dataclass

@@ -236,3 +236,29 @@ def test_golden_outputs(argv, name, code, capsys, monkeypatch):
     argv = [f"samples/{a}" if a.endswith((".alg", ".map")) else a for a in argv]
     assert main(argv + ["--json"]) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--file", "samples/b5.alg", "--budget", "50"],
+    ["verify", "killing", "--budget", "300"],
+    ["verify", "local-case", "--count", "20", "--budget", "100"],
+    ["verify", "gabber", "--steps", "1", "--budget", "50"],
+])
+def test_budget_binds_the_whole_command(argv, capsys, monkeypatch):
+    """Every Groebner run and normal form of a command, Kaehler modules and
+    the default start of `verify gabber` included, spends from one budget."""
+    monkeypatch.chdir(SAMPLES.parent)
+    assert main(argv + ["--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"reduction-step budget {argv[-1]} exceeded" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--file", "samples/b5.alg", "--cap", "5"],
+    ["omega", "--file", "samples/b5.alg", "--timing"],
+    ["parse-check", "--file", "samples/b5.alg", "--budget", "5"],
+])
+def test_flags_only_on_the_verbs_that_read_them(argv, capsys, monkeypatch):
+    monkeypatch.chdir(SAMPLES.parent)
+    assert main(argv) == 2

@@ -20,6 +20,7 @@ from unramified.groebner import (
     satisfies_buchberger_criterion,
     staircase,
     staircase_of_degree,
+    step_budget,
 )
 from unramified.polynomials import (
     LEX,
@@ -172,10 +173,60 @@ def test_determinism_bit_identical():
 def test_budget_exceeded():
     # with the pair criteria this ideal takes exactly one reduction step
     gens = [X ** 3 - 2 * X * Y, X ** 2 * Y + X - 2 * Y ** 2]
-    with pytest.raises(BudgetExceededError):
-        buchberger(gens, budget=0)
-    gb = buchberger(gens, budget=1)
+    with pytest.raises(BudgetExceededError, match="reduction-step budget 0 exceeded"):
+        with step_budget(0):
+            buchberger(gens)
+    with step_budget(1):
+        gb = buchberger(gens)
     assert [format_polynomial(g) for g in gb.generators] == ["Y^2 - 1/2*X", "X*Y", "X^2"]
+
+
+def _steps(gens) -> int:
+    """Reduction steps of one Buchberger run, read off the budget."""
+    with step_budget(10 ** 6) as budget:
+        buchberger(gens)
+    return budget.limit - budget.remaining
+
+
+def test_step_budget_binds_every_run_in_the_block():
+    first = [X ** 3 - 2 * X * Y, X ** 2 * Y + X - 2 * Y ** 2]
+    second = [X ** 2 - Y, X * Y - 1, Y ** 3 + X]
+    a, b = _steps(first), _steps(second)
+    assert a > 0 and b > 0
+    with step_budget(a + b) as budget:
+        buchberger(first)
+        buchberger(second)
+    assert budget.remaining == 0
+    with pytest.raises(BudgetExceededError, match=f"budget {a + b - 1} exceeded"):
+        with step_budget(a + b - 1):
+            buchberger(first)
+            buchberger(second)
+
+
+def test_normal_forms_spend_from_the_block():
+    gb = buchberger([X ** 2 - Y, Y ** 2])
+    with pytest.raises(BudgetExceededError):
+        with step_budget(0):
+            normal_form(X ** 3, gb)
+    assert normal_form(X ** 3, gb) == X * Y  # outside a block: a fresh default
+
+
+def test_nested_step_budget_restores_the_outer_one():
+    gens = [X ** 3 - 2 * X * Y, X ** 2 * Y + X - 2 * Y ** 2]
+    cost = _steps(gens)
+    with step_budget(cost) as outer:
+        with pytest.raises(BudgetExceededError):
+            with step_budget(0):
+                buchberger(gens)
+        assert outer.remaining == cost
+        with step_budget(cost):
+            buchberger(gens)
+        assert outer.remaining == cost
+        buchberger(gens)
+        assert outer.remaining == 0
+        with pytest.raises(BudgetExceededError):
+            buchberger(gens)
+    buchberger(gens)  # outside every block again
 
 
 def test_mixed_input_rejected():

@@ -25,9 +25,53 @@ def unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def public_functions(tree: ast.Module):
+    """(qualified name, node) of every module-level function and every method
+    of a public module-level class whose name does not start with a single
+    underscore; dunder methods such as `__init__` count as public."""
+    for node in tree.body:
+        scopes = [("", node)]
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.", item) for item in node.body
+                      if not node.name.startswith("_")]
+        for prefix, item in scopes:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (not item.name.startswith("_") or item.name.startswith("__"))):
+                yield prefix + item.name, item
+
+
+def parameter_names(node) -> set:
+    args = node.args
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return {a.arg for a in every if a is not None}
+
+
 def test_unused_imports_helper_sees_only_unread_names():
     tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n")
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
+
+
+def test_public_functions_helper_sees_methods_and_skips_private_names():
+    tree = ast.parse("def f(a, *, budget=1): pass\n"
+                     "def _g(budget): pass\n"
+                     "class C:\n"
+                     "    def __init__(self, budget): pass\n"
+                     "    def _h(self, budget): pass\n"
+                     "class _D:\n"
+                     "    def __init__(self, budget): pass\n")
+    assert [(name, sorted(parameter_names(node))) for name, node in public_functions(tree)] == [
+        ("f", ["a", "budget"]), ("C.__init__", ["budget", "self"])]
+
+
+def test_no_public_function_takes_a_budget():
+    """The reduction-step budget is ambient (`groebner.step_budget`), so no
+    public function threads one through its parameters."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}: {name}" for name, node in public_functions(tree)
+                     if "budget" in parameter_names(node))
+    assert found == []
 
 
 def test_no_unused_module_level_imports():
