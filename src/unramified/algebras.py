@@ -296,7 +296,8 @@ def linear_matrix(phi: AlgebraMap) -> list:
     source_basis = phi.source.basis_monomials()
     target_index = {m: i for i, m in enumerate(phi.target.basis_monomials())}
     field = phi.source.field
-    rows = [[field.zero() for _ in source_basis] for _ in target_index]
+    zero = field.zero()
+    rows = [[zero] * len(source_basis) for _ in target_index]
     for j, m in enumerate(source_basis):
         image = phi.apply(Polynomial(phi.source.ring, {m: field.one()}))
         for tm, c in image.terms.items():

@@ -249,6 +249,17 @@ def _verify_killing(args) -> VerificationReport:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than `low`, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unramified",
@@ -260,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
         if file:
             p.add_argument("--file", required=True, help="presentation file")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
                        help="reduction steps the whole command may spend")
         if timing:
             p.add_argument("--timing", action="store_true",
                            help="include measured elapsed_ms in JSON output")
         if cap:
-            p.add_argument("--cap", type=int, default=DIMENSION_CAP,
+            p.add_argument("--cap", type=_int_at_least(0), default=DIMENSION_CAP,
                            help="dimension cap for iterated constructions")
 
     def base_alias(p):
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2, help="prime for towers")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

@@ -151,7 +151,8 @@ def omega_matrix_on_bases(phi: AlgebraMap) -> list:
     field = phi.source.field
     images = induced_map_on_omega(phi)
     target_index = {entry: i for i, entry in enumerate(target_chart.monomials)}
-    rows = [[field.zero() for _ in source_chart.monomials] for _ in target_index]
+    zero = field.zero()
+    rows = [[zero] * len(source_chart.monomials) for _ in target_index]
     ring = phi.source.ring
     for j, (comp, mono) in enumerate(source_chart.monomials):
         # basis element mono * dX_comp maps to mono(phi) * images[comp]
@@ -182,7 +183,8 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     codomain = staircase_of_degree(module.groebner, degree) if module.rank else []
     index = {entry: i for i, entry in enumerate(codomain)}
     field = algebra.field
-    rows = [[field.zero() for _ in domain] for _ in codomain]
+    zero = field.zero()
+    rows = [[zero] * len(domain) for _ in codomain]
     ring = algebra.ring
     for j, mono in enumerate(domain):
         image = module.d_image(Polynomial(ring, {mono: field.one()}))
@@ -213,10 +215,13 @@ class VeroneseReport:
 
 def veronese_containment_check(algebra: QuotientAlgebra, max_degree: int) -> VeroneseReport:
     """Check that every degree not divisible by the characteristic has zero
-    derivation kernel, for degrees 1..max_degree."""
+    derivation kernel, for degrees 1..max_degree; max_degree must be at
+    least 1, so that some degree is checked."""
     p = algebra.field.characteristic
     if p == 0:
         raise ValueError("the containment statement concerns positive characteristic")
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
     dims = {}
     ok = True
     for d in range(1, max_degree + 1):

@@ -3,38 +3,52 @@ rank, and kernel bases.  Rows are lists of FieldElement."""
 
 from __future__ import annotations
 
-from .fields import FieldDescriptor
+from .fields import PRIME_FIELD, FieldDescriptor, FieldElement
 
 
 def row_reduce(rows: list, ncols: int, field: FieldDescriptor) -> tuple:
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns); the
     input is not modified.  Pivots are chosen as the first nonzero entry in
-    column order, so the result is deterministic."""
-    work = [list(r) for r in rows]
+    column order, so the result is deterministic.
+
+    Over F_p the loop runs on the int payloads, with one `% p` per updated
+    entry, and only the returned rows are wrapped back into elements; the
+    other fields run it on their elements."""
+    p = field.p if field.kind == PRIME_FIELD else 0
+    work = [[v.payload for v in r] for r in rows] if p else [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(work)):
-            if not work[i][c].is_zero():
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i == r:
+        if p:
+            inv = pow(work[r][c], -1, p)
+            pivot = work[r] = [v * inv % p for v in work[r]]
+        else:
+            inv = work[r][c].inverse()
+            pivot = work[r] = [v * inv for v in work[r]]
+        for i, row in enumerate(work):
+            factor = row[c]
+            if i == r or not factor:
                 continue
-            factor = work[i][c]
-            if factor.is_zero():
-                continue
-            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+            if p:
+                work[i] = [(a - factor * b) % p for a, b in zip(row, pivot)]
+            else:
+                work[i] = [a - factor * b for a, b in zip(row, pivot)]
         pivots.append(c)
         r += 1
         if r == len(work):
             break
+    if p:
+        zero = field.zero()
+        return [[FieldElement(field, v) if v else zero for v in row]
+                for row in work[:r]], pivots
     return work[:r], pivots
 
 
@@ -60,7 +74,7 @@ def kernel_basis(rows: list, ncols: int, field: FieldDescriptor) -> list:
 
 def matmul(a: list, b: list, field: FieldDescriptor) -> list:
     """Plain matrix product of lists of rows."""
-    if a and b and len(a[0]) != len(b):
+    if any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions disagree")
     ncols = len(b[0]) if b else 0
     out = []

@@ -262,3 +262,30 @@ def test_budget_binds_the_whole_command(argv, capsys, monkeypatch):
 def test_flags_only_on_the_verbs_that_read_them(argv, capsys, monkeypatch):
     monkeypatch.chdir(SAMPLES.parent)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--file", "samples/b5.alg", "--budget", "-1"],
+    ["verify", "euler", "--trials", "3", "--budget", "-7"],
+    ["verify", "killing", "--cap", "-1"],
+    ["verify", "local-case", "--count", "-1"],
+    ["verify", "local-case", "--count", "0"],
+])
+def test_out_of_range_limits_are_usage_errors(argv, capsys, monkeypatch):
+    """A negative budget or cap, or a corpus of no entries, is refused by the
+    parser before any work, not reported as an exhausted limit or a pass."""
+    monkeypatch.chdir(SAMPLES.parent)
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be at least" in captured.err
+
+
+@pytest.mark.parametrize("max_deg", ["0", "-3"])
+def test_veronese_of_no_degree_is_a_usage_error(max_deg, capsys, monkeypatch):
+    monkeypatch.chdir(SAMPLES.parent)
+    argv = ["veronese", "--file", "samples/cross_term_f2.alg", "--max-deg", max_deg, "--json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_degree must be positive" in captured.err

@@ -187,6 +187,15 @@ def test_veronese_containment():
         veronese_containment_check(graded, 4)
 
 
+@pytest.mark.parametrize("max_degree", [0, -3])
+def test_veronese_rejects_a_check_of_no_degree(max_degree):
+    """A pass over no degree would be vacuous, so it is refused."""
+    ring = PolyRing(prime_field(2), ("X",))
+    free = make_quotient(Presentation(ring, (), MODE_GRADED))
+    with pytest.raises(ValueError, match="max_degree must be positive"):
+        veronese_containment_check(free, max_degree)
+
+
 def _random_poly(rng, ring, max_exp=3, max_terms=4):
     terms = []
     for _ in range(rng.randrange(0, max_terms + 1)):

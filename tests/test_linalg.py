@@ -1,5 +1,7 @@
 """Exact row reduction, rank, and kernels over the three coefficient fields."""
 
+import pytest
+
 from unramified import linalg
 from unramified.fields import QQ, prime_field
 
@@ -46,3 +48,13 @@ def test_matmul():
     b = M(QQ, [[0, 1], [1, 0]])
     product = linalg.matmul(a, b, QQ)
     assert [[str(v) for v in row] for row in product] == [["2", "1"], ["4", "3"]]
+
+
+@pytest.mark.parametrize("a,b", [
+    ([[1]], []),
+    ([[1, 2]], [[1]]),
+    ([[1], [1, 2]], [[1]]),
+])
+def test_matmul_rejects_disagreeing_inner_dimensions(a, b):
+    with pytest.raises(ValueError, match="inner dimensions disagree"):
+        linalg.matmul(M(QQ, a), M(QQ, b), QQ)
