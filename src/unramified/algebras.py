@@ -7,6 +7,7 @@ realizes power-series quotients as finite-dimensional polynomial quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import groebner, linalg
 from .errors import NotMPrimaryError
@@ -50,23 +51,21 @@ class Presentation:
 
 class QuotientAlgebra:
     """P/I with a precomputed Groebner basis; equality of elements is
-    equality of normal forms.  The staircase is enumerated on first use
-    unless it is passed in.  Instances are immutable after construction
-    (apart from that one-time enumeration) and safe to share."""
+    equality of normal forms.  The dimension is counted from the leading
+    monomials on first use and cached; the staircase, a monomial basis, is
+    enumerated only when a basis is asked for, and cached too.  Instances
+    are immutable after construction (apart from those one-time caches) and
+    safe to share."""
 
     def __init__(self, presentation: Presentation, basis: GroebnerBasis,
-                 chart: Staircase | None = None,
                  stabilization_exponent: int | None = None):
         self.presentation = presentation
         self.groebner = basis
-        self._chart = chart
         self.stabilization_exponent = stabilization_exponent
 
-    @property
+    @cached_property
     def staircase(self) -> Staircase:
-        if self._chart is None:
-            self._chart = groebner.staircase(self.groebner)
-        return self._chart
+        return groebner.staircase(self.groebner)
 
     @property
     def ring(self) -> PolyRing:
@@ -76,14 +75,14 @@ class QuotientAlgebra:
     def field(self):
         return self.presentation.ring.field
 
-    @property
+    @cached_property
     def dimension(self):
         """Vector-space dimension over the coefficient field, None if infinite."""
-        return self.staircase.dimension
+        return groebner.dimension(self.groebner)
 
     @property
     def is_finite(self) -> bool:
-        return self.staircase.finite
+        return self.dimension is not None
 
     def basis_monomials(self) -> tuple:
         if not self.is_finite:
@@ -137,21 +136,17 @@ def artinian_local_model(ring: PolyRing, generators, *,
             raise ValueError("generator from a different ring")
         if not g.constant_coefficient().is_zero():
             raise ValueError("generators must lie in the maximal ideal")
-    prev_dim = None
     prev = None
     for n in range(1, power_cap + 2):
         relations = tuple(gens) + tuple(_power_generators(ring, n))
-        basis = buchberger(relations)
-        chart = groebner.staircase(basis)
-        dim = chart.dimension
-        if dim is None:
+        algebra = QuotientAlgebra(Presentation(ring, relations, MODE_LOCAL),
+                                  buchberger(relations))
+        if algebra.dimension is None:
             raise NotMPrimaryError("truncated quotient is infinite dimensional")
-        if prev_dim is not None and dim == prev_dim:
-            presentation, prev_basis, prev_chart = prev
-            return QuotientAlgebra(presentation, prev_basis, prev_chart,
-                                   stabilization_exponent=n - 1)
-        prev_dim = dim
-        prev = (Presentation(ring, relations, MODE_LOCAL), basis, chart)
+        if prev is not None and algebra.dimension == prev.dimension:
+            prev.stabilization_exponent = n - 1
+            return prev
+        prev = algebra
     raise NotMPrimaryError(
         f"no stabilization below m^{power_cap}: the ideal is not primary to the maximal ideal")
 
@@ -306,10 +301,28 @@ def linear_matrix(phi: AlgebraMap) -> list:
 
 
 def is_injective(phi: AlgebraMap) -> bool:
-    """Injectivity by exact rank: rank of the matrix equals dim(source)."""
-    matrix = linear_matrix(phi)
-    ncols = len(phi.source.basis_monomials())
-    return linalg.rank(matrix, ncols, phi.source.field) == ncols
+    """Injectivity by exact rank: the images of the source basis are
+    linearly independent.  They are ranked as rows in monomial coordinates,
+    one column per monomial that occurs in some reduced image; normal forms
+    are unique, so this is the rank of `linear_matrix` without the target's
+    basis, whose size the source need not bound."""
+    if not phi.source.is_finite or not phi.target.is_finite:
+        raise ValueError("injectivity test requires finite-dimensional source and target")
+    field = phi.source.field
+    images = [phi.apply(Polynomial(phi.source.ring, {m: field.one()})).terms
+              for m in phi.source.basis_monomials()]
+    columns: dict = {}
+    for image in images:
+        for m in image:
+            columns.setdefault(m, len(columns))
+    zero = field.zero()
+    rows = []
+    for image in images:
+        row = [zero] * len(columns)
+        for m, c in image.items():
+            row[columns[m]] = c
+        rows.append(row)
+    return linalg.rank(rows, len(columns), field) == len(rows)
 
 
 def nilpotency_index(algebra: QuotientAlgebra, f: Polynomial):

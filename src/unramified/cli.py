@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", help="presentation file seeding the chain")
     p.add_argument("--p", type=int, default=2, help="prime for towers")
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--count", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)

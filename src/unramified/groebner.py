@@ -459,9 +459,82 @@ def staircase(gb: GroebnerBasis) -> Staircase:
     return Staircase(tuple(entries), gb.rank)
 
 
+def _minimal(monomials) -> frozenset:
+    """The monomials that no other one of the collection divides."""
+    kept: list = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
+def _count_standard(nvars: int, lead_monomials: list):
+    """Number of monomials in `nvars` variables divisible by no lead
+    monomial, or None when infinite (some variable has no pure power among
+    the leads), without listing them.
+
+    The count recurses over the variables: the monomials with exponent e at
+    the first variable are standard exactly when their tail avoids the
+    leads with exponent at most e there, projected onto the remaining
+    variables.  That projected set changes only at the exponents the leads
+    use, so each run of exponents between two of them is counted once and
+    multiplied by its length, and the counts are memoised on (variable
+    index, minimal projected set).  This is the cheap variant of the
+    Hilbert-function recursion of Bayer and Stillman ("Computation of
+    Hilbert functions", JSC 1992).
+    """
+    if (0,) * nvars in lead_monomials:
+        return 0
+    for var in range(nvars):
+        if not any(sum(m) == m[var] for m in lead_monomials):
+            return None
+    if nvars == 0:
+        return 1
+    memo: dict = {}
+
+    def count(var: int, leads: frozenset) -> int:
+        if var == nvars - 1:
+            return min(leads)[0]  # the one minimal lead (p,): exponents below p
+        key = (var, leads)
+        if key in memo:
+            return memo[key]
+        by_level: dict = {}
+        for m in leads:
+            by_level.setdefault(m[0], []).append(m[1:])
+        # 0 is a level (the later variables' pure powers sit there), and
+        # from the level of this variable's pure power on nothing is
+        # standard, so the unbounded run past the last level counts nothing
+        levels = sorted(by_level)
+        zero_tail = (0,) * (nvars - var - 1)
+        total = 0
+        below: frozenset = frozenset()
+        for here, above in zip(levels, levels[1:]):
+            below = _minimal(below | frozenset(by_level[here]))
+            if zero_tail in below:
+                break
+            total += (above - here) * count(var + 1, below)
+        memo[key] = total
+        return total
+
+    return count(0, _minimal(lead_monomials))
+
+
 def dimension(gb: GroebnerBasis):
-    """Vector-space dimension of the quotient, or None when infinite."""
-    return staircase(gb).dimension
+    """Vector-space dimension of the quotient, or None when infinite: the
+    number of standard monomials, counted per component without listing
+    them, so it is cheap where `staircase` would hold millions of entries.
+    A module component with no lead is infinite, as in `staircase`."""
+    nvars = gb.ring.nvars
+    if gb.rank is None:
+        return _count_standard(nvars, [row.lt[1] for row in gb._rows])
+    total = 0
+    for comp in range(gb.rank):
+        leads = [row.lt[1] for row in gb._rows if row.lt[0] == comp]
+        count = _count_standard(nvars, leads) if leads else None
+        if count is None:
+            return None
+        total += count
+    return total
 
 
 def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:

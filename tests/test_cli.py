@@ -1,6 +1,7 @@
 """The command-line front end: exit codes, JSON output, and round trips."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -270,10 +271,13 @@ def test_flags_only_on_the_verbs_that_read_them(argv, capsys, monkeypatch):
     ["verify", "killing", "--cap", "-1"],
     ["verify", "local-case", "--count", "-1"],
     ["verify", "local-case", "--count", "0"],
+    ["verify", "euler", "--trials", "-1"],
+    ["verify", "twisted", "--trials", "0"],
 ])
 def test_out_of_range_limits_are_usage_errors(argv, capsys, monkeypatch):
-    """A negative budget or cap, or a corpus of no entries, is refused by the
-    parser before any work, not reported as an exhausted limit or a pass."""
+    """A negative budget or cap, a corpus of no entries or a check of no
+    trials is refused by the parser before any work, not reported as an
+    exhausted limit or a pass."""
     monkeypatch.chdir(SAMPLES.parent)
     assert main(argv + ["--json"]) == 2
     captured = capsys.readouterr()
@@ -289,3 +293,28 @@ def test_veronese_of_no_degree_is_a_usage_error(max_deg, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_degree must be positive" in captured.err
+
+
+HUGE_DIM_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from unramified.cli import main
+sys.exit(main(["dim", "--file", sys.argv[1], "--json"]))
+"""
+
+
+def test_dim_counts_a_huge_staircase(tmp_path):
+    """dim of k[X, Y, Z]/(X^200, Y^200, Z^200) is counted, not listed: it
+    answers within 1 GB of address space, where listing its 8 million
+    standard monomials runs out of memory."""
+    path = tmp_path / "cube200.alg"
+    path.write_text("field QQ\nring X Y Z\nrel X^200\nrel Y^200\nrel Z^200\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", HUGE_DIM_CHILD, str(path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["dimension"] == 8000000
+    assert payload["basis"] is None

@@ -302,6 +302,15 @@ def test_euler_identity_check():
         assert report.passed
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_checks_of_no_trials_are_refused(trials):
+    """A seeded check of no samples would pass on no evidence."""
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        euler_identity_check(QQ, trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        twisted_example(2, 1, trials=trials)
+
+
 def test_report_json_shape(dual_numbers):
     report = kill_all_differentials(dual_numbers).report
     payload = report.to_json_dict()

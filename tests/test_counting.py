@@ -1,0 +1,162 @@
+"""Dimensions are counted from the leading monomials, never by listing the
+staircase: the count against the enumeration on random monomial ideals and
+modules and its edge cases; injectivity by the rank of the image rows
+against the dense matrix of `linear_matrix`; and the powers of g taken in
+B_t against the powers expanded in the polynomial ring."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from unramified import linalg
+from unramified.algebras import (
+    Presentation,
+    compose,
+    identity_map,
+    is_injective,
+    linear_matrix,
+    make_map,
+    make_quotient,
+    tensor_many,
+)
+from unramified.constructions import B_tensor_power, killing_step
+from unramified.fields import QQ
+from unramified.groebner import buchberger, dimension, staircase
+from unramified.polynomials import (
+    GREVLEX,
+    LEX,
+    ModuleVector,
+    PolyRing,
+    Polynomial,
+    format_polynomial,
+)
+
+NAMES = ("X", "Y", "Z", "W")
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def monomial_bases(draw):
+    """The Groebner basis of a random monomial ideal (rank None) or
+    submodule (rank 1 to 3) in 0 to 4 variables.  With `finite` drawn true
+    every component gets a pure power of every variable; otherwise some may
+    lack one, or lack any generator."""
+    nvars = draw(st.integers(0, 4))
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    ring = PolyRing(QQ, NAMES[:nvars], order=order)
+    rank = draw(st.one_of(st.none(), st.integers(1, 3)))
+    finite = draw(st.booleans())
+    one = QQ.one()
+    gens = []
+    for comp in range(rank or 1):
+        monos = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=6))
+        if finite:
+            for var in range(nvars):
+                monos.append(tuple(draw(st.integers(1, 4)) if v == var else 0
+                                   for v in range(nvars)))
+        for m in monos:
+            if rank is None:
+                gens.append(Polynomial(ring, {m: one}))
+            else:
+                gens.append(ModuleVector(ring, rank, {(comp, m): one}))
+    if not gens:
+        gens.append(ring.zero() if rank is None else ModuleVector(ring, rank, {}))
+    return buchberger(gens)
+
+
+@SETTINGS
+@given(monomial_bases())
+def test_count_equals_enumeration(gb):
+    assert dimension(gb) == staircase(gb).dimension
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """killing_step on k[Z]/(Z^k), r = Z, for k = 2..4: (R, step) pairs."""
+    ring = PolyRing(QQ, ("Z",))
+    Z = ring.variable("Z")
+    out = []
+    for k in (2, 3, 4):
+        R = make_quotient(Presentation(ring, (Z ** k,)))
+        out.append((R, killing_step(R, Z)))
+    return out
+
+
+def test_count_of_the_leads_of_R_prime_at_k4(ladder):
+    _, step = ladder[-1]
+    gb = step.algebra.groebner
+    assert dimension(gb) == staircase(gb).dimension == 11 ** 3
+
+
+def test_count_of_a_ring_without_variables():
+    """The ground field: the zero ideal of k has no basis rows and the one
+    standard monomial 1."""
+    ground = make_quotient(Presentation(PolyRing(QQ, ()), ()))
+    assert len(ground.groebner) == 0
+    assert dimension(ground.groebner) == 1
+    assert ground.dimension == 1 and ground.is_finite
+    assert ground.basis_monomials() == ((),)
+
+
+def test_count_of_a_module_component_without_lead():
+    ring = PolyRing(QQ, ("X",))
+    one = QQ.one()
+    gb = buchberger([ModuleVector(ring, 2, {(0, (3,)): one})])
+    assert dimension(gb) is None
+    gb = buchberger([ModuleVector(ring, 2, {(0, (3,)): one}),
+                     ModuleVector(ring, 2, {(1, (2,)): one})])
+    assert dimension(gb) == 5
+
+
+def test_count_with_a_lead_equal_to_one():
+    for nvars in (0, 1, 3):
+        ring = PolyRing(QQ, NAMES[:nvars])
+        assert dimension(buchberger([ring.one()])) == 0
+    one = QQ.one()
+    gb = buchberger([ModuleVector(ring, 2, {(0, ring.monomial_one): one})]
+                    + [ModuleVector(ring, 2, {(1, tuple(2 if v == var else 0
+                                                        for v in range(3))): one})
+                       for var in range(3)])
+    assert dimension(gb) == 8
+
+
+def _dense_injective(phi) -> bool:
+    ncols = phi.source.dimension
+    return linalg.rank(linear_matrix(phi), ncols, phi.source.field) == ncols
+
+
+def test_injectivity_matches_the_dense_rank_on_the_ladder(ladder):
+    for _, step in ladder:
+        assert is_injective(step.embedding)
+        assert _dense_injective(step.embedding)
+
+
+def test_injectivity_matches_the_dense_rank_on_small_maps(dual_numbers):
+    ground = make_quotient(Presentation(PolyRing(QQ, ()), ()))
+    crush = make_map(dual_numbers, ground, {"Z": ground.ring.zero()})
+    pres, _ = tensor_many([dual_numbers, dual_numbers])
+    T = make_quotient(pres)
+    inner = make_map(dual_numbers, T, {"Z": T.ring.variable("Z#1")})
+    square = make_map(dual_numbers, T, {"Z": T.ring.variable("Z#1") * T.ring.variable("Z#2")})
+    vanish = make_map(dual_numbers, T, {"Z": T.ring.zero()})
+    maps = [identity_map(dual_numbers), crush, inner, identity_map(T),
+            compose(identity_map(T), inner), square, vanish]
+    verdicts = [is_injective(phi) for phi in maps]
+    assert verdicts == [_dense_injective(phi) for phi in maps]
+    assert verdicts == [True, False, True, True, True, True, False]
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_powers_reduced_in_B_t_equal_the_expanded_powers(b5, t):
+    B, _ = b5
+    tensor = B_tensor_power(B, 5, t)
+    Bt = tensor.algebra
+    g = Bt.ring.zero()
+    for gi in tensor.factor_elements:
+        g = g + gi
+    assert tensor.summed == Bt.reduce(g)
+    assert Bt.reduce(g ** t).is_zero()
+    assert tensor.report.passed
+    witness = tensor.report.claims[-1].witness["g_power"]
+    assert witness == format_polynomial(Bt.reduce(g ** (t - 1)))
