@@ -74,10 +74,8 @@ from .polynomials import (
     Polynomial,
     euler_apply,
     format_polynomial,
-    homogeneous_components,
     is_homogeneous,
     partial_derivative,
-    rename_variables,
     substitute,
     weighted_degree,
 )

@@ -52,10 +52,10 @@ class Presentation:
 class QuotientAlgebra:
     """P/I with a precomputed Groebner basis; equality of elements is
     equality of normal forms.  The dimension is counted from the leading
-    monomials on first use and cached; the staircase, a monomial basis, is
-    enumerated only when a basis is asked for, and cached too.  Instances
-    are immutable after construction (apart from those one-time caches) and
-    safe to share."""
+    monomials on first use and cached, as is the locality test; the
+    staircase, a monomial basis, is enumerated only when a basis is asked
+    for, and cached too.  Instances are immutable after construction (apart
+    from those one-time caches) and safe to share."""
 
     def __init__(self, presentation: Presentation, basis: GroebnerBasis,
                  stabilization_exponent: int | None = None):
@@ -83,6 +83,15 @@ class QuotientAlgebra:
     @property
     def is_finite(self) -> bool:
         return self.dimension is not None
+
+    @cached_property
+    def local_with_nilpotent_generators(self) -> bool:
+        """Whether every generator image is nilpotent, tested once and
+        cached; see `is_local_with_nilpotent_generators`."""
+        if not self.is_finite:
+            raise ValueError("test requires a finite-dimensional algebra")
+        return all(nilpotency_index(self, self.ring.variable(name)) is not None
+                   for name in self.ring.names)
 
     def basis_monomials(self) -> tuple:
         if not self.is_finite:
@@ -114,7 +123,7 @@ def _power_generators(ring: PolyRing, n: int) -> list:
     """Monomial generators of the n-th power of the irrelevant ideal
     (X_1, ..., X_s); unweighted total degree is used, matching the maximal
     ideal of the local model."""
-    unweighted = PolyRing(ring.field, ring.names, tuple(1 for _ in ring.names), ring.order)
+    unweighted = PolyRing(ring.field, ring.names)
     return [Polynomial(ring, {m: ring.field.one()})
             for m in monomials_of_weighted_degree(unweighted, n)]
 
@@ -188,7 +197,7 @@ def tensor_many(algebras: list) -> tuple:
         renamings.append(rename)
         names.extend(rename[n] for n in a.ring.names)
         weights.extend(a.ring.weights)
-    ring = PolyRing(field, tuple(names), tuple(weights), algebras[0].ring.order)
+    ring = PolyRing(field, tuple(names), tuple(weights))
     relations = []
     for a, rename in zip(algebras, renamings):
         for rel in a.presentation.relations:
@@ -203,21 +212,14 @@ def tensor_quotient(algebras: list) -> tuple:
     The factors live in disjoint sets of variables, so every pair of rows
     from different factors has coprime leading terms and the union of the
     factors' renamed reduced bases is the reduced basis of the product; it
-    is taken as it is.  A factor whose ring order differs from the product's
-    is the exception: its relations go in as ordinary generators (not its
-    basis, which in lex order can be far larger).  A factor whose basis is
-    {1} makes the product's basis {1}.
+    is taken as it is.  A factor whose basis is {1} makes the product's
+    basis {1}.
     """
     presentation, renamings = tensor_many(algebras)
     ring = presentation.ring
-    known: list = []
-    extra: list = []
-    for a, rename in zip(algebras, renamings):
-        if a.ring.order == ring.order:
-            known.extend(cast(g, ring, rename) for g in a.groebner)
-        else:
-            extra.extend(cast(g, ring, rename) for g in a.presentation.relations)
-    basis = buchberger(extra or [ring.zero()], start=known)
+    known = [cast(g, ring, rename)
+             for a, rename in zip(algebras, renamings) for g in a.groebner]
+    basis = buchberger([ring.zero()], start=known)
     return QuotientAlgebra(presentation, basis), renamings
 
 
@@ -342,13 +344,9 @@ def nilpotency_index(algebra: QuotientAlgebra, f: Polynomial):
 
 def is_local_with_nilpotent_generators(algebra: QuotientAlgebra) -> bool:
     """True when every generator image is nilpotent; then the generators span
-    the unique maximal ideal and the residue field is the coefficient field."""
-    if not algebra.is_finite:
-        raise ValueError("test requires a finite-dimensional algebra")
-    for name in algebra.ring.names:
-        if nilpotency_index(algebra, algebra.ring.variable(name)) is None:
-            return False
-    return True
+    the unique maximal ideal and the residue field is the coefficient field.
+    The answer is cached on the algebra."""
+    return algebra.local_with_nilpotent_generators
 
 
 def has_nonzero_nilpotent(algebra: QuotientAlgebra) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import constructions
@@ -197,32 +198,37 @@ def _cmd_map_omega(args) -> int:
     return _emit_report(report, args)
 
 
-def _cmd_verify(args) -> int:
-    name = args.what
-    if name == "preparatory":
-        field = parse_field_spec(args.field)
-        report = verify_preparatory(
-            args.n, field, allow_positive_characteristic=args.allow_char_p)
-    elif name == "killing":
-        report = _verify_killing(args)
-    elif name == "gabber":
-        start = None
-        if args.start:
-            start = build_algebra(parse_presentation(Path(args.start).read_text()))
-        report = gabber_sequence(args.steps, start=start, cap=args.cap).report
-    elif name == "charp-tower":
-        report = charp_tower(args.p, args.n_max).report
-    elif name == "twisted":
-        report = twisted_example(args.p, args.n, trials=args.trials, seed=args.seed).report
-    elif name == "local-case":
-        corpus = standard_local_corpus(args.count, args.seed)
-        report = check_theorem_local_case(corpus)
-    elif name == "euler":
-        field = parse_field_spec(args.field)
-        report = euler_identity_check(field, trials=args.trials, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verification {name!r}")
-    return _emit_report(report, args)
+def _cmd_verify(run, args) -> int:
+    return _emit_report(run(args), args)
+
+
+def _verify_preparatory(args) -> VerificationReport:
+    return verify_preparatory(args.n, parse_field_spec(args.field),
+                              allow_positive_characteristic=args.allow_char_p)
+
+
+def _verify_gabber(args) -> VerificationReport:
+    start = None
+    if args.start:
+        start = build_algebra(parse_presentation(Path(args.start).read_text()))
+    return gabber_sequence(args.steps, start=start, cap=args.cap).report
+
+
+def _verify_charp_tower(args) -> VerificationReport:
+    return charp_tower(args.p, args.n_max).report
+
+
+def _verify_twisted(args) -> VerificationReport:
+    return twisted_example(args.p, args.n, trials=args.trials, seed=args.seed).report
+
+
+def _verify_local_case(args) -> VerificationReport:
+    return check_theorem_local_case(standard_local_corpus(args.count, args.seed))
+
+
+def _verify_euler(args) -> VerificationReport:
+    return euler_identity_check(parse_field_spec(args.field),
+                                trials=args.trials, seed=args.seed)
 
 
 def _verify_killing(args) -> VerificationReport:
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks on differential modules of presented algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, file=True, timing=False, cap=False):
+    def common(p, *, file=True, timing=False):
         """Shared flags; each verb is offered only the flags it reads."""
         if file:
             p.add_argument("--file", required=True, help="presentation file")
@@ -276,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         if timing:
             p.add_argument("--timing", action="store_true",
                            help="include measured elapsed_ms in JSON output")
-        if cap:
-            p.add_argument("--cap", type=_int_at_least(0), default=DIMENSION_CAP,
-                           help="dimension cap for iterated constructions")
 
     def base_alias(p):
         p.add_argument("--base", choices=("field", "degree0"), default="field",
@@ -325,22 +328,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_map_omega)
 
     p = sub.add_parser("verify", help="run a named verification")
-    p.add_argument("what", choices=("preparatory", "killing", "gabber",
-                                    "charp-tower", "twisted", "local-case", "euler"))
-    common(p, file=False, timing=True, cap=True)
-    p.add_argument("--n", type=int, default=5, help="exponent parameter")
-    p.add_argument("--field", default="QQ", help="QQ, Fp:p or FpX:p")
-    p.add_argument("--allow-char-p", action="store_true",
-                   help="allow positive characteristic where the construction "
-                        "is stated over characteristic zero")
-    p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--start", help="presentation file seeding the chain")
-    p.add_argument("--p", type=int, default=2, help="prime for towers")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--trials", type=_int_at_least(1), default=50)
-    p.add_argument("--count", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
+    flags = {
+        "--n": dict(type=int, default=5, help="exponent parameter"),
+        "--field": dict(default="QQ", help="QQ, Fp:p or FpX:p"),
+        "--allow-char-p": dict(action="store_true",
+                               help="allow positive characteristic where the "
+                                    "construction is stated over characteristic zero"),
+        "--cap": dict(type=_int_at_least(0), default=DIMENSION_CAP,
+                      help="dimension cap for iterated constructions"),
+        "--steps": dict(type=int, default=1),
+        "--start": dict(help="presentation file seeding the chain"),
+        "--p": dict(type=int, default=2, help="prime for towers"),
+        "--n-max": dict(type=int, default=3),
+        "--trials": dict(type=_int_at_least(1), default=50),
+        "--count": dict(type=_int_at_least(1), default=20),
+        "--seed": dict(type=int, default=0),
+    }
+    verbs = p.add_subparsers(dest="what", required=True)
+    # each verb is offered only the flags it reads
+    for name, run, own in (
+            ("preparatory", _verify_preparatory, ("--n", "--field", "--allow-char-p")),
+            ("killing", _verify_killing, ("--cap",)),
+            ("gabber", _verify_gabber, ("--steps", "--start", "--cap")),
+            ("charp-tower", _verify_charp_tower, ("--p", "--n-max")),
+            ("twisted", _verify_twisted, ("--p", "--n", "--trials", "--seed")),
+            ("local-case", _verify_local_case, ("--count", "--seed")),
+            ("euler", _verify_euler, ("--field", "--trials", "--seed"))):
+        q = verbs.add_parser(name)
+        common(q, file=False, timing=True)
+        for flag in own:
+            q.add_argument(flag, **flags[flag])
+        q.set_defaults(func=partial(_cmd_verify, run))
 
     return parser
 

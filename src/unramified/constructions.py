@@ -60,6 +60,9 @@ from .polynomials import (
 
 DIMENSION_CAP = 20000
 
+# the exponent n of Gabber's B(n) that the killing chain tensors with
+KILLING_N = 5
+
 STATUS_OK = "ok"
 STATUS_CAP = "cap"
 
@@ -227,11 +230,12 @@ class TensorPowerResult:
     report: VerificationReport
 
 
-def B_tensor_power(B: QuotientAlgebra, n: int, t: int, *,
+def B_tensor_power(B: QuotientAlgebra, t: int, *,
                    cap: int = DIMENSION_CAP) -> TensorPowerResult:
-    """The tensor product of t-1 copies of B = gabber_B(n, field)[0] over its
-    coefficient field, with g_i the copy of f in factor i and g their sum.
-    Verifies g^t = 0 while g^(t-1) = (t-1)! f (x) ... (x) f is nonzero."""
+    """The tensor product of t-1 copies of B = gabber_B(KILLING_N, field)[0]
+    over its coefficient field, with g_i the copy of f in factor i and g
+    their sum.  Verifies g^t = 0 while g^(t-1) = (t-1)! f (x) ... (x) f is
+    nonzero."""
     started = time.perf_counter()
     if t < 2:
         raise ValueError("tensor power needs t >= 2 (at least one factor)")
@@ -242,12 +246,13 @@ def B_tensor_power(B: QuotientAlgebra, n: int, t: int, *,
         raise CapExceededError(
             f"tensor power dimension {projected} exceeds the cap {cap}")
     Bt, renames = tensor_quotient([B] * copies)
-    _, _, _, F, _, _ = _b_ingredients(n, field)
+    _, _, _, F, _, _ = _b_ingredients(KILLING_N, field)
     gs = [cast(F, Bt.ring, renames[i]) for i in range(copies)]
     g = Bt.ring.zero()
     for gi in gs:
         g = g + gi
-    report = VerificationReport("tensor_power", {"n": n, "t": t, "field": str(field)})
+    report = VerificationReport("tensor_power",
+                                {"n": KILLING_N, "t": t, "field": str(field)})
     report.add("dimension multiplies",
                "dim of the tensor product is the product of the factor dimensions",
                Bt.dimension == projected,
@@ -282,10 +287,11 @@ class KillingStepResult:
     report: VerificationReport
 
 
-def killing_step(R: QuotientAlgebra, r: Polynomial, *, n: int = 5,
+def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                  cap: int = DIMENSION_CAP) -> KillingStepResult:
     """One differential-killing extension: with t the nilpotency index of r,
-    form R' = R (x) B_t / (r (x) 1 - 1 (x) g) and the canonical embedding.
+    form R' = R (x) B_t / (r (x) 1 - 1 (x) g), with B_t the tensor power of
+    B(KILLING_N), and the canonical embedding.
 
     Verifies that R' is finite dimensional (by counting its standard
     monomials), that the embedding is injective (by the exact rank of the
@@ -301,12 +307,12 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *, n: int = 5,
     if t is None:
         raise ValueError("r must be nilpotent")
     # cap the projected product dimension before any tensor is built
-    B, _ = gabber_B(n, R.field)
+    B, _ = gabber_B(KILLING_N, R.field)
     projected = R.dimension * B.dimension ** (t - 1)
     if projected > cap:
         raise CapExceededError(
             f"killing step dimension {projected} exceeds the cap {cap}")
-    tensor = B_tensor_power(B, n, t, cap=cap)
+    tensor = B_tensor_power(B, t, cap=cap)
     Bt = tensor.algebra
     # R (x) B_t keeps the union of the two bases; only the relation
     # r (x) 1 - 1 (x) g costs a Buchberger run
@@ -318,7 +324,8 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *, n: int = 5,
                             for name in R.ring.names})
     report = VerificationReport(
         "killing_step",
-        {"n": n, "t": t, "r": format_polynomial(r_reduced), "field": str(R.field)})
+        {"n": KILLING_N, "t": t, "r": format_polynomial(r_reduced),
+         "field": str(R.field)})
     report.add("R' finite dimensional",
                "R' = R (x) B_t / (r (x) 1 - 1 (x) g) is a finite dimensional local algebra",
                Rp.is_finite and is_local_with_nilpotent_generators(Rp),
@@ -341,7 +348,7 @@ class KillAllResult:
     killed: list                 # the ring generators processed, in order
 
 
-def kill_all_differentials(R: QuotientAlgebra, *, n: int = 5,
+def kill_all_differentials(R: QuotientAlgebra, *,
                            cap: int = DIMENSION_CAP) -> KillAllResult:
     """Iterate killing_step over the ring generators so that the composite
     map kills the whole differential module, which the dX_i generate.
@@ -372,7 +379,7 @@ def kill_all_differentials(R: QuotientAlgebra, *, n: int = 5,
             killed.append(format_polynomial(e))
             continue
         try:
-            step = killing_step(current, r, n=n, cap=cap)
+            step = killing_step(current, r, cap=cap)
         except CapExceededError as exc:
             report.status = STATUS_CAP
             report.add("cap honored",
@@ -404,7 +411,7 @@ class SequenceResult:
 
 
 def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
-                    n: int = 5, cap: int = DIMENSION_CAP) -> SequenceResult:
+                    cap: int = DIMENSION_CAP) -> SequenceResult:
     """Build the chain R_0 into R_1 into ... by repeatedly killing all
     differentials, verifying at each stage: the base properly contains the
     coefficient field, every stage is finite dimensional local with residue
@@ -412,7 +419,7 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
     started = time.perf_counter()
     if steps < 1:
         raise ValueError("at least one step is required")
-    R0 = start if start is not None else gabber_B(n)[0]
+    R0 = start if start is not None else gabber_B(KILLING_N)[0]
     report = VerificationReport(
         "sequence", {"steps": steps, "start_dimension": R0.dimension,
                      "field": str(R0.field), "cap": cap})
@@ -427,7 +434,7 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
                    "each stage is a finite dimensional local algebra with residue field k",
                    current.is_finite and is_local_with_nilpotent_generators(current),
                    {"dimension": current.dimension})
-        result = kill_all_differentials(current, n=n, cap=cap)
+        result = kill_all_differentials(current, cap=cap)
         report.fold(f"stage {i}", result.report.claims)
         if result.report.status == STATUS_CAP:
             report.status = STATUS_CAP

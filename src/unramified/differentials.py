@@ -39,25 +39,14 @@ class KaehlerModule:
         ring = algebra.ring
         self.rank = ring.nvars
         relations = algebra.presentation.relations
-        vectors = []
-        for g in relations:
-            jac = {}
-            for i, name in enumerate(ring.names):
-                d = partial_derivative(g, name)
-                for m, c in d.terms.items():
-                    jac[(i, m)] = c
-            if jac:
-                vectors.append(ModuleVector(ring, self.rank, jac))
+        vectors = [v for v in map(self.raw_differential, relations) if v]
         for g in relations:
             for i in range(self.rank):
                 if not g.is_zero():
                     vectors.append(ModuleVector(ring, self.rank,
                                                 {(i, m): c for m, c in g.terms.items()}))
         self.relation_vectors = tuple(vectors)
-        if vectors:
-            self.groebner = buchberger(vectors)
-        else:
-            self.groebner = buchberger([ModuleVector(ring, self.rank, {})]) if self.rank else None
+        self.groebner = buchberger(vectors or [ModuleVector(ring, self.rank, {})])
 
     def raw_differential(self, f: Polynomial) -> ModuleVector:
         """sum_i (df/dX_i) dX_i in the free module, not reduced."""
@@ -73,8 +62,6 @@ class KaehlerModule:
 
     def reduce(self, v: ModuleVector) -> ModuleVector:
         """Canonical representative of a vector's class in the module."""
-        if self.groebner is None:
-            return v
         return normal_form(v, self.groebner)
 
     def contains(self, v: ModuleVector) -> bool:
@@ -102,8 +89,6 @@ class KaehlerModule:
     def dimension(self):
         """Vector-space dimension of the module over the coefficient field,
         None when infinite."""
-        if self.rank == 0:
-            return 0
         return groebner.dimension(self.groebner)
 
     def __repr__(self):
@@ -139,31 +124,6 @@ def is_zero_induced_map(phi: AlgebraMap) -> bool:
     return all(v.is_zero() for v in induced_map_on_omega(phi))
 
 
-def omega_matrix_on_bases(phi: AlgebraMap) -> list:
-    """Matrix of the induced map between finite-dimensional differential
-    modules, in the module staircase bases."""
-    source_k = kaehler(phi.source)
-    target_k = kaehler(phi.target)
-    source_chart = groebner.staircase(source_k.groebner)
-    target_chart = groebner.staircase(target_k.groebner)
-    if not source_chart.finite or not target_chart.finite:
-        raise ValueError("matrix requires finite-dimensional modules")
-    field = phi.source.field
-    images = induced_map_on_omega(phi)
-    target_index = {entry: i for i, entry in enumerate(target_chart.monomials)}
-    zero = field.zero()
-    rows = [[zero] * len(source_chart.monomials) for _ in target_index]
-    ring = phi.source.ring
-    for j, (comp, mono) in enumerate(source_chart.monomials):
-        # basis element mono * dX_comp maps to mono(phi) * images[comp]
-        carrier = Polynomial(ring, {mono: field.one()})
-        moved = phi.apply(carrier)
-        vec = target_k.reduce(images[comp].poly_mul(moved))
-        for key, c in vec.terms.items():
-            rows[target_index[key]][j] = c
-    return rows
-
-
 def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     """Basis of the homogeneous elements of the given positive degree killed
     by the universal derivation, by exact linear algebra on the degree slice.
@@ -180,7 +140,7 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     domain = staircase_of_degree(algebra.groebner, degree)
     if not domain:
         return []
-    codomain = staircase_of_degree(module.groebner, degree) if module.rank else []
+    codomain = staircase_of_degree(module.groebner, degree)
     index = {entry: i for i, entry in enumerate(codomain)}
     field = algebra.field
     zero = field.zero()

@@ -16,6 +16,9 @@ RATIONALS = "QQ"
 PRIME_FIELD = "Fp"
 RATIONAL_FUNCTIONS = "FpX"
 
+# the name of the generator x of every rational function field F_p(x)
+FIELD_VARIABLE = "x"
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -150,13 +153,12 @@ class FieldDescriptor:
     """Identifies one of the supported coefficient fields.
 
     `kind` is one of RATIONALS, PRIME_FIELD, RATIONAL_FUNCTIONS; `p` is the
-    characteristic (0 for the rationals) and `variable` names the generator
-    of a rational function field.
+    characteristic (0 for the rationals).  The generator of a rational
+    function field is always named FIELD_VARIABLE.
     """
 
     kind: str
     p: int = 0
-    variable: str = "x"
 
     def __post_init__(self):
         if self.kind == RATIONALS:
@@ -221,8 +223,8 @@ def prime_field(p: int) -> FieldDescriptor:
     return FieldDescriptor(PRIME_FIELD, p)
 
 
-def rational_functions(p: int, variable: str = "x") -> FieldDescriptor:
-    return FieldDescriptor(RATIONAL_FUNCTIONS, p, variable)
+def rational_functions(p: int) -> FieldDescriptor:
+    return FieldDescriptor(RATIONAL_FUNCTIONS, p)
 
 
 QQ = rationals()
@@ -406,13 +408,12 @@ def format_scalar(a: FieldElement) -> str:
     if kind == PRIME_FIELD:
         return str(a.payload)
     num, den = a.payload
-    var = a.field.variable
-    num_str = _ufmt(num, var)
+    num_str = _ufmt(num, FIELD_VARIABLE)
     if den == (1,):
         return num_str
     if _ucount_terms(num) > 1:
         num_str = f"({num_str})"
-    den_str = _ufmt(den, var)
+    den_str = _ufmt(den, FIELD_VARIABLE)
     if not _uis_atomic(den):
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"

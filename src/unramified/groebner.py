@@ -177,20 +177,6 @@ class Staircase:
     def dimension(self):
         return len(self.monomials) if self.finite else None
 
-    def degree_counts(self, ring: PolyRing) -> dict:
-        """Per-weighted-degree counts; for modules the component basis vector
-        carries the weight of its variable."""
-        if not self.finite:
-            raise ValueError("infinite staircase has no degree table")
-        counts: dict = {}
-        for entry in self.monomials:
-            if self.rank is None:
-                d = ring.weighted_degree(entry)
-            else:
-                comp, m = entry
-                d = ring.weighted_degree(m) + ring.weights[comp]
-            counts[d] = counts.get(d, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 class GroebnerBasis:

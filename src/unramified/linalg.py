@@ -71,19 +71,3 @@ def kernel_basis(rows: list, ncols: int, field: FieldDescriptor) -> list:
         basis.append(vec)
     return basis
 
-
-def matmul(a: list, b: list, field: FieldDescriptor) -> list:
-    """Plain matrix product of lists of rows."""
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("inner dimensions disagree")
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [field.zero()] * ncols
-        for k, v in enumerate(row):
-            if v.is_zero():
-                continue
-            brow = b[k]
-            acc = [x + v * y for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out

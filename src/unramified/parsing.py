@@ -35,6 +35,7 @@ from .algebras import (
 )
 from .errors import ParseError
 from .fields import (
+    FIELD_VARIABLE,
     PRIME_FIELD,
     RATIONAL_FUNCTIONS,
     RATIONALS,
@@ -162,7 +163,7 @@ class _ExpressionParser:
             if tok.text in self.ring.names:
                 return self.ring.variable(tok.text)
             field = self.ring.field
-            if field.kind == RATIONAL_FUNCTIONS and tok.text == field.variable:
+            if field.kind == RATIONAL_FUNCTIONS and tok.text == FIELD_VARIABLE:
                 return self.ring.from_scalar(field.generator())
             raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
@@ -328,10 +329,14 @@ def parse_map_file(text: str) -> MapFile:
         [map]
         X = X^2
         ...
+
+    Each presentation section is parsed with the other lines blanked, so
+    its errors cite lines of the whole file.
     """
+    lines = text.splitlines()
     sections: dict = {}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
@@ -349,8 +354,15 @@ def parse_map_file(text: str) -> MapFile:
     for needed in ("source", "target", "map"):
         if needed not in sections:
             raise ParseError(f"missing [{needed}] section")
-    source = parse_presentation("\n".join(raw for _, raw in sections["source"]))
-    target = parse_presentation("\n".join(raw for _, raw in sections["target"]))
+
+    def in_place(name: str) -> str:
+        kept = [""] * len(lines)
+        for lineno, raw in sections[name]:
+            kept[lineno - 1] = raw
+        return "\n".join(kept)
+
+    source = parse_presentation(in_place("source"))
+    target = parse_presentation(in_place("target"))
     images: dict = {}
     for lineno, raw in sections["map"]:
         line = _strip_comment(raw).strip()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from operator import add, le, mul, sub
 
 from .fields import (
+    FIELD_VARIABLE,
     RATIONAL_FUNCTIONS,
     RATIONALS,
     FieldDescriptor,
@@ -21,9 +22,6 @@ from .fields import (
 )
 
 Monomial = tuple
-
-GREVLEX = "grevlex"
-LEX = "lex"
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +48,16 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 # ---------------------------------------------------------------------------
-# Rings and monomial orders
+# Rings and the monomial order
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PolyRing:
     """A polynomial ring over an exact field, with one positive weight per
-    variable and a fixed monomial order.
+    variable.
 
-    The default order is weighted graded reverse lexicographic, which is
-    degree compatible: leading terms respect the grading, so staircase
+    The one monomial order is weighted graded reverse lexicographic, which
+    is degree compatible: leading terms respect the grading, so staircase
     counts of graded pieces are exact.  `monomial_one`, the all-zero
     exponent tuple, is derived from the variables and is not a field.
     """
@@ -67,7 +65,6 @@ class PolyRing:
     field: FieldDescriptor
     names: tuple
     weights: tuple = ()
-    order: str = GREVLEX
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -80,11 +77,9 @@ class PolyRing:
             raise ValueError("one weight per variable required")
         if any((not isinstance(w, int)) or w <= 0 for w in weights):
             raise ValueError("weights must be positive integers")
-        if self.order not in (GREVLEX, LEX):
-            raise ValueError(f"unknown monomial order {self.order!r}")
-        if self.field.kind == RATIONAL_FUNCTIONS and self.field.variable in names:
+        if self.field.kind == RATIONAL_FUNCTIONS and FIELD_VARIABLE in names:
             raise ValueError(
-                f"variable {self.field.variable!r} collides with the coefficient field generator")
+                f"variable {FIELD_VARIABLE!r} collides with the coefficient field generator")
         object.__setattr__(self, "monomial_one", (0,) * len(names))
 
     @property
@@ -102,8 +97,6 @@ class PolyRing:
 
     def monomial_key(self, m: Monomial) -> tuple:
         """A flat integer tuple; comparing keys compares monomials."""
-        if self.order == LEX:
-            return m
         return (sum(map(mul, self.weights, m)),) + tuple(-e for e in reversed(m))
 
     def module_key(self, comp: int, m: Monomial) -> tuple:
@@ -206,15 +199,6 @@ class Polynomial:
 
     def __iter__(self):
         return iter(self.sorted_terms())
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading()
-        if c.is_one():
-            return self
-        inv = c.inverse()
-        return Polynomial(self.ring, {m: v * inv for m, v in self.terms.items()})
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -362,14 +346,6 @@ def is_homogeneous(p: Polynomial) -> bool:
     return weighted_degree(p) is not None
 
 
-def homogeneous_components(p: Polynomial) -> dict:
-    """Split into {degree: homogeneous part}; the parts sum back to p."""
-    parts: dict = {}
-    for m, c in p.terms.items():
-        parts.setdefault(p.ring.weighted_degree(m), {})[m] = c
-    return {d: Polynomial(p.ring, t) for d, t in sorted(parts.items())}
-
-
 def euler_apply(p: Polynomial) -> Polynomial:
     """The Euler operator: sum over variables of weight(X_i) * X_i * dp/dX_i.
 
@@ -384,19 +360,6 @@ def euler_apply(p: Polynomial) -> Polynomial:
             continue
         total = total + ring.variable(name).scale(ring.weights[i]) * d
     return total
-
-
-def rename_variables(p: Polynomial, mapping: dict) -> Polynomial:
-    """Rename variables through an injective name map; unmapped variables keep
-    their names.  Weights and order are carried along."""
-    ring = p.ring
-    new_names = tuple(mapping.get(n, n) for n in ring.names)
-    for k in mapping:
-        ring.index(k)  # unknown source name -> error
-    if len(set(new_names)) != len(new_names):
-        raise ValueError("variable renaming collides")
-    target = PolyRing(ring.field, new_names, ring.weights, ring.order)
-    return Polynomial(target, dict(p.terms))
 
 
 def cast(p: Polynomial, target: PolyRing, rename: dict | None = None) -> Polynomial:

@@ -109,3 +109,20 @@ def membership_oracle(f: dict, generators: list, nvars: int, bound: int) -> bool
     rank_a = fraction_rank(rows)
     rank_ab = fraction_rank([row + [rhs[i]] for i, row in enumerate(rows)])
     return rank_a == rank_ab
+
+
+def matmul(a: list, b: list, zero) -> list:
+    """Plain matrix product of lists of rows of field elements; `zero` is
+    the zero of their field."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("inner dimensions disagree")
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [zero] * ncols
+        for k, v in enumerate(row):
+            if not v:
+                continue
+            acc = [x + v * y for x, y in zip(acc, b[k])]
+        out.append(acc)
+    return out

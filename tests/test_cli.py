@@ -259,6 +259,9 @@ def test_budget_binds_the_whole_command(argv, capsys, monkeypatch):
     ["dim", "--file", "samples/b5.alg", "--cap", "5"],
     ["omega", "--file", "samples/b5.alg", "--timing"],
     ["parse-check", "--file", "samples/b5.alg", "--budget", "5"],
+    ["verify", "killing", "--n", "7"],
+    ["verify", "charp-tower", "--seed", "3"],
+    ["verify", "euler", "--cap", "5"],
 ])
 def test_flags_only_on_the_verbs_that_read_them(argv, capsys, monkeypatch):
     monkeypatch.chdir(SAMPLES.parent)

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from unramified import constructions
+from unramified import algebras, constructions
 from unramified.algebras import Presentation, artinian_local_model, make_quotient
 from unramified.cli import main
 from unramified.constructions import (
@@ -62,19 +62,19 @@ def test_preparatory_all_claims(n):
 
 def test_tensor_power(b5):
     B, _ = b5
-    result = B_tensor_power(B, 5, 2)
+    result = B_tensor_power(B, 2)
     assert result.report.passed
     assert result.algebra.dimension == 11
     assert len(result.factor_elements) == 1
 
-    result3 = B_tensor_power(B, 5, 3)
+    result3 = B_tensor_power(B, 3)
     assert result3.report.passed
     assert result3.algebra.dimension == 121
 
     with pytest.raises(ValueError):
-        B_tensor_power(B, 5, 1)
+        B_tensor_power(B, 1)
     with pytest.raises(CapExceededError):
-        B_tensor_power(B, 5, 3, cap=100)
+        B_tensor_power(B, 3, cap=100)
 
 
 def test_killing_step_b5(b5):
@@ -188,6 +188,26 @@ def test_gabber_sequence(dual_numbers):
     capped = gabber_sequence(1, cap=50)
     assert capped.report.status == STATUS_CAP
     assert [c.label for c in capped.report.claims][-1] == "stage 0: cap honored"
+
+
+def test_locality_is_tested_once_per_algebra(monkeypatch):
+    """Each algebra of the chain tests its generators for nilpotency once,
+    however many stages and kill-all runs ask whether it is local."""
+    real = algebras.nilpotency_index
+    tested = []
+
+    def counted(algebra, f):
+        tested.append((algebra, format_polynomial(f)))
+        return real(algebra, f)
+
+    monkeypatch.setattr(algebras, "nilpotency_index", counted)
+    ring = PolyRing(QQ, ("Z",))
+    start = make_quotient(Presentation(ring, (ring.variable("Z") ** 2,)))
+    gabber_sequence(2, start=start)
+    distinct = {id(a): a for a, _ in tested}
+    assert start in distinct.values() and len(distinct) == 2
+    for a in distinct.values():
+        assert sorted(name for b, name in tested if b is a) == sorted(a.ring.names)
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -19,7 +19,6 @@ from unramified.differentials import (
     is_omega_zero,
     is_zero_induced_map,
     kaehler,
-    omega_matrix_on_bases,
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field, rational_functions
@@ -105,6 +104,15 @@ def test_collapsed_line_is_unramified():
     assert is_omega_zero(ground)
 
 
+def test_module_of_the_ground_field_has_rank_zero():
+    ground = make_quotient(Presentation(PolyRing(QQ, ()), ()))
+    module = kaehler(ground)
+    assert module.rank == 0 and module.relation_vectors == ()
+    assert len(module.groebner) == 0
+    assert module.dimension() == 0
+    assert module.d_image(ground.ring.from_int(3)).is_zero()
+
+
 def test_twisted_relations():
     L = rational_functions(2)
     ring = PolyRing(L, ("U", "Z"))
@@ -131,17 +139,6 @@ def test_induced_maps():
     free = make_quotient(Presentation(PolyRing(QQ, ("X",)), ()))
     from unramified.algebras import identity_map
     assert not is_zero_induced_map(identity_map(free))
-
-
-def test_omega_matrix_is_zero_matrix_for_tower_step():
-    field = prime_field(3)
-    ring1 = PolyRing(field, ("Y",))
-    ring2 = PolyRing(field, ("Y",))
-    a1 = make_quotient(Presentation(ring1, (ring1.variable("Y") ** 3,)))
-    a2 = make_quotient(Presentation(ring2, (ring2.variable("Y") ** 9,)))
-    step = make_map(a1, a2, {"Y": ring2.variable("Y") ** 3})
-    matrix = omega_matrix_on_bases(step)
-    assert all(v.is_zero() for row in matrix for v in row)
 
 
 def test_derivation_kernel_character_zero():

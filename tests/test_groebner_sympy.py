@@ -24,7 +24,7 @@ from unramified.groebner import (  # noqa: E402
     module_member,
     satisfies_buchberger_criterion,
 )
-from unramified.polynomials import GREVLEX, LEX, ModuleVector, PolyRing, Polynomial  # noqa: E402
+from unramified.polynomials import ModuleVector, PolyRing, Polynomial  # noqa: E402
 
 NAMES = ("X", "Y", "Z")
 PRIMES = (2, 3, 5, 7)
@@ -64,8 +64,8 @@ def _poly_of(ring, spec):
         for c, exps in spec])
 
 
-def _polys(p, nvars, gens, order=GREVLEX):
-    ring = PolyRing(_field(p), NAMES[:nvars], order=order)
+def _polys(p, nvars, gens):
+    ring = PolyRing(_field(p), NAMES[:nvars])
     return ring, [_poly_of(ring, g) for g in gens]
 
 
@@ -153,20 +153,6 @@ def test_tensor_basis_matches_from_scratch(left, right):
     product, _ = tensor_quotient(algebras)
     presentation, _ = tensor_many(algebras)
     assert product.groebner.generators == make_quotient(presentation).groebner.generators
-
-
-def test_tensor_with_factor_in_another_order():
-    """A lex factor's relations are recomputed in the product's grevlex order."""
-    grevlex = PolyRing(QQ, ("X", "Y"))
-    lex = PolyRing(QQ, ("X", "Y"), order=LEX)
-    X, Y = grevlex.variable("X"), grevlex.variable("Y")
-    U, V = lex.variable("X"), lex.variable("Y")
-    algebras = [make_quotient(Presentation(grevlex, (X ** 2 - Y, Y ** 3))),
-                make_quotient(Presentation(lex, (U ** 2 - V, V ** 2 - U)))]
-    product, _ = tensor_quotient(algebras)
-    presentation, _ = tensor_many(algebras)
-    assert product.groebner.generators == make_quotient(presentation).groebner.generators
-    assert product.dimension == algebras[0].dimension * algebras[1].dimension == 24
 
 
 def test_tensor_with_unit_factor_is_unit():

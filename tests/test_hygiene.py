@@ -46,6 +46,29 @@ def parameter_names(node) -> set:
     return {a.arg for a in every if a is not None}
 
 
+def unused_public_definitions(modules: dict) -> list:
+    """`module.name` of every public module-level function or class that
+    `__init__` does not export and no module of the package reads, as a
+    name or as an attribute.  `modules` maps module names to parsed trees."""
+    exported = {alias.asname or alias.name
+                for node in modules["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for name, tree in modules.items():
+        if name == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{node.name}" for module, tree in modules.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in exported and node.name not in read)
+
+
 def test_unused_imports_helper_sees_only_unread_names():
     tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n")
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
@@ -82,3 +105,27 @@ def test_no_unused_module_level_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(f"{path.name}:{line}: {name}" for line, name in unused_imports(tree))
     assert found == []
+
+
+def test_unused_public_definitions_helper():
+    modules = {
+        "__init__": ast.parse("from .a import exported\n"),
+        "a": ast.parse("def exported(): pass\n"
+                       "def dead(): pass\n"
+                       "def _private(): pass\n"
+                       "def local(): pass\n"
+                       "class Dead: pass\n"
+                       "local()\n"),
+        "b": ast.parse("from . import a\n"
+                       "def by_attribute(): pass\n"
+                       "a.by_attribute\n"),
+    }
+    assert unused_public_definitions(modules) == ["a.Dead", "a.dead"]
+
+
+def test_every_public_definition_is_exported_or_used():
+    """Public code that nothing exports or calls is dead weight: delete it, or
+    move it to the tests when only a test uses it."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert unused_public_definitions(modules) == []

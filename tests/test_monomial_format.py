@@ -11,8 +11,6 @@ from unramified.differentials import KaehlerModule
 from unramified.fields import QQ, prime_field
 from unramified.groebner import buchberger, normal_form, staircase, staircase_of_degree
 from unramified.polynomials import (
-    GREVLEX,
-    LEX,
     PolyRing,
     Polynomial,
     cast,
@@ -30,9 +28,8 @@ def cases(draw):
     """(ring, f, g, images, exponents of the pure powers bounding an ideal)."""
     nvars = draw(st.integers(0, 4))
     weights = tuple(draw(st.integers(1, 3)) for _ in range(nvars))
-    order = draw(st.sampled_from((GREVLEX, LEX)))
     field = draw(st.sampled_from((QQ, prime_field(3))))
-    ring = PolyRing(field, NAMES[:nvars], weights, order)
+    ring = PolyRing(field, NAMES[:nvars], weights)
 
     def poly(max_exp, max_terms):
         terms = draw(st.lists(

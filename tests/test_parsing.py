@@ -162,3 +162,22 @@ Y = Y^2
         parse_map_file("[source]\nfield QQ\n[map]\nY = Y")
     with pytest.raises(ParseError):
         parse_map_file("junk before sections")
+
+
+def test_map_file_errors_cite_file_lines():
+    text = ("[source]\n"           # line 1
+            "field QQ\n"
+            "ring Y:1\n"
+            "rel Y^2\n"
+            "\n"                   # line 5
+            "[target]\n"
+            "field QQ\n"
+            "ring Y:1\n"
+            "rel Y^3 +\n"          # line 9
+            "[map]\n"
+            "Y = Y\n")
+    with pytest.raises(ParseError, match=r"^line 9, ") as info:
+        parse_map_file(text)
+    assert info.value.line == 9
+    with pytest.raises(ParseError, match=r"^line 3, ") as info:
+        parse_map_file(text.replace("ring Y:1\nrel Y^2", "ring Y:0\nrel Y^2"))

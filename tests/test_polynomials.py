@@ -13,14 +13,12 @@ from unramified.polynomials import (
     cast,
     euler_apply,
     format_polynomial,
-    homogeneous_components,
     is_homogeneous,
     mono_div,
     mono_lcm,
     mono_mul,
     monomials_of_weighted_degree,
     partial_derivative,
-    rename_variables,
     substitute,
     weighted_degree,
 )
@@ -99,7 +97,6 @@ def test_weighted_degrees():
     V = PolyRing(QQ, ("X", "Y"), (1, 2))
     XV, YV = V.variable("X"), V.variable("Y")
     assert weighted_degree(XV + YV) is None
-    assert homogeneous_components(XV + YV) == {1: XV, 2: YV}
     assert weighted_degree(V.zero()) == 0
 
 
@@ -167,16 +164,6 @@ def test_canonical_shuffled_sum():
             rebuilt = rebuilt + Polynomial(R, {m: c})
         assert rebuilt == g
         assert rebuilt.terms == g.terms
-
-
-def test_rename_variables():
-    F1 = X * (2 * Y ** 2 + 5 * X ** 3)
-    renamed = rename_variables(F1, {"X": "X1", "Y": "Y1"})
-    assert renamed.ring.names == ("X1", "Y1")
-    assert format_polynomial(renamed) == format_polynomial(F1).replace("X", "X1").replace("Y", "Y1")
-    assert rename_variables(F1, {}) == F1
-    with pytest.raises(ValueError):
-        rename_variables(F1, {"X": "Z", "Y": "Z"})
 
 
 def test_cast_rejects_colliding_variables():
