@@ -28,13 +28,16 @@ from .algebras import (
     tensor_quotient,
 )
 from .differentials import (
+    DZeroCertificate,
     KaehlerModule,
     VeroneseReport,
+    certifies_d_zero,
     derivation_kernel_in_degree,
     induced_map_on_omega,
     is_omega_zero,
     is_zero_induced_map,
     kaehler,
+    raw_differential,
     veronese_containment_check,
 )
 from .errors import (

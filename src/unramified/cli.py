@@ -246,7 +246,7 @@ def _verify_killing(args) -> VerificationReport:
     report.fold("dual numbers, r=z", step2.report.claims)
     report.add("dual numbers, r=z: zero induced map",
                "the embedding kills the whole differential module of the source",
-               is_zero_induced_map(step2.embedding),
+               is_zero_induced_map(step2.embedding, {"Z": step2.certificate}),
                {"target_dimension": step2.algebra.dimension})
     return report
 

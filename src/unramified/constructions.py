@@ -33,6 +33,8 @@ from .algebras import (
     tensor_quotient,
 )
 from .differentials import (
+    DZeroCertificate,
+    certifies_d_zero,
     induced_map_on_omega,
     is_omega_zero,
     is_zero_induced_map,
@@ -56,6 +58,7 @@ from .polynomials import (
     euler_apply,
     format_polynomial,
     monomials_of_weighted_degree,
+    partial_derivative,
 )
 
 DIMENSION_CAP = 20000
@@ -285,6 +288,25 @@ class KillingStepResult:
     algebra: QuotientAlgebra     # R'
     embedding: AlgebraMap        # iota : R -> R'
     report: VerificationReport
+    certificate: DZeroCertificate  # d(r) = 0, in the ring of R'
+    rename: dict                 # variable names of R -> their names in R'
+
+
+def _killing_certificate(r: Polynomial, relation: Polynomial,
+                         parts: list) -> DZeroCertificate:
+    """d(r) = d(r - g) + sum_i d(g_i) with r - g the relation added to form
+    R' and g the sum of the parts g_i.  Each g_i is a renamed copy of F,
+    whose partials X F1 and Y F2 are relations of B, so every component of
+    d(g_i) is a renamed relation of R'; all cofactors are 1."""
+    ring = r.ring
+    one = ring.one()
+    terms = [(one, relation, None)]
+    for g in parts:
+        for name in ring.names:
+            partial = partial_derivative(g, name)
+            if not partial.is_zero():
+                terms.append((one, partial, name))
+    return DZeroCertificate(r, tuple(terms))
 
 
 def killing_step(R: QuotientAlgebra, r: Polynomial, *,
@@ -293,11 +315,19 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     form R' = R (x) B_t / (r (x) 1 - 1 (x) g), with B_t the tensor power of
     B(KILLING_N), and the canonical embedding.
 
+    The cap is checked before any tensor is built, against the Nakayama
+    bound dim(R/rR) * dim(B)^(t-1): R' = R (x)_A B_t over A = k[u]/(u^t),
+    and R is generated over A by dim(R/rR) elements.
+
     Verifies that R' is finite dimensional (by counting its standard
     monomials), that the embedding is injective (by the exact rank of the
     images of R's basis, which the construction guarantees), and that the
-    image of r has zero differential in R'.  No staircase larger than R's is
-    enumerated.
+    image of r has zero differential in R'.  The last claim is checked on an
+    explicit identity (`_killing_certificate`), not on a Groebner basis of
+    the differential module; the result carries that certificate.  The
+    relation added is r - (g_1 + ... + g_(t-1)) unreduced, which the
+    identity needs; R' is the same algebra as with r - NF(g).  No staircase
+    larger than R's is enumerated.
     """
     started = time.perf_counter()
     r_reduced = R.reduce(r)
@@ -306,9 +336,8 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     t = nilpotency_index(R, r_reduced)
     if t is None:
         raise ValueError("r must be nilpotent")
-    # cap the projected product dimension before any tensor is built
     B, _ = gabber_B(KILLING_N, R.field)
-    projected = R.dimension * B.dimension ** (t - 1)
+    projected = quotient_by(R, [r_reduced]).dimension * B.dimension ** (t - 1)
     if projected > cap:
         raise CapExceededError(
             f"killing step dimension {projected} exceeds the cap {cap}")
@@ -318,10 +347,14 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     # r (x) 1 - 1 (x) g costs a Buchberger run
     big, renames = tensor_quotient([R, Bt])
     r_emb = cast(r_reduced, big.ring, renames[0])
-    g_emb = cast(tensor.summed, big.ring, renames[1])
-    Rp = quotient_by(big, [r_emb - g_emb])
+    parts = [cast(gi, big.ring, renames[1]) for gi in tensor.factor_elements]
+    relation = r_emb
+    for part in parts:
+        relation = relation - part
+    Rp = quotient_by(big, [relation])
     iota = make_map(R, Rp, {name: Rp.ring.variable(renames[0][name])
                             for name in R.ring.names})
+    certificate = _killing_certificate(r_emb, relation, parts)
     report = VerificationReport(
         "killing_step",
         {"n": KILLING_N, "t": t, "r": format_polynomial(r_reduced),
@@ -336,8 +369,8 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                {"dim_R": R.dimension})
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
-               kaehler(Rp).is_d_zero(iota.apply(r_reduced)))
-    return KillingStepResult(Rp, iota, _finish(report, started))
+               certifies_d_zero(Rp, certificate, iota.apply(r_reduced)))
+    return KillingStepResult(Rp, iota, _finish(report, started), certificate, renames[0])
 
 
 @dataclass
@@ -358,6 +391,13 @@ def kill_all_differentials(R: QuotientAlgebra, *,
     included) is skipped.  When the dimension cap is hit, the chain built so
     far is returned with status "cap" rather than silently truncating the
     claims.
+
+    The composite claim reuses each step's certificate: every embedding
+    maps variables to renamed variables and every relation of a stage is a
+    renamed relation of the next, so the certificate of a killed generator,
+    renamed forward, checks in the final algebra.  Only a skipped generator,
+    or one whose certified element does not reduce to its composite image,
+    is tested in the final algebra's differential module.
     """
     started = time.perf_counter()
     if not is_local_with_nilpotent_generators(R):
@@ -373,6 +413,7 @@ def kill_all_differentials(R: QuotientAlgebra, *,
     current = R
     embedding: AlgebraMap | None = None
     killed: list = []
+    certificates: dict = {}      # generator name -> certificate in current's ring
     for e in generators:
         r = e if embedding is None else embedding.apply(e)
         if kaehler(current).is_d_zero(r):
@@ -389,6 +430,9 @@ def kill_all_differentials(R: QuotientAlgebra, *,
             return KillAllResult(current, embedding, _finish(report, started), killed)
         report.fold(f"kill {format_polynomial(e)}", step.report.claims)
         killed.append(format_polynomial(e))
+        certificates = {name: c.renamed(step.algebra.ring, step.rename)
+                        for name, c in certificates.items()}
+        certificates[format_polynomial(e)] = step.certificate
         embedding = step.embedding if embedding is None else compose(step.embedding, embedding)
         current = step.algebra
     if embedding is None:
@@ -398,7 +442,7 @@ def kill_all_differentials(R: QuotientAlgebra, *,
     else:
         report.add("composite kills differentials",
                    "the composite embedding induces the zero map on the differential module",
-                   is_zero_induced_map(embedding),
+                   is_zero_induced_map(embedding, certificates),
                    {"final_dimension": current.dimension})
     return KillAllResult(current, embedding, _finish(report, started), killed)
 

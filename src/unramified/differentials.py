@@ -7,6 +7,10 @@ A vector is zero in the differential module exactly when it lies in that
 relation submodule, so every zero test is a module membership test against
 one Groebner basis.  The universal derivation sends a representative F to
 sum_i (dF/dX_i) dX_i.
+
+A membership that is known in advance needs no basis: a `DZeroCertificate`
+writes dF as an explicit combination of relation vectors, and
+`certifies_d_zero` checks that identity by polynomial arithmetic alone.
 """
 
 from __future__ import annotations
@@ -21,8 +25,26 @@ from .groebner import buchberger, normal_form, staircase_of_degree
 from .polynomials import (
     ModuleVector,
     Polynomial,
+    PolyRing,
+    cast,
     partial_derivative,
 )
+
+
+def raw_differential(f: Polynomial) -> ModuleVector:
+    """sum_i (df/dX_i) dX_i in the free module on the dX_i of f's ring, not
+    reduced."""
+    ring = f.ring
+    terms = {}
+    for i, name in enumerate(ring.names):
+        for m, c in partial_derivative(f, name).terms.items():
+            terms[(i, m)] = c
+    return ModuleVector(ring, ring.nvars, terms)
+
+
+def _along(g: Polynomial, i: int) -> ModuleVector:
+    """g dX_i in the free module on the dX_i of g's ring."""
+    return ModuleVector(g.ring, g.ring.nvars, {(i, m): c for m, c in g.terms.items()})
 
 
 class KaehlerModule:
@@ -39,26 +61,18 @@ class KaehlerModule:
         ring = algebra.ring
         self.rank = ring.nvars
         relations = algebra.presentation.relations
-        vectors = [v for v in map(self.raw_differential, relations) if v]
+        vectors = [v for v in map(raw_differential, relations) if v]
         for g in relations:
-            for i in range(self.rank):
-                if not g.is_zero():
-                    vectors.append(ModuleVector(ring, self.rank,
-                                                {(i, m): c for m, c in g.terms.items()}))
+            if not g.is_zero():
+                vectors.extend(_along(g, i) for i in range(self.rank))
         self.relation_vectors = tuple(vectors)
         self.groebner = buchberger(vectors or [ModuleVector(ring, self.rank, {})])
 
     def raw_differential(self, f: Polynomial) -> ModuleVector:
         """sum_i (df/dX_i) dX_i in the free module, not reduced."""
-        ring = self.algebra.ring
-        if f.ring != ring:
+        if f.ring != self.algebra.ring:
             raise ValueError("element from a different ring")
-        terms = {}
-        for i, name in enumerate(ring.names):
-            d = partial_derivative(f, name)
-            for m, c in d.terms.items():
-                terms[(i, m)] = c
-        return ModuleVector(ring, self.rank, terms)
+        return raw_differential(f)
 
     def reduce(self, v: ModuleVector) -> ModuleVector:
         """Canonical representative of a vector's class in the module."""
@@ -101,6 +115,49 @@ def kaehler(algebra: QuotientAlgebra) -> KaehlerModule:
     return KaehlerModule(algebra)
 
 
+@dataclass(frozen=True)
+class DZeroCertificate:
+    """A witness that d(element) = 0: the terms (c, G, name) write the raw
+    differential of the element as sum c * v, where v is the raw
+    differential dG when name is None and G dX_name otherwise, with each G
+    a presentation relation.  Every such v lies in the relation submodule,
+    so the identity proves the membership without a Groebner basis."""
+
+    element: Polynomial
+    terms: tuple
+
+    def renamed(self, ring: PolyRing, rename: dict) -> DZeroCertificate:
+        """The same identity in a ring that the variables are renamed into;
+        `rename` maps old names to new ones, as for `cast`."""
+        return DZeroCertificate(
+            cast(self.element, ring, rename),
+            tuple((cast(c, ring, rename), cast(g, ring, rename),
+                   None if name is None else rename.get(name, name))
+                  for c, g, name in self.terms))
+
+
+def certifies_d_zero(algebra: QuotientAlgebra, certificate: DZeroCertificate,
+                     f: Polynomial) -> bool:
+    """Whether the certificate proves that the class of f has zero
+    differential in the algebra: the certified element reduces to the class
+    of f, every G is one of the algebra's presentation relations, and the
+    terms sum exactly to the raw differential of the element.  d is well
+    defined on classes, so the element may be any representative."""
+    ring = algebra.ring
+    if certificate.element.ring != ring:
+        return False
+    if algebra.reduce(certificate.element) != algebra.reduce(f):
+        return False
+    relations = set(algebra.presentation.relations)
+    total = ModuleVector(ring, ring.nvars, {})
+    for c, g, name in certificate.terms:
+        if g not in relations or c.ring != ring:
+            return False
+        v = raw_differential(g) if name is None else _along(g, ring.index(name))
+        total = total + v.poly_mul(c)
+    return total == raw_differential(certificate.element)
+
+
 def is_omega_zero(algebra: QuotientAlgebra) -> bool:
     """Whether the algebra is formally unramified over the coefficient field:
     its module of differentials is zero."""
@@ -117,11 +174,27 @@ def induced_map_on_omega(phi: AlgebraMap) -> list:
             for name in phi.source.ring.names]
 
 
-def is_zero_induced_map(phi: AlgebraMap) -> bool:
+def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bool:
     """Whether the induced map on differential modules is zero.  The source
     module is generated by the dX_i, so it suffices that every d(phi(X_i))
-    vanishes in the target."""
-    return all(v.is_zero() for v in induced_map_on_omega(phi))
+    vanishes in the target.
+
+    `certificates` maps source variable names to DZeroCertificates in the
+    target.  A generator whose certificate proves d(phi(X_i)) = 0 there
+    needs no Groebner basis of the differential module; every other
+    generator is tested in the target's module."""
+    if phi.source.field != phi.target.field:
+        raise ValueError("base mismatch")
+    certificates = certificates or {}
+    target = phi.target
+    for name in phi.source.ring.names:
+        image = phi.apply(phi.source.ring.variable(name))
+        certificate = certificates.get(name)
+        if certificate is not None and certifies_d_zero(target, certificate, image):
+            continue
+        if not kaehler(target).is_d_zero(image):
+            return False
+    return True
 
 
 def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:

@@ -62,7 +62,8 @@ class Token:
     column: int
 
 
-def _tokenize(text: str, line: int = 1) -> list:
+def _tokenize(text: str, line: int = 1, column: int = 1) -> list:
+    """Tokens of one line of text whose first character sits at `column`."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -72,15 +73,15 @@ def _tokenize(text: str, line: int = 1) -> list:
         for kind in ("num", "name", "op"):
             value = match.group(kind)
             if value is not None:
-                tokens.append(Token(kind, value, line, match.start(kind) + 1))
+                tokens.append(Token(kind, value, line, match.start(kind) + column))
                 break
         pos = match.end()
     rest = text[pos:]
     if rest.strip():
         offset = len(rest) - len(rest.lstrip())
         raise ParseError(f"unexpected character {rest.lstrip()[0]!r}",
-                         line, pos + offset + 1)
-    tokens.append(Token("end", "", line, len(text) + 1))
+                         line, pos + offset + column)
+    tokens.append(Token("end", "", line, len(text) + column))
     return tokens
 
 
@@ -178,10 +179,12 @@ class _ExpressionParser:
                          tok.line, tok.column)
 
 
-def parse_polynomial(text: str, ring: PolyRing, line: int = 1) -> Polynomial:
+def parse_polynomial(text: str, ring: PolyRing, line: int = 1,
+                     column: int = 1) -> Polynomial:
     """Parse an expression in the ring's variables (plus the field variable
-    over F_p(x)).  Errors carry line and column."""
-    return _ExpressionParser(_tokenize(text, line), ring).parse()
+    over F_p(x)).  Errors carry line and column; `column` is the column of
+    the text's first character in its line."""
+    return _ExpressionParser(_tokenize(text, line, column), ring).parse()
 
 
 def parse_scalar(text: str, field: FieldDescriptor) -> FieldElement:
@@ -264,7 +267,9 @@ def parse_presentation(text: str) -> Presentation:
         elif keyword == "rel":
             if ring is None:
                 raise ParseError("ring must come before rel", lineno)
-            relations.append(parse_polynomial(rest, ring, lineno))
+            # the file column of the expression's first character
+            column = len(raw) - len(raw.lstrip()) + len(line) - len(rest) + 1
+            relations.append(parse_polynomial(rest, ring, lineno, column))
         elif keyword == "mode":
             if saw_mode:
                 raise ParseError("duplicate mode line", lineno)

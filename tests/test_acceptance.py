@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 import oracles
 from unramified.algebras import (
     MODE_GRADED,
@@ -19,7 +17,6 @@ from unramified.algebras import (
     make_quotient,
 )
 from unramified.constructions import (
-    STATUS_CAP,
     charp_tower,
     check_theorem_local_case,
     euler_identity_check,
@@ -34,7 +31,6 @@ from unramified.constructions import (
 from unramified.differentials import (
     derivation_kernel_in_degree,
     is_zero_induced_map,
-    kaehler,
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field

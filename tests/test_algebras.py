@@ -2,7 +2,6 @@
 truncation oracle, tensor products, maps, and nilpotency."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest

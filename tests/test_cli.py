@@ -227,6 +227,7 @@ SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
     (["verify", "preparatory", "--n", "5", "--field", "QQ"], "preparatory_5_qq.json", 0),
     (["verify", "killing"], "killing.json", 0),
     (["verify", "euler", "--trials", "100", "--field", "Fp:3"], "euler_100_fp3.json", 0),
+    (["verify", "gabber", "--steps", "1", "--start", "z5.alg"], "gabber_z5_steps1.json", 0),
 ])
 def test_golden_outputs(argv, name, code, capsys, monkeypatch):
     """JSON output and exit code of README verbs, byte for byte; `--base`
@@ -241,7 +242,7 @@ def test_golden_outputs(argv, name, code, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["omega", "--file", "samples/b5.alg", "--budget", "50"],
-    ["verify", "killing", "--budget", "300"],
+    ["verify", "killing", "--budget", "100"],
     ["verify", "local-case", "--count", "20", "--budget", "100"],
     ["verify", "gabber", "--steps", "1", "--budget", "50"],
 ])

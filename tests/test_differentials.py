@@ -22,7 +22,6 @@ from unramified.differentials import (
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field, rational_functions
-from unramified.groebner import normal_form
 from unramified.polynomials import (
     ModuleVector,
     PolyRing,

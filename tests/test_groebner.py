@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from unramified.errors import BudgetExceededError
-from unramified.fields import QQ, prime_field
+from unramified.fields import QQ
 from unramified.groebner import (
     GroebnerBasis,
     buchberger,

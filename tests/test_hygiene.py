@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "unramified"
+TESTS = pathlib.Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "unramified"
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -98,12 +99,15 @@ def test_no_public_function_takes_a_budget():
 
 
 def test_no_unused_module_level_imports():
+    """In the package (its `__init__` re-exports by importing) and in the
+    tests."""
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
+    for path in sorted(SOURCE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        found.extend(f"{path.name}:{line}: {name}" for line, name in unused_imports(tree))
+        found.extend(f"{path.parent.name}/{path.name}:{line}: {name}"
+                     for line, name in unused_imports(tree))
     assert found == []
 
 

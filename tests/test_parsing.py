@@ -176,8 +176,11 @@ def test_map_file_errors_cite_file_lines():
             "rel Y^3 +\n"          # line 9
             "[map]\n"
             "Y = Y\n")
-    with pytest.raises(ParseError, match=r"^line 9, ") as info:
+    with pytest.raises(ParseError, match=r"^line 9, column 10: ") as info:
         parse_map_file(text)
-    assert info.value.line == 9
+    assert (info.value.line, info.value.column) == (9, 10)
+    # the column counts from the start of the file line, indentation included
+    with pytest.raises(ParseError, match=r"^line 9, column 8: ") as info:
+        parse_map_file(text.replace("rel Y^3 +", "  rel  $Y"))
     with pytest.raises(ParseError, match=r"^line 3, ") as info:
         parse_map_file(text.replace("ring Y:1\nrel Y^2", "ring Y:0\nrel Y^2"))

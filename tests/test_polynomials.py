@@ -13,7 +13,6 @@ from unramified.polynomials import (
     cast,
     euler_apply,
     format_polynomial,
-    is_homogeneous,
     mono_div,
     mono_lcm,
     mono_mul,
