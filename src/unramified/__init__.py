@@ -19,7 +19,6 @@ from .algebras import (
     identity_map,
     is_injective,
     is_local_with_nilpotent_generators,
-    linear_matrix,
     make_map,
     make_quotient,
     nilpotency_index,
@@ -53,7 +52,6 @@ from .fields import (
     FieldElement,
     formal_derivative,
     format_scalar,
-    parse_scalar,
     prime_field,
     rational_functions,
     rationals,
@@ -71,6 +69,7 @@ from .groebner import (
     staircase_of_degree,
     step_budget,
 )
+from .parsing import parse_scalar
 from .polynomials import (
     ModuleVector,
     PolyRing,

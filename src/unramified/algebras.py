@@ -57,11 +57,11 @@ class QuotientAlgebra:
     for, and cached too.  Instances are immutable after construction (apart
     from those one-time caches) and safe to share."""
 
-    def __init__(self, presentation: Presentation, basis: GroebnerBasis,
-                 stabilization_exponent: int | None = None):
+    def __init__(self, presentation: Presentation, basis: GroebnerBasis):
         self.presentation = presentation
         self.groebner = basis
-        self.stabilization_exponent = stabilization_exponent
+        # the N of the local model P/(I + m^N); set by artinian_local_model
+        self.stabilization_exponent = None
 
     @cached_property
     def staircase(self) -> Staircase:
@@ -128,16 +128,16 @@ def _power_generators(ring: PolyRing, n: int) -> list:
             for m in monomials_of_weighted_degree(unweighted, n)]
 
 
-def artinian_local_model(ring: PolyRing, generators, *,
-                         power_cap: int = DEFAULT_POWER_CAP) -> QuotientAlgebra:
+def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
     """Realize the power-series quotient k[[X_1..X_s]]/I as a polynomial
     quotient: compute P/(I + m^N) for N = 1, 2, ... and stop at the first N
-    where the dimension equals that of N+1.
+    where the dimension equals that of N+1.  Each P/(I + m^N) is finite
+    dimensional, as m^N is in the ideal.
 
     At that point m^N is contained in I + m^(N+1), so Nakayama's lemma in
     the complete local ring gives m^N inside I k[[X]], and P/(I + m^N) is the
-    power-series quotient.  Raises NotMPrimaryError when no stabilization
-    happens below `power_cap`.
+    power-series quotient.  Raises NotMPrimaryError when N reaches the
+    truncation limit DEFAULT_POWER_CAP without stabilizing.
     """
     gens = list(generators)
     for g in gens:
@@ -146,18 +146,16 @@ def artinian_local_model(ring: PolyRing, generators, *,
         if not g.constant_coefficient().is_zero():
             raise ValueError("generators must lie in the maximal ideal")
     prev = None
-    for n in range(1, power_cap + 2):
+    for n in range(1, DEFAULT_POWER_CAP + 2):
         relations = tuple(gens) + tuple(_power_generators(ring, n))
         algebra = QuotientAlgebra(Presentation(ring, relations, MODE_LOCAL),
                                   buchberger(relations))
-        if algebra.dimension is None:
-            raise NotMPrimaryError("truncated quotient is infinite dimensional")
         if prev is not None and algebra.dimension == prev.dimension:
             prev.stabilization_exponent = n - 1
             return prev
         prev = algebra
     raise NotMPrimaryError(
-        f"no stabilization below m^{power_cap}: the ideal is not primary to the maximal ideal")
+        f"P/(I + m^N) did not stabilize by the truncation limit m^{DEFAULT_POWER_CAP}")
 
 
 def quotient_by(algebra: QuotientAlgebra, elements) -> QuotientAlgebra:
@@ -285,29 +283,13 @@ def identity_map(algebra: QuotientAlgebra) -> AlgebraMap:
     return make_map(algebra, algebra, images)
 
 
-def linear_matrix(phi: AlgebraMap) -> list:
-    """Matrix of the map in the staircase bases: rows indexed by the target
-    basis, columns by the source basis.  Both sides must be finite."""
-    if not phi.source.is_finite or not phi.target.is_finite:
-        raise ValueError("linear matrix requires finite-dimensional source and target")
-    source_basis = phi.source.basis_monomials()
-    target_index = {m: i for i, m in enumerate(phi.target.basis_monomials())}
-    field = phi.source.field
-    zero = field.zero()
-    rows = [[zero] * len(source_basis) for _ in target_index]
-    for j, m in enumerate(source_basis):
-        image = phi.apply(Polynomial(phi.source.ring, {m: field.one()}))
-        for tm, c in image.terms.items():
-            rows[target_index[tm]][j] = c
-    return rows
-
-
 def is_injective(phi: AlgebraMap) -> bool:
     """Injectivity by exact rank: the images of the source basis are
     linearly independent.  They are ranked as rows in monomial coordinates,
     one column per monomial that occurs in some reduced image; normal forms
-    are unique, so this is the rank of `linear_matrix` without the target's
-    basis, whose size the source need not bound."""
+    are unique, so this is the rank of the map's matrix in the staircase
+    bases without listing the target's basis, whose size the source need
+    not bound.  The tests check it against that dense matrix."""
     if not phi.source.is_finite or not phi.target.is_finite:
         raise ValueError("injectivity test requires finite-dimensional source and target")
     field = phi.source.field

@@ -68,12 +68,6 @@ class KaehlerModule:
         self.relation_vectors = tuple(vectors)
         self.groebner = buchberger(vectors or [ModuleVector(ring, self.rank, {})])
 
-    def raw_differential(self, f: Polynomial) -> ModuleVector:
-        """sum_i (df/dX_i) dX_i in the free module, not reduced."""
-        if f.ring != self.algebra.ring:
-            raise ValueError("element from a different ring")
-        return raw_differential(f)
-
     def reduce(self, v: ModuleVector) -> ModuleVector:
         """Canonical representative of a vector's class in the module."""
         return normal_form(v, self.groebner)
@@ -85,8 +79,9 @@ class KaehlerModule:
     def d_image(self, f: Polynomial) -> ModuleVector:
         """The universal derivation applied to (the class of) f, reduced.
         Well defined: representatives differing by a relation give vectors
-        in the same class."""
-        return self.reduce(self.raw_differential(f))
+        in the same class.  An f from another ring is refused by the
+        normal form."""
+        return self.reduce(raw_differential(f))
 
     def is_d_zero(self, f: Polynomial) -> bool:
         return self.d_image(f).is_zero()

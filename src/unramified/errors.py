@@ -14,8 +14,9 @@ class CapExceededError(ComputationError):
 
 
 class NotMPrimaryError(ComputationError):
-    """Raised when power-of-the-maximal-ideal stabilization never terminates,
-    i.e. the input ideal is not primary to the maximal ideal."""
+    """Raised when the power-of-the-maximal-ideal model does not stabilize by
+    its truncation limit: the ideal needs a higher power of the maximal
+    ideal, or is not primary to it."""
 
 
 class ParseError(ValueError):

@@ -430,10 +430,3 @@ def _uis_atomic(a: tuple) -> bool:
     if len(a) == 1:
         return True
     return a[-1] == 1
-
-
-def parse_scalar(text: str, field: FieldDescriptor) -> FieldElement:
-    """Parse a scalar literal: an integer, integer/integer, or a ratio of
-    univariate polynomials in the field variable for F_p(x)."""
-    from .parsing import parse_scalar as _parse
-    return _parse(text, field)

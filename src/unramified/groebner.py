@@ -32,6 +32,7 @@ from .polynomials import (
     ModuleVector,
     PolyRing,
     Polynomial,
+    _accumulate,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -142,22 +143,12 @@ def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -
 
 
 def _spair(a: _Row, b: _Row) -> dict:
-    comp = a.lt[0]
     lcm = mono_lcm(a.lt[1], b.lt[1])
     ua = mono_div(lcm, a.lt[1])
     ub = mono_div(lcm, b.lt[1])
-    out: dict = {}
-    for (tc, tm), tv in a.terms.items():
-        out[(tc, mono_mul(tm, ua))] = tv
-    for (tc, tm), tv in b.terms.items():
-        key = (tc, mono_mul(tm, ub))
-        cur = out.get(key)
-        nv = -tv if cur is None else cur - tv
-        if nv.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = nv
-    return out
+    out = {(tc, mono_mul(tm, ua)): tv for (tc, tm), tv in a.terms.items()}
+    return _accumulate(
+        out, (((tc, mono_mul(tm, ub)), -tv) for (tc, tm), tv in b.terms.items()))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ finite free modules over the polynomial ring.
 Monomials are dense exponent tuples, one non-negative int per ring variable;
 `ring.monomial_one`, all zeros, is the monomial 1.  Polynomials map
 monomials to nonzero field elements; module vectors map (component, monomial)
-pairs to nonzero field elements.  Everything is immutable and canonical.
+pairs to nonzero field elements.  Both are one sparse-term structure: they
+share the base `_Terms` and its one zero-dropping sum, `_accumulate`, and
+differ only in their term keys and order.  Everything is immutable and
+canonical.
 """
 
 from __future__ import annotations
@@ -143,35 +146,44 @@ class PolyRing:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# The sparse-term core shared by polynomials and module vectors
 # ---------------------------------------------------------------------------
 
-class Polynomial:
-    """Terms are stored as a dict {monomial: nonzero coefficient}."""
+def _accumulate(out: dict, items) -> dict:
+    """Add (key, coefficient) pairs into the term dict `out` and return it.
+    A key whose coefficient sums to zero is dropped, so a term dict never
+    stores a zero coefficient and equal elements have equal dicts."""
+    for key, c in items:
+        cur = out.get(key)
+        if cur is not None:
+            c = cur + c
+        if c.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = c
+    return out
+
+
+class _Terms:
+    """An immutable dict {key: nonzero coefficient} over a PolyRing, with the
+    arithmetic that polynomials and module vectors share.  A subclass
+    supplies `_space()`, the arguments its constructor takes before the
+    term dict, and `_order()`, the sort key of its term keys."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-
     def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def build(ring: PolyRing, items) -> "Polynomial":
-        """Sum an iterable of (monomial, coefficient) pairs into canonical form."""
-        acc: dict = {}
-        for m, c in items:
-            cur = acc.get(m)
-            nc = c if cur is None else cur + c
-            if nc.is_zero():
-                acc.pop(m, None)
-            else:
-                acc[m] = nc
-        return Polynomial(ring, acc)
+    def _like(self, terms: dict):
+        return type(self)(*self._space(), terms)
 
-    # -- basic queries --------------------------------------------------------
+    def _coerce(self, other):
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise ValueError(f"{type(self).__name__} operands from different spaces")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -179,52 +191,17 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.ring.monomial_one in self.terms)
-
-    def constant_coefficient(self) -> FieldElement:
-        return self.terms.get(self.ring.monomial_one, self.ring.field.zero())
-
-    def leading(self) -> tuple:
-        """(monomial, coefficient) of the largest term in the ring order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        key = self.ring.monomial_key
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
-
-    def sorted_terms(self) -> list:
-        key = self.ring.monomial_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def __iter__(self):
-        return iter(self.sorted_terms())
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise ValueError("polynomial ring mismatch")
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            nc = c if cur is None else cur + c
-            if nc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = nc
-        return Polynomial(self.ring, out)
+        self._check(other)
+        return self._like(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -238,25 +215,62 @@ class Polynomial:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_ring(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                cur = out.get(m)
-                nc = c if cur is None else cur + c
-                if nc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-        return Polynomial(self.ring, out)
+    def scale(self, c):
+        if isinstance(c, int):
+            c = self.ring.field.from_int(c)
+        if c.is_zero():
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
 
-    __rmul__ = __mul__
+    def leading(self) -> tuple:
+        """(key, coefficient) of the largest term in the order."""
+        if not self.terms:
+            raise ValueError(f"the zero {type(self).__name__} has no leading term")
+        k = max(self.terms, key=self._order())
+        return k, self.terms[k]
+
+    def sorted_terms(self) -> list:
+        key = self._order()
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+
+    def __eq__(self, other):
+        if isinstance(other, int):  # an int compares as a constant polynomial
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self._space() + (frozenset(self.terms.items()),))
+
+    def __repr__(self):
+        return f"<{self}>"
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
+
+class Polynomial(_Terms):
+    """Terms are stored as a dict {monomial: nonzero coefficient}, ordered by
+    the ring's monomial order."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: PolyRing, terms: dict):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+
+    def _space(self) -> tuple:
+        return (self.ring,)
+
+    def _order(self):
+        return self.ring.monomial_key
+
+    @staticmethod
+    def build(ring: PolyRing, items) -> "Polynomial":
+        """Sum an iterable of (monomial, coefficient) pairs into canonical form."""
+        return Polynomial(ring, _accumulate({}, items))
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -267,12 +281,25 @@ class Polynomial:
             return self.ring.from_scalar(other)
         return NotImplemented
 
-    def scale(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = self.ring.field.from_int(c)
-        if c.is_zero():
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+    def is_constant(self) -> bool:
+        return not self.terms or (len(self.terms) == 1 and self.ring.monomial_one in self.terms)
+
+    def constant_coefficient(self) -> FieldElement:
+        return self.terms.get(self.ring.monomial_one, self.ring.field.zero())
+
+    def __iter__(self):
+        return iter(self.sorted_terms())
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        return Polynomial(self.ring, _accumulate({}, (
+            (mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
+
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -292,21 +319,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    # -- identity -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"<{format_polynomial(self)}>"
 
     def __str__(self):
         return format_polynomial(self)
@@ -433,34 +445,32 @@ def monomials_of_weighted_degree(ring: PolyRing, degree: int) -> list:
 # Module vectors
 # ---------------------------------------------------------------------------
 
-class ModuleVector:
+class ModuleVector(_Terms):
     """An element of a free module R^rank over the polynomial ring; terms map
-    (component, monomial) to nonzero coefficients."""
+    (component, monomial) to nonzero coefficients, ordered position over
+    term by the ring's `module_key`."""
 
-    __slots__ = ("ring", "rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, ring: PolyRing, rank: int, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
+    def _space(self) -> tuple:
+        return (self.ring, self.rank)
+
+    def _order(self):
+        key = self.ring.module_key
+        return lambda t: key(*t)
 
     @staticmethod
     def build(ring: PolyRing, rank: int, items) -> "ModuleVector":
-        acc: dict = {}
-        for key, c in items:
-            comp = key[0]
+        items = list(items)
+        for (comp, _), _ in items:
             if not 0 <= comp < rank:
                 raise ValueError(f"component {comp} out of range for rank {rank}")
-            cur = acc.get(key)
-            nc = c if cur is None else cur + c
-            if nc.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = nc
-        return ModuleVector(ring, rank, acc)
+        return ModuleVector(ring, rank, _accumulate({}, items))
 
     @staticmethod
     def from_components(ring: PolyRing, polys: list) -> "ModuleVector":
@@ -480,86 +490,12 @@ class ModuleVector:
         return Polynomial(
             self.ring, {m: c for (cm, m), c in self.terms.items() if cm == comp})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check(self, other: "ModuleVector"):
-        if self.ring != other.ring or self.rank != other.rank:
-            raise ValueError("module mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            nc = c if cur is None else cur + c
-            if nc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nc
-        return ModuleVector(self.ring, self.rank, out)
-
-    def __neg__(self):
-        return ModuleVector(self.ring, self.rank,
-                            {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "ModuleVector":
-        if isinstance(c, int):
-            c = self.ring.field.from_int(c)
-        if c.is_zero():
-            return ModuleVector(self.ring, self.rank, {})
-        return ModuleVector(self.ring, self.rank,
-                            {k: v * c for k, v in self.terms.items()})
-
     def poly_mul(self, p: Polynomial) -> "ModuleVector":
         if p.ring != self.ring:
             raise ValueError("polynomial ring mismatch")
-        out: dict = {}
-        for (comp, m1), c1 in self.terms.items():
-            for m2, c2 in p.terms.items():
-                k = (comp, mono_mul(m1, m2))
-                c = c1 * c2
-                cur = out.get(k)
-                nc = c if cur is None else cur + c
-                if nc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = nc
-        return ModuleVector(self.ring, self.rank, out)
-
-    def leading(self) -> tuple:
-        """((component, monomial), coefficient) maximal in position-over-term order."""
-        if not self.terms:
-            raise ValueError("the zero vector has no leading term")
-        key = self.ring.module_key
-        k = max(self.terms, key=lambda t: key(*t))
-        return k, self.terms[k]
-
-    def sorted_terms(self) -> list:
-        key = self.ring.module_key
-        return sorted(self.terms.items(), key=lambda t: key(*t[0]), reverse=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return (self.ring == other.ring and self.rank == other.rank
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, self.rank, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"<{format_vector(self)}>"
+        return ModuleVector(self.ring, self.rank, _accumulate({}, (
+            ((comp, mono_mul(m1, m2)), c1 * c2)
+            for (comp, m1), c1 in self.terms.items() for m2, c2 in p.terms.items())))
 
     def __str__(self):
         return format_vector(self)

@@ -3,7 +3,8 @@
 Everything here is deliberately self-contained: dense monomial tuples,
 Fraction coefficients, and a local Gaussian elimination.  Nothing imports
 the package under test, so an agreement between engine and oracle is a real
-cross-check and not a tautology.
+cross-check and not a tautology; `linear_matrix` and `matmul` take the
+package's maps and field elements and use only their public methods.
 """
 
 from fractions import Fraction
@@ -126,3 +127,18 @@ def matmul(a: list, b: list, zero) -> list:
             acc = [x + v * y for x, y in zip(acc, b[k])]
         out.append(acc)
     return out
+
+
+def linear_matrix(phi) -> list:
+    """Matrix of an algebra map in the staircase bases, rows indexed by the
+    target basis and columns by the source basis: the dense reference for
+    `is_injective`.  Both sides must be finite."""
+    source_basis = phi.source.basis_monomials()
+    target_index = {m: i for i, m in enumerate(phi.target.basis_monomials())}
+    zero = phi.source.field.zero()
+    rows = [[zero] * len(source_basis) for _ in target_index]
+    for j, m in enumerate(source_basis):
+        image = phi.apply(phi.source.ring.monomial(dict(enumerate(m))))
+        for tm, c in image.terms.items():
+            rows[target_index[tm]][j] = c
+    return rows

@@ -21,7 +21,6 @@ from unramified.differentials import (
     certifies_d_zero,
     is_zero_induced_map,
     kaehler,
-    raw_differential,
 )
 from unramified.errors import CapExceededError
 from unramified.fields import QQ
@@ -63,13 +62,6 @@ def _record_kaehler(monkeypatch) -> list:
     monkeypatch.setattr(differentials, "kaehler", recording)
     monkeypatch.setattr(constructions, "kaehler", recording)
     return seen
-
-
-def test_raw_differential_is_the_module_method(b5):
-    B, f = b5
-    assert raw_differential(f) == kaehler(B).raw_differential(f)
-    X, Y = B.ring.variable("X"), B.ring.variable("Y")
-    assert raw_differential(X ** 2 * Y) == kaehler(B).raw_differential(X ** 2 * Y)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

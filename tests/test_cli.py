@@ -91,6 +91,18 @@ def test_verify_preparatory_rejects_small_n(capsys):
     assert main(["verify", "preparatory", "--n", "4", "--json"]) == 2
 
 
+def test_verify_preparatory_at_the_power_limit(capsys):
+    """B(63) stabilizes at m^64, the truncation limit of the local model.
+    B(64) is m-primary too but needs m^65, so it stops at the limit, and
+    the error says so instead of calling the ideal not m-primary."""
+    assert main(["verify", "preparatory", "--n", "63", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert main(["verify", "preparatory", "--n", "64", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "truncation limit m^64" in err
+    assert "primary" not in err
+
+
 def test_verify_killing(capsys):
     assert main(["verify", "killing", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

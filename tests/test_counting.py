@@ -1,20 +1,20 @@
 """Dimensions are counted from the leading monomials, never by listing the
 staircase: the count against the enumeration on random monomial ideals and
 modules and its edge cases; injectivity by the rank of the image rows
-against the dense matrix of `linear_matrix`; and the powers of g taken in
-B_t against the powers expanded in the polynomial ring."""
+against the dense matrix of `oracles.linear_matrix`; and the powers of g
+taken in B_t against the powers expanded in the polynomial ring."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from unramified import linalg
 from unramified.algebras import (
     Presentation,
     compose,
     identity_map,
     is_injective,
-    linear_matrix,
     make_map,
     make_quotient,
     tensor_many,
@@ -120,7 +120,7 @@ def test_count_with_a_lead_equal_to_one():
 
 def _dense_injective(phi) -> bool:
     ncols = phi.source.dimension
-    return linalg.rank(linear_matrix(phi), ncols, phi.source.field) == ncols
+    return linalg.rank(oracles.linear_matrix(phi), ncols, phi.source.field) == ncols
 
 
 def test_injectivity_matches_the_dense_rank_on_the_ladder(ladder):

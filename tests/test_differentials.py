@@ -19,6 +19,7 @@ from unramified.differentials import (
     is_omega_zero,
     is_zero_induced_map,
     kaehler,
+    raw_differential,
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field, rational_functions
@@ -49,10 +50,14 @@ def test_dual_numbers_module(dual_numbers):
     # R dZ / (2z dZ, z^2 dZ): one-dimensional, dz nonzero, z dz = 0
     module = kaehler(dual_numbers)
     assert not module.is_d_zero(Z)
-    z_dz = module.raw_differential(Z).poly_mul(Z)
+    z_dz = raw_differential(Z).poly_mul(Z)
     assert module.contains(z_dz)
     assert module.dimension() == 1
     assert not is_omega_zero(dual_numbers)
+    # an element of another ring, with as many variables and with more
+    for foreign in (PolyRing(QQ, ("W",)).variable("W"), X):
+        with pytest.raises(ValueError):
+            module.d_image(foreign)
 
 
 def test_b5_presentation_rows(b5):
@@ -210,9 +215,9 @@ def test_leibniz_rule(b5):
     for _ in range(25):
         f = _random_poly(rng, B.ring)
         g = _random_poly(rng, B.ring)
-        left = module.raw_differential(f * g)
-        right = (module.raw_differential(g).poly_mul(f)
-                 + module.raw_differential(f).poly_mul(g))
+        left = raw_differential(f * g)
+        right = (raw_differential(g).poly_mul(f)
+                 + raw_differential(f).poly_mul(g))
         assert module.reduce(left) == module.reduce(right)
 
 

@@ -10,10 +10,10 @@ from unramified.fields import (
     FieldDescriptor,
     formal_derivative,
     format_scalar,
-    parse_scalar,
     prime_field,
     rational_functions,
 )
+from unramified.parsing import parse_scalar
 
 F5 = prime_field(5)
 F2X = rational_functions(2)

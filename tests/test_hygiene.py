@@ -70,6 +70,27 @@ def unused_public_definitions(modules: dict) -> list:
                   and node.name not in exported and node.name not in read)
 
 
+def names_defined_twice(modules: dict) -> list:
+    """`name: module, module` for every public module-level name (function,
+    class or assigned name not starting with an underscore) that more than
+    one module defines.  `modules` maps module names to parsed trees."""
+    defined: dict = {}
+    for module, tree in modules.items():
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+        for name in names:
+            if not name.startswith("_"):
+                defined.setdefault(name, []).append(module)
+    return sorted(f"{name}: {', '.join(found)}"
+                  for name, found in defined.items() if len(found) > 1)
+
+
 def test_unused_imports_helper_sees_only_unread_names():
     tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n")
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
@@ -133,3 +154,19 @@ def test_every_public_definition_is_exported_or_used():
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     assert unused_public_definitions(modules) == []
+
+
+def test_names_defined_twice_helper():
+    modules = {
+        "a": ast.parse("def twice(): pass\nLIMIT = 1\n_private = 1\nclass Once: pass\n"),
+        "b": ast.parse("def twice(): pass\nLIMIT: int = 2\n_private = 2\n"),
+    }
+    assert names_defined_twice(modules) == ["LIMIT: a, b", "twice: a, b"]
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    """One definition per public name: a second one is a wrapper or a copy
+    that the package exports or calls instead of the first."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert names_defined_twice(modules) == []
