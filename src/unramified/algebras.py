@@ -1,5 +1,5 @@
 """Finitely presented algebras R = P/I: element arithmetic through normal
-forms, tensor products, quotients, algebra maps with validity certificates,
+forms, tensor products, quotients, algebra maps verified when built,
 nilpotency tests, and the power-of-the-maximal-ideal stabilization model that
 realizes power-series quotients as finite-dimensional polynomial quotients.
 """
@@ -86,12 +86,14 @@ class QuotientAlgebra:
 
     @cached_property
     def local_with_nilpotent_generators(self) -> bool:
-        """Whether every generator image is nilpotent, tested once and
-        cached; see `is_local_with_nilpotent_generators`."""
+        """Whether the algebra is not zero and every generator image is
+        nilpotent, tested once and cached; see
+        `is_local_with_nilpotent_generators`."""
         if not self.is_finite:
             raise ValueError("test requires a finite-dimensional algebra")
-        return all(nilpotency_index(self, self.ring.variable(name)) is not None
-                   for name in self.ring.names)
+        return self.dimension > 0 and all(
+            nilpotency_index(self, self.ring.variable(name)) is not None
+            for name in self.ring.names)
 
     def basis_monomials(self) -> tuple:
         if not self.is_finite:
@@ -223,16 +225,18 @@ def tensor_quotient(algebras: list) -> tuple:
 
 class AlgebraMap:
     """A coefficient-field algebra map between presented algebras, given by
-    one target element per source variable.  Construction verifies that every
-    source relation maps to zero; the normal forms are kept as a certificate.
+    one target element per source variable.  The constructor checks only
+    that both sides share the coefficient field; `make_map` also verifies
+    that every source relation maps to zero.
     """
 
     def __init__(self, source: QuotientAlgebra, target: QuotientAlgebra,
-                 images: dict, certificate: tuple):
+                 images: dict):
+        if source.field != target.field:
+            raise ValueError("source and target have different coefficient fields")
         self.source = source
         self.target = target
         self.images = images
-        self.certificate = certificate
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Image of (the class of) f, reduced in the target."""
@@ -245,37 +249,27 @@ class AlgebraMap:
         return f"<algebra map on {len(self.images)} generators>"
 
 
-def make_map(source: QuotientAlgebra, target: QuotientAlgebra, images) -> AlgebraMap:
-    """Build the map X_i -> images[i] and verify it is well defined.  Raises
+def make_map(source: QuotientAlgebra, target: QuotientAlgebra, images: dict) -> AlgebraMap:
+    """Build the map X -> images[X] and verify it is well defined.  Raises
     ValueError naming the first relation with a nonzero image otherwise."""
-    if source.field != target.field:
-        raise ValueError("source and target have different coefficient fields")
-    if isinstance(images, dict):
-        image_map = dict(images)
-    else:
-        images = list(images)
-        if len(images) != source.ring.nvars:
-            raise ValueError("one image per source variable required")
-        image_map = dict(zip(source.ring.names, images))
-    if set(image_map) != set(source.ring.names):
+    if set(images) != set(source.ring.names):
         raise ValueError("images must cover exactly the source variables")
-    image_map = {n: target.reduce(q) for n, q in image_map.items()}
-    certificate = []
+    phi = AlgebraMap(source, target, {n: target.reduce(q) for n, q in images.items()})
     for rel in source.presentation.relations:
-        nf = target.reduce(substitute(rel, image_map, target.ring))
+        nf = phi.apply(rel)
         if not nf.is_zero():
             raise ValueError(
                 f"not a ring map: relation {rel} maps to nonzero normal form {nf}")
-        certificate.append(nf)
-    return AlgebraMap(source, target, image_map, tuple(certificate))
+    return phi
 
 
 def compose(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:
-    """The composite outer . inner."""
+    """The composite outer . inner; both were verified when built, so it is
+    well defined and is not checked again."""
     if inner.target is not outer.source:
         raise ValueError("maps do not compose")
-    images = {n: outer.apply(q) for n, q in inner.images.items()}
-    return make_map(inner.source, outer.target, images)
+    return AlgebraMap(inner.source, outer.target,
+                      {n: outer.apply(q) for n, q in inner.images.items()})
 
 
 def identity_map(algebra: QuotientAlgebra) -> AlgebraMap:
@@ -325,9 +319,10 @@ def nilpotency_index(algebra: QuotientAlgebra, f: Polynomial):
 
 
 def is_local_with_nilpotent_generators(algebra: QuotientAlgebra) -> bool:
-    """True when every generator image is nilpotent; then the generators span
-    the unique maximal ideal and the residue field is the coefficient field.
-    The answer is cached on the algebra."""
+    """True when the algebra is not zero and every generator image is
+    nilpotent; then the generators span the unique maximal ideal and the
+    residue field is the coefficient field.  The zero algebra has no maximal
+    ideal, so it is not local.  The answer is cached on the algebra."""
     return algebra.local_with_nilpotent_generators
 
 

@@ -24,7 +24,6 @@ from .algebras import (
     artinian_local_model,
     compose,
     has_nonzero_nilpotent,
-    is_injective,
     is_local_with_nilpotent_generators,
     make_map,
     make_quotient,
@@ -229,7 +228,6 @@ def verify_preparatory(n: int, field: FieldDescriptor = QQ, *,
 class TensorPowerResult:
     algebra: QuotientAlgebra
     factor_elements: list        # g_i = f placed in factor i
-    summed: object               # g = sum of the g_i
     report: VerificationReport
 
 
@@ -238,7 +236,7 @@ def B_tensor_power(B: QuotientAlgebra, t: int, *,
     """The tensor product of t-1 copies of B = gabber_B(KILLING_N, field)[0]
     over its coefficient field, with g_i the copy of f in factor i and g
     their sum.  Verifies g^t = 0 while g^(t-1) = (t-1)! f (x) ... (x) f is
-    nonzero."""
+    nonzero: then u -> g embeds A = k[u]/(u^t) in B_t."""
     started = time.perf_counter()
     if t < 2:
         raise ValueError("tensor power needs t >= 2 (at least one factor)")
@@ -280,7 +278,7 @@ def B_tensor_power(B: QuotientAlgebra, t: int, *,
                "g^(t-1) equals (t-1)! f (x) ... (x) f and is not zero",
                (not gt1.is_zero()) and gt1 == Bt.reduce(expected),
                {"g_power": format_polynomial(gt1)})
-    return TensorPowerResult(Bt, gs, g, _finish(report, started))
+    return TensorPowerResult(Bt, gs, _finish(report, started))
 
 
 @dataclass
@@ -319,15 +317,21 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     bound dim(R/rR) * dim(B)^(t-1): R' = R (x)_A B_t over A = k[u]/(u^t),
     and R is generated over A by dim(R/rR) elements.
 
-    Verifies that R' is finite dimensional (by counting its standard
-    monomials), that the embedding is injective (by the exact rank of the
-    images of R's basis, which the construction guarantees), and that the
-    image of r has zero differential in R'.  The last claim is checked on an
-    explicit identity (`_killing_certificate`), not on a Groebner basis of
-    the differential module; the result carries that certificate.  The
-    relation added is r - (g_1 + ... + g_(t-1)) unreduced, which the
-    identity needs; R' is the same algebra as with r - NF(g).  No staircase
-    larger than R's is enumerated.
+    Each claim is decided by the fact that establishes it:
+    - R' is finite dimensional by the count of its standard monomials.  It
+      is local because every generator of R (tested once, on R) and of B_t
+      (B is the local model P/(I + m^N)) is nilpotent, and R' is not zero
+      because R embeds in it.
+    - The embedding is injective when the B_t report passes.  A is
+      self-injective (a Frobenius algebra), so the embedding A -> B_t that
+      g^(t-1) != 0 gives splits, and R = R (x)_A A -> R (x)_A B_t is split
+      injective; r^t = 0 by the choice of t.
+    - The image of r has zero differential by an explicit identity
+      (`_killing_certificate`), not a Groebner basis of the differential
+      module; the result carries that certificate.  The relation added is
+      r - (g_1 + ... + g_(t-1)) unreduced, which the identity needs; R' is
+      the same algebra as with r - NF(g).
+    No staircase larger than R's is enumerated.
     """
     started = time.perf_counter()
     r_reduced = R.reduce(r)
@@ -361,11 +365,11 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
          "field": str(R.field)})
     report.add("R' finite dimensional",
                "R' = R (x) B_t / (r (x) 1 - 1 (x) g) is a finite dimensional local algebra",
-               Rp.is_finite and is_local_with_nilpotent_generators(Rp),
+               Rp.is_finite and is_local_with_nilpotent_generators(R),
                {"dimension": Rp.dimension})
     report.add("embedding injective",
                "the canonical map R -> R' is injective (rank equals dim R)",
-               is_injective(iota),
+               tensor.report.passed,
                {"dim_R": R.dimension})
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
@@ -459,11 +463,14 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
     """Build the chain R_0 into R_1 into ... by repeatedly killing all
     differentials, verifying at each stage: the base properly contains the
     coefficient field, every stage is finite dimensional local with residue
-    field k, and each inclusion induces the zero map on differentials."""
+    field k, and each inclusion induces the zero map on differentials.  A
+    start that is not finite dimensional is refused before any claim."""
     started = time.perf_counter()
     if steps < 1:
         raise ValueError("at least one step is required")
     R0 = start if start is not None else gabber_B(KILLING_N)[0]
+    if not R0.is_finite:
+        raise ValueError("the start algebra must be finite dimensional")
     report = VerificationReport(
         "sequence", {"steps": steps, "start_dimension": R0.dimension,
                      "field": str(R0.field), "cap": cap})

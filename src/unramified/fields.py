@@ -188,11 +188,6 @@ class FieldDescriptor:
         r = n % self.p
         return FieldElement(self, ((r,) if r else (), (1,)))
 
-    def from_fraction(self, numerator: int, denominator: int = 1) -> "FieldElement":
-        if self.kind == RATIONALS:
-            return FieldElement(self, Fraction(numerator, denominator))
-        return self.from_int(numerator) / self.from_int(denominator)
-
     def generator(self) -> "FieldElement":
         """The element x of a rational function field."""
         if self.kind != RATIONAL_FUNCTIONS:

@@ -158,7 +158,6 @@ class Staircase:
     (component, monomial) pairs."""
 
     monomials: tuple | None
-    rank: int | None = None
 
     @property
     def finite(self) -> bool:
@@ -420,20 +419,20 @@ def staircase(gb: GroebnerBasis) -> Staircase:
         leads = [row.lt[1] for row in gb._rows]
         monos = _component_staircase(ring, leads)
         if monos is None:
-            return Staircase(None, None)
+            return Staircase(None)
         monos.sort(key=ring.monomial_key)
-        return Staircase(tuple(monos), None)
+        return Staircase(tuple(monos))
     entries = []
     for comp in range(gb.rank):
         leads = [row.lt[1] for row in gb._rows if row.lt[0] == comp]
         if not leads:
-            return Staircase(None, gb.rank)
+            return Staircase(None)
         monos = _component_staircase(ring, leads)
         if monos is None:
-            return Staircase(None, gb.rank)
+            return Staircase(None)
         entries.extend((comp, m) for m in monos)
     entries.sort(key=lambda t: ring.module_key(*t))
-    return Staircase(tuple(entries), gb.rank)
+    return Staircase(tuple(entries))
 
 
 def _minimal(monomials) -> frozenset:

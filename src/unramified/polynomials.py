@@ -267,11 +267,6 @@ class Polynomial(_Terms):
     def _order(self):
         return self.ring.monomial_key
 
-    @staticmethod
-    def build(ring: PolyRing, items) -> "Polynomial":
-        """Sum an iterable of (monomial, coefficient) pairs into canonical form."""
-        return Polynomial(ring, _accumulate({}, items))
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
@@ -463,22 +458,6 @@ class ModuleVector(_Terms):
     def _order(self):
         key = self.ring.module_key
         return lambda t: key(*t)
-
-    @staticmethod
-    def build(ring: PolyRing, rank: int, items) -> "ModuleVector":
-        items = list(items)
-        for (comp, _), _ in items:
-            if not 0 <= comp < rank:
-                raise ValueError(f"component {comp} out of range for rank {rank}")
-        return ModuleVector(ring, rank, _accumulate({}, items))
-
-    @staticmethod
-    def from_components(ring: PolyRing, polys: list) -> "ModuleVector":
-        terms = {}
-        for comp, p in enumerate(polys):
-            for m, c in p.terms.items():
-                terms[(comp, m)] = c
-        return ModuleVector(ring, len(polys), terms)
 
     @staticmethod
     def unit(ring: PolyRing, rank: int, comp: int) -> "ModuleVector":

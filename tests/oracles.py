@@ -1,14 +1,19 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles used by the tests, and the builders of
+test input.
 
-Everything here is deliberately self-contained: dense monomial tuples,
-Fraction coefficients, and a local Gaussian elimination.  Nothing imports
-the package under test, so an agreement between engine and oracle is a real
-cross-check and not a tautology; `linear_matrix` and `matmul` take the
-package's maps and field elements and use only their public methods.
+The oracles are deliberately self-contained: dense monomial tuples,
+Fraction coefficients, and a local Gaussian elimination.  They use nothing
+of the package under test, so an agreement between engine and oracle is a
+real cross-check and not a tautology; `linear_matrix` and `matmul` take the
+package's maps and field elements and use only their public methods.  The
+builders at the end (`scalar`, `polynomial`, `vector`) make package
+elements from plain data through its public constructors.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from unramified.polynomials import ModuleVector, Polynomial
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list:
@@ -142,3 +147,23 @@ def linear_matrix(phi) -> list:
         for tm, c in image.terms.items():
             rows[target_index[tm]][j] = c
     return rows
+
+
+def scalar(field, numerator: int, denominator: int = 1):
+    """numerator / denominator as an element of `field`."""
+    return field.from_int(numerator) / field.from_int(denominator)
+
+
+def polynomial(ring, items) -> Polynomial:
+    """The sum of (exponent tuple, coefficient) pairs, in canonical form:
+    coefficients of a repeated monomial are added, and zeros dropped."""
+    terms: dict = {}
+    for m, c in items:
+        terms[m] = terms[m] + c if m in terms else c
+    return Polynomial(ring, {m: c for m, c in terms.items() if not c.is_zero()})
+
+
+def vector(ring, polys: list) -> ModuleVector:
+    """The module vector whose i-th component is polys[i]."""
+    return ModuleVector(ring, len(polys), {(i, m): c for i, p in enumerate(polys)
+                                           for m, c in p.terms.items()})

@@ -197,7 +197,7 @@ def test_criterion_09_groebner_engine():
                 c = ring.field.from_int(rng.randrange(-4, 5))
                 if not c.is_zero():
                     terms.append((mono, c))
-            g = Polynomial.build(ring, terms)
+            g = oracles.polynomial(ring, terms)
             if not g.is_zero():
                 gens.append(g)
         if not gens:
@@ -209,12 +209,12 @@ def test_criterion_09_groebner_engine():
                  for g in gens]
         member = ring.zero()
         for g in gens:
-            extra = Polynomial.build(ring, [
+            extra = oracles.polynomial(ring, [
                 (tuple(rng.randrange(1, 2) if rng.random() < 0.5 else 0
                        for _ in range(nvars)),
                  ring.field.from_int(rng.randrange(-2, 3)))])
             member = member + g * extra
-        probe = Polynomial.build(ring, [
+        probe = oracles.polynomial(ring, [
             (tuple(rng.randrange(1, 4) if rng.random() < 0.6 else 0
                    for _ in range(nvars)),
              ring.field.from_int(rng.randrange(-3, 4)))])
@@ -235,7 +235,7 @@ def test_criterion_09_groebner_engine():
             c = QQ.from_int(rng.randrange(-5, 6))
             if not c.is_zero():
                 terms.append((mono, c))
-        f = Polynomial.build(R2, terms)
+        f = oracles.polynomial(R2, terms)
         nf = normal_form(f, gb)
         assert normal_form(nf, gb) == nf
     _passed(9, "S-pair criterion, oracle agreement on 20 ideals, idempotence on 200 elements")

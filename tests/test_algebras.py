@@ -10,6 +10,7 @@ import oracles
 from unramified import linalg
 from unramified.algebras import (
     MODE_GRADED,
+    AlgebraMap,
     Presentation,
     artinian_local_model,
     compose,
@@ -124,21 +125,35 @@ def test_quotient_by(dual_numbers):
     assert unchanged.dimension == dual_numbers.dimension
 
 
-def test_make_map_and_certificate(dual_numbers):
+def test_make_map_checks_every_relation(dual_numbers):
     F2 = prime_field(2)
     ring1 = PolyRing(F2, ("Y",))
     ring2 = PolyRing(F2, ("Y",))
     a1 = make_quotient(Presentation(ring1, (ring1.variable("Y") ** 2,)))
     a2 = make_quotient(Presentation(ring2, (ring2.variable("Y") ** 4,)))
     step = make_map(a1, a2, {"Y": ring2.variable("Y") ** 2})
-    assert all(c.is_zero() for c in step.certificate)
+    assert step.apply(ring1.variable("Y")) == ring2.variable("Y") ** 2
+    assert step.apply(ring1.variable("Y") ** 2).is_zero()
 
     ground = make_quotient(Presentation(PolyRing(QQ, ()), ()))
     with pytest.raises(ValueError, match="not a ring map"):
         make_map(dual_numbers, ground, {"Z": ground.ring.one()})
+    # images are named by source variable; a bare list is refused
+    with pytest.raises(ValueError, match="cover exactly the source variables"):
+        make_map(dual_numbers, dual_numbers, [Z])
 
     ident = identity_map(dual_numbers)
     assert ident.apply(Z) == Z
+
+
+def test_maps_between_two_fields_are_refused(dual_numbers):
+    ring = PolyRing(prime_field(2), ("Z",))
+    other = make_quotient(Presentation(ring, (ring.variable("Z") ** 2,)))
+    for build in (make_map, AlgebraMap):
+        with pytest.raises(ValueError, match="different coefficient fields"):
+            build(dual_numbers, other, {"Z": ring.variable("Z")})
+        with pytest.raises(ValueError, match="different coefficient fields"):
+            build(other, dual_numbers, {"Z": Z})
 
 
 def test_linear_matrix_and_injectivity(dual_numbers):

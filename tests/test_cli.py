@@ -134,6 +134,16 @@ def test_verify_gabber_cap_exit_code(capsys):
     assert payload["status"] == "cap"
 
 
+def test_verify_gabber_refuses_an_infinite_start(capsys):
+    """k[X,Y]/(XY) is not finite dimensional: a usage error on one line,
+    before any claim, not a traceback."""
+    start = pathlib.Path(__file__).parent.parent / "samples" / "cross_term_f2.alg"
+    assert main(["verify", "gabber", "--steps", "1", "--start", str(start)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the start algebra must be finite dimensional\n"
+
+
 def test_map_omega(tmp_path, capsys):
     path = tmp_path / "step.map"
     path.write_text(F3X_TOWER_MAP)
@@ -187,11 +197,19 @@ def test_usage_error():
     assert main(["no-such-verb"]) == 2
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH, so a
+    child process imports the package whether or not it is installed."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_runs_as_subprocess_deterministically(b5_file):
     cmd = [sys.executable, "-m", "unramified.cli", "verify", "preparatory",
            "--n", "5", "--json"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=_env_with_src())
+    second = subprocess.run(cmd, capture_output=True, text=True, env=_env_with_src())
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
@@ -325,11 +343,9 @@ def test_dim_counts_a_huge_staircase(tmp_path):
     standard monomials runs out of memory."""
     path = tmp_path / "cube200.alg"
     path.write_text("field QQ\nring X Y Z\nrel X^200\nrel Y^200\nrel Z^200\n")
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", HUGE_DIM_CHILD, str(path)],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120,
+                          env=_env_with_src())
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert payload["dimension"] == 8000000

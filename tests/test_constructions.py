@@ -5,8 +5,15 @@ import pathlib
 
 import pytest
 
+import oracles
 from unramified import algebras, constructions
-from unramified.algebras import Presentation, artinian_local_model, make_quotient
+from unramified.algebras import (
+    Presentation,
+    artinian_local_model,
+    is_injective,
+    is_local_with_nilpotent_generators,
+    make_quotient,
+)
 from unramified.cli import main
 from unramified.constructions import (
     B_tensor_power,
@@ -26,6 +33,7 @@ from unramified.constructions import (
 from unramified.differentials import is_omega_zero
 from unramified.errors import CapExceededError
 from unramified.fields import QQ, prime_field
+from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import PolyRing, format_polynomial
 
 
@@ -42,7 +50,7 @@ def test_gabber_B_f_value(b5):
     B, f = b5
     ring = B.ring
     X, Y = ring.variable("X"), ring.variable("Y")
-    scale = QQ.one() - QQ.from_fraction(4, 5)
+    scale = QQ.one() - oracles.scalar(QQ, 4, 5)
     assert f == B.reduce((X * Y) ** 2).scale(scale)
 
 
@@ -208,6 +216,79 @@ def test_locality_is_tested_once_per_algebra(monkeypatch):
     assert start in distinct.values() and len(distinct) == 2
     for a in distinct.values():
         assert sorted(name for b, name in tested if b is a) == sorted(a.ring.names)
+
+
+def test_chain_start_must_be_finite_and_not_zero():
+    """An infinite start is refused before any claim.  The zero algebra has
+    no maximal ideal, so it is not local and the chain refuses it too."""
+    F2 = prime_field(2)
+    plane = PolyRing(F2, ("X", "Y"))
+    cross = make_quotient(Presentation(plane, (plane.variable("X") * plane.variable("Y"),)))
+    with pytest.raises(ValueError, match="must be finite dimensional"):
+        gabber_sequence(1, start=cross)
+
+    ring = PolyRing(QQ, ("X", "Y"))
+    X, Y = ring.variable("X"), ring.variable("Y")
+    zero = make_quotient(Presentation(ring, (X ** 2, X * Y - 1)))
+    assert zero.dimension == 0
+    assert not is_local_with_nilpotent_generators(zero)
+    with pytest.raises(ValueError, match="local algebra"):
+        gabber_sequence(1, start=zero)
+
+
+def test_planted_B_t_failure_fails_the_embedding_claim(monkeypatch, dual_numbers):
+    """"embedding injective" is decided by the report of B_t: with
+    g^(t-1) = 0 planted there, it fails, and with it the step."""
+    real = constructions.B_tensor_power
+
+    def planted(*args, **kwargs):
+        tensor = real(*args, **kwargs)
+        for claim in tensor.report.claims:
+            if claim.label == "g^(t-1) nonzero":
+                claim.passed = False
+        return tensor
+
+    monkeypatch.setattr(constructions, "B_tensor_power", planted)
+    step = killing_step(dual_numbers, dual_numbers.ring.variable("Z"))
+    claims = {c.label: c.passed for c in step.report.claims}
+    assert claims == {"R' finite dimensional": True, "embedding injective": False,
+                      "dr dies": True}
+    assert not step.report.passed
+
+
+@pytest.mark.parametrize("instance", ["ladder2", "ladder3", "ladder4", "ladder5",
+                                      "b5_f", "dual_z", "z5_chain"])
+def test_killing_claims_agree_with_the_direct_tests(instance, b5, dual_numbers, monkeypatch):
+    """The step reads injectivity off the B_t report and locality off R; the
+    exact rank of the embedding and the nilpotency of every generator of R'
+    must agree."""
+    steps = []
+    if instance.startswith("ladder"):
+        ring = PolyRing(QQ, ("Z",))
+        Z = ring.variable("Z")
+        R = make_quotient(Presentation(ring, (Z ** int(instance[-1]),)))
+        steps.append(killing_step(R, Z))
+    elif instance == "b5_f":
+        steps.append(killing_step(*b5))
+    elif instance == "dual_z":
+        steps.append(killing_step(dual_numbers, dual_numbers.ring.variable("Z")))
+    else:
+        real = constructions.killing_step
+
+        def recording(*args, **kwargs):
+            steps.append(real(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(constructions, "killing_step", recording)
+        start = build_algebra(parse_presentation((SAMPLES / "z5.alg").read_text()))
+        assert gabber_sequence(1, start=start).report.passed
+    assert steps
+    for step in steps:
+        claims = {c.label: c.passed for c in step.report.claims}
+        assert claims["embedding injective"] == is_injective(step.embedding)
+        assert claims["R' finite dimensional"] == is_local_with_nilpotent_generators(
+            step.algebra)
+        assert step.report.passed
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

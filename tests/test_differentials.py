@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import oracles
 from unramified import linalg
 from unramified.algebras import (
     MODE_GRADED,
@@ -76,7 +77,7 @@ def test_b5_presentation_rows(b5):
     # in particular the row of X*F1 is (F1 + X dF1/dX, X dF1/dY)
     X, Y = ring.variable("X"), ring.variable("Y")
     F1 = 2 * Y ** 2 + 5 * X ** 3
-    expected = ModuleVector.from_components(
+    expected = oracles.vector(
         ring, [F1 + X * partial_derivative(F1, "X"), X * partial_derivative(F1, "Y")])
     assert expected in module.relation_vectors
 
@@ -205,7 +206,7 @@ def _random_poly(rng, ring, max_exp=3, max_terms=4):
         c = ring.field.from_int(rng.randrange(-4, 5))
         if not c.is_zero():
             terms.append((mono, c))
-    return Polynomial.build(ring, terms)
+    return oracles.polynomial(ring, terms)
 
 
 def test_leibniz_rule(b5):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+import oracles  # noqa: E402
 from unramified.algebras import (  # noqa: E402
     Presentation,
     make_quotient,
@@ -24,7 +25,7 @@ from unramified.groebner import (  # noqa: E402
     module_member,
     satisfies_buchberger_criterion,
 )
-from unramified.polynomials import ModuleVector, PolyRing, Polynomial  # noqa: E402
+from unramified.polynomials import ModuleVector, PolyRing  # noqa: E402
 
 NAMES = ("X", "Y", "Z")
 PRIMES = (2, 3, 5, 7)
@@ -59,7 +60,7 @@ def _field(p):
 
 
 def _poly_of(ring, spec):
-    return Polynomial.build(ring, [
+    return oracles.polynomial(ring, [
         (exps[:ring.nvars], ring.field.from_int(c))
         for c, exps in spec])
 
@@ -179,7 +180,7 @@ def modules(draw):
 def test_module_basis_is_groebner_and_contains_inputs(case, split):
     p, nvars, vectors = case
     ring = PolyRing(_field(p), NAMES[:nvars])
-    inputs = [ModuleVector.from_components(ring, [_poly_of(ring, c) for c in comps])
+    inputs = [oracles.vector(ring, [_poly_of(ring, c) for c in comps])
               for comps in vectors]
     gb = buchberger(inputs)
     assert satisfies_buchberger_criterion(gb)

@@ -50,7 +50,9 @@ def parameter_names(node) -> set:
 def unused_public_definitions(modules: dict) -> list:
     """`module.name` of every public module-level function or class that
     `__init__` does not export and no module of the package reads, as a
-    name or as an attribute.  `modules` maps module names to parsed trees."""
+    name or as an attribute, and `module.Class.method` of every public
+    method of a public class whose name no module of the package reads.
+    `modules` maps module names to parsed trees."""
     exported = {alias.asname or alias.name
                 for node in modules["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -63,11 +65,16 @@ def unused_public_definitions(modules: dict) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{module}.{node.name}" for module, tree in modules.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
-                  and node.name not in exported and node.name not in read)
+    unused = []
+    for module, tree in modules.items():
+        names = [(node.name, node.name) for node in tree.body
+                 if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+        # dunder methods are called by the language, not by name
+        names += [(qualified, node.name) for qualified, node in public_functions(tree)
+                  if not node.name.startswith("__")]
+        unused.extend(f"{module}.{qualified}" for qualified, name in names
+                      if name not in read and ("." in qualified or name not in exported))
+    return sorted(unused)
 
 
 def names_defined_twice(modules: dict) -> list:
@@ -144,8 +151,16 @@ def test_unused_public_definitions_helper():
         "b": ast.parse("from . import a\n"
                        "def by_attribute(): pass\n"
                        "a.by_attribute\n"),
+        "c": ast.parse("class Used:\n"
+                       "    def __init__(self): pass\n"
+                       "    def called(self): pass\n"
+                       "    def unread(self): pass\n"
+                       "    def _helper(self): pass\n"
+                       "class _Hidden:\n"
+                       "    def unread(self): pass\n"
+                       "Used().called()\n"),
     }
-    assert unused_public_definitions(modules) == ["a.Dead", "a.dead"]
+    assert unused_public_definitions(modules) == ["a.Dead", "a.dead", "c.Used.unread"]
 
 
 def test_every_public_definition_is_exported_or_used():

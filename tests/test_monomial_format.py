@@ -6,13 +6,13 @@ staircases of ideals and modules."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from unramified.algebras import Presentation, make_quotient, tensor_many
 from unramified.differentials import KaehlerModule
 from unramified.fields import QQ, prime_field
 from unramified.groebner import buchberger, normal_form, staircase, staircase_of_degree
 from unramified.polynomials import (
     PolyRing,
-    Polynomial,
     cast,
     partial_derivative,
     substitute,
@@ -36,7 +36,7 @@ def cases(draw):
             st.tuples(st.integers(-3, 3).filter(bool),
                       st.tuples(*[st.integers(0, max_exp)] * nvars)),
             min_size=1, max_size=max_terms))
-        return Polynomial.build(ring, [(m, field.from_int(c)) for c, m in terms])
+        return oracles.polynomial(ring, [(m, field.from_int(c)) for c, m in terms])
 
     f, g = poly(2, 3), poly(2, 3)
     images = {name: poly(1, 2) for name in ring.names}

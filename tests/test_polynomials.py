@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from unramified.fields import QQ, prime_field
 from unramified.polynomials import (
     ModuleVector,
@@ -35,7 +36,7 @@ def random_polynomial(rng: random.Random, ring: PolyRing, max_exp: int = 3,
         coeff = ring.field.from_int(rng.randrange(-5, 6))
         if not coeff.is_zero():
             terms.append((mono, coeff))
-    return Polynomial.build(ring, terms)
+    return oracles.polynomial(ring, terms)
 
 
 def test_monomial_helpers():
@@ -107,7 +108,7 @@ def test_euler_monomial():
 def test_euler_recovers_the_square_term():
     # F - (1/n) * euler(F) isolates (1 - 4/n) X^2 Y^2 for F = X^2Y^2 + X^n + Y^n
     F = X ** 2 * Y ** 2 + X ** 5 + Y ** 5
-    fifth = QQ.from_fraction(1, 5)
+    fifth = oracles.scalar(QQ, 1, 5)
     assert F - euler_apply(F).scale(fifth) == (X ** 2 * Y ** 2).scale(fifth)
 
 
@@ -192,8 +193,8 @@ def test_monomials_of_weighted_degree():
 
 
 def test_module_vectors():
-    v = ModuleVector.from_components(R, [X, Y ** 2])
-    w = ModuleVector.from_components(R, [R.zero(), -(Y ** 2)])
+    v = oracles.vector(R, [X, Y ** 2])
+    w = oracles.vector(R, [R.zero(), -(Y ** 2)])
     assert (v + w).component(0) == X
     assert (v + w).component(1).is_zero()
     assert v.poly_mul(Y).component(0) == X * Y
