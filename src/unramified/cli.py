@@ -3,7 +3,7 @@
 Exit codes: 0 all claims pass, 1 a claim failed, 2 usage or parse error,
 3 budget or dimension cap exceeded.  `--budget` is one `step_budget` for
 the whole command, normal forms included.  `--json` prints a canonical
-report (sorted keys, timing omitted unless `verify` or `map-omega` gets
+report (sorted keys, `elapsed_ms` null unless `verify` or `map-omega` gets
 `--timing`), so repeated runs are byte-identical; human-readable text goes
 to stdout otherwise and diagnostics to stderr.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -60,9 +61,14 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit_report(report: VerificationReport, args) -> int:
+def _cmd_report(build, args) -> int:
+    """Build a report from the arguments and print it.  `--timing` measures
+    the whole build, parsing and the start algebra included."""
+    started = time.perf_counter()
+    report = build(args)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0 if args.timing else None
     if args.json:
-        print(report.to_json(include_timing=args.timing))
+        print(report.to_json(elapsed_ms))
     else:
         print(f"{report.construction}  params={report.params}")
         for claim in report.claims:
@@ -184,7 +190,7 @@ def _cmd_parse_check(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_map_omega(args) -> int:
+def _map_omega(args) -> VerificationReport:
     spec = parse_map_file(Path(args.map).read_text())
     source = build_algebra(spec.source)
     target = build_algebra(spec.target)
@@ -195,11 +201,7 @@ def _cmd_map_omega(args) -> int:
     report.add("induced map zero",
                "every generator differential maps to zero in the target",
                is_zero_induced_map(phi))
-    return _emit_report(report, args)
-
-
-def _cmd_verify(run, args) -> int:
-    return _emit_report(run(args), args)
+    return report
 
 
 def _verify_preparatory(args) -> VerificationReport:
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map-omega", help="zero test for an induced map on differentials")
     p.add_argument("--map", required=True, help="map file")
     common(p, file=False, timing=True)
-    p.set_defaults(func=_cmd_map_omega)
+    p.set_defaults(func=partial(_cmd_report, _map_omega))
 
     p = sub.add_parser("verify", help="run a named verification")
     flags = {
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(q, file=False, timing=True)
         for flag in own:
             q.add_argument(flag, **flags[flag])
-        q.set_defaults(func=partial(_cmd_verify, run))
+        q.set_defaults(func=partial(_cmd_report, run))
 
     return parser
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebras import (
@@ -86,7 +85,6 @@ class VerificationReport:
     params: dict
     claims: list = dataclass_field(default_factory=list)
     status: str = STATUS_OK
-    elapsed_ms: float | None = None
 
     def add(self, label: str, anchor: str, passed: bool, witness=None) -> bool:
         self.claims.append(Claim(label, anchor, bool(passed), witness))
@@ -102,7 +100,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self, elapsed_ms: float | None = None) -> dict:
         return {
             "construction": self.construction,
             "params": self.params,
@@ -113,19 +111,13 @@ class VerificationReport:
             ],
             "pass": self.passed,
             "status": self.status,
-            # timing is reported only on request so that repeated runs are
-            # byte-identical
-            "elapsed_ms": self.elapsed_ms if include_timing else None,
+            # a report holds no time of its own: the caller that measured one
+            # passes it, so repeated runs without it are byte-identical
+            "elapsed_ms": elapsed_ms,
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing),
-                          indent=2, sort_keys=True)
-
-
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return report
+    def to_json(self, elapsed_ms: float | None = None) -> str:
+        return json.dumps(self.to_json_dict(elapsed_ms), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,6 @@ def verify_preparatory(n: int, field: FieldDescriptor = QQ, *,
     """Verify every claim made about B: finite dimension, f nonzero with zero
     square, df = 0, the vanishing x y^3, the membership Y^2 in (F1, F2), and
     the exact cofactor identity behind it."""
-    started = time.perf_counter()
     report = VerificationReport("preparatory", {"n": n, "field": str(field)})
     B, f = gabber_B(n, field, allow_positive_characteristic=allow_positive_characteristic)
     ring, X, Y, F, F1, F2 = _b_ingredients(n, field)
@@ -217,7 +208,7 @@ def verify_preparatory(n: int, field: FieldDescriptor = QQ, *,
                "Y^2 lies in the ideal (F1, F2) of the power series ring",
                local_f1f2.is_zero_element(Y ** 2),
                {"dimension_of_model": local_f1f2.dimension})
-    return _finish(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +228,6 @@ def B_tensor_power(B: QuotientAlgebra, t: int, *,
     over its coefficient field, with g_i the copy of f in factor i and g
     their sum.  Verifies g^t = 0 while g^(t-1) = (t-1)! f (x) ... (x) f is
     nonzero: then u -> g embeds A = k[u]/(u^t) in B_t."""
-    started = time.perf_counter()
     if t < 2:
         raise ValueError("tensor power needs t >= 2 (at least one factor)")
     field = B.field
@@ -278,7 +268,7 @@ def B_tensor_power(B: QuotientAlgebra, t: int, *,
                "g^(t-1) equals (t-1)! f (x) ... (x) f and is not zero",
                (not gt1.is_zero()) and gt1 == Bt.reduce(expected),
                {"g_power": format_polynomial(gt1)})
-    return TensorPowerResult(Bt, gs, _finish(report, started))
+    return TensorPowerResult(Bt, gs, report)
 
 
 @dataclass
@@ -333,7 +323,6 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
       the same algebra as with r - NF(g).
     No staircase larger than R's is enumerated.
     """
-    started = time.perf_counter()
     r_reduced = R.reduce(r)
     if r_reduced.is_zero():
         raise ValueError("r must be nonzero in R")
@@ -374,7 +363,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
                certifies_d_zero(Rp, certificate, iota.apply(r_reduced)))
-    return KillingStepResult(Rp, iota, _finish(report, started), certificate, renames[0])
+    return KillingStepResult(Rp, iota, report, certificate, renames[0])
 
 
 @dataclass
@@ -403,7 +392,6 @@ def kill_all_differentials(R: QuotientAlgebra, *,
     or one whose certified element does not reduce to its composite image,
     is tested in the final algebra's differential module.
     """
-    started = time.perf_counter()
     if not is_local_with_nilpotent_generators(R):
         raise ValueError("input must be a finite-dimensional local algebra "
                          "with nilpotent generators")
@@ -431,7 +419,7 @@ def kill_all_differentials(R: QuotientAlgebra, *,
                        "the chain stops and reports when the dimension cap would "
                        "be exceeded instead of truncating claims silently",
                        True, {"stopped_at": format_polynomial(e), "reason": str(exc)})
-            return KillAllResult(current, embedding, _finish(report, started), killed)
+            return KillAllResult(current, embedding, report, killed)
         report.fold(f"kill {format_polynomial(e)}", step.report.claims)
         killed.append(format_polynomial(e))
         certificates = {name: c.renamed(step.algebra.ring, step.rename)
@@ -448,7 +436,7 @@ def kill_all_differentials(R: QuotientAlgebra, *,
                    "the composite embedding induces the zero map on the differential module",
                    is_zero_induced_map(embedding, certificates),
                    {"final_dimension": current.dimension})
-    return KillAllResult(current, embedding, _finish(report, started), killed)
+    return KillAllResult(current, embedding, report, killed)
 
 
 @dataclass
@@ -465,7 +453,6 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
     coefficient field, every stage is finite dimensional local with residue
     field k, and each inclusion induces the zero map on differentials.  A
     start that is not finite dimensional is refused before any claim."""
-    started = time.perf_counter()
     if steps < 1:
         raise ValueError("at least one step is required")
     R0 = start if start is not None else gabber_B(KILLING_N)[0]
@@ -498,7 +485,7 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
                    "the inclusion into the next stage induces the zero map on differentials",
                    result.report.claims[-1].passed,
                    {"next_dimension": result.algebra.dimension})
-    return SequenceResult(algebras, embeddings, _finish(report, started))
+    return SequenceResult(algebras, embeddings, report)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +495,6 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
 @dataclass
 class TowerResult:
     algebras: list
-    maps: list
     report: VerificationReport
 
 
@@ -518,7 +504,6 @@ def charp_tower(p: int, n_max: int) -> TowerResult:
     Y -> Y'^p.  Each stage is non-reduced with nonzero differential module,
     and every transition induces the zero map on differentials because
     d(y'^p) = p y'^(p-1) dy' = 0."""
-    started = time.perf_counter()
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     field = prime_field(p)
@@ -548,7 +533,7 @@ def charp_tower(p: int, n_max: int) -> TowerResult:
         report.add(f"A_{i + 1} double transition zero",
                    "zero maps compose to zero across two stages",
                    is_zero_induced_map(double))
-    return TowerResult(algebras[:n_max], maps, _finish(report, started))
+    return TowerResult(algebras[:n_max], report)
 
 
 def twisted_example(p: int, n: int, *, trials: int = 50, seed: int = 0) -> TowerResult:
@@ -557,7 +542,6 @@ def twisted_example(p: int, n: int, *, trials: int = 50, seed: int = 0) -> Tower
     f(x) -> f(x) + f'(x) z.  Verifies the non-reducedness, dz = 0, the ring
     homomorphism law of the twist on seeded random rational functions, and
     that the transition U -> U'^p kills the differentials."""
-    started = time.perf_counter()
     if n < 1:
         raise ValueError("n must be at least 1")
     if trials < 1:
@@ -623,7 +607,7 @@ def twisted_example(p: int, n: int, *, trials: int = 50, seed: int = 0) -> Tower
     report.add("transition kills differentials",
                "the full induced map on differentials is zero",
                all(v.is_zero() for v in images))
-    return TowerResult([A, target], [step], _finish(report, started))
+    return TowerResult([A, target], report)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +618,6 @@ def check_theorem_local_case(entries) -> VerificationReport:
     """Instance-wise check over Artinian local algebras: a zero differential
     module forces the algebra to be the ground field (dimension 1), and over
     a perfect base every non-reduced member has nonzero differentials."""
-    started = time.perf_counter()
     entries = list(entries)
     report = VerificationReport("local_case", {"entries": len(entries)})
     for name, algebra in entries:
@@ -653,7 +636,7 @@ def check_theorem_local_case(entries) -> VerificationReport:
                        "over a perfect base a non-reduced algebra has nonzero differentials",
                        not omega_zero,
                        {"dimension": algebra.dimension})
-    return _finish(report, started)
+    return report
 
 
 def standard_local_corpus(count: int = 20, seed: int = 0) -> list:
@@ -730,7 +713,6 @@ def euler_identity_check(field: FieldDescriptor = QQ, *, trials: int = 100,
     applying the weighted Euler operator must multiply by the degree, exactly."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    started = time.perf_counter()
     rng = random.Random(seed)
     failures = 0
     checked = 0
@@ -746,4 +728,4 @@ def euler_identity_check(field: FieldDescriptor = QQ, *, trials: int = 100,
     report.add("euler identity",
                "for homogeneous G the weighted Euler operator returns deg(G) * G",
                failures == 0, {"checked": checked, "failures": failures})
-    return _finish(report, started)
+    return report

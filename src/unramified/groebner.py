@@ -99,6 +99,14 @@ def _to_terms(obj) -> dict:
     return dict(obj.terms)
 
 
+def _from_terms(ring: PolyRing, rank, terms: dict):
+    """The inverse of `_to_terms`: a polynomial when `rank` is None (an
+    ideal), else a module vector of that rank."""
+    if rank is None:
+        return Polynomial(ring, {m: c for (_, m), c in terms.items()})
+    return ModuleVector(ring, rank, terms)
+
+
 def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -> dict:
     """Full normal form of a term dict against rows bucketed by lead component."""
     if not terms:
@@ -180,13 +188,7 @@ class GroebnerBasis:
         self._buckets: dict = {}
         for row in rows:
             self._buckets.setdefault(row.lt[0], []).append(row)
-        if rank is None:
-            self.generators = tuple(
-                Polynomial(ring, {m: c for (_, m), c in row.terms.items()})
-                for row in rows)
-        else:
-            self.generators = tuple(
-                ModuleVector(ring, rank, dict(row.terms)) for row in rows)
+        self.generators = tuple(_from_terms(ring, rank, row.terms) for row in rows)
 
     def __len__(self):
         return len(self._rows)
@@ -350,10 +352,8 @@ def normal_form(f, gb: GroebnerBasis):
     if f.ring != gb.ring:
         raise ValueError("ring mismatch")
     budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
-    terms = _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget)
-    if gb.rank is None:
-        return Polynomial(gb.ring, {m: c for (_, m), c in terms.items()})
-    return ModuleVector(gb.ring, gb.rank, terms)
+    return _from_terms(gb.ring, gb.rank,
+                       _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget))
 
 
 def ideal_member(f: Polynomial, generators) -> bool:
@@ -369,6 +369,15 @@ def module_member(v: ModuleVector, generators) -> bool:
         return True
     gb = generators if isinstance(generators, GroebnerBasis) else buchberger(generators)
     return normal_form(v, gb).is_zero()
+
+
+def _component_leads(gb: GroebnerBasis) -> list:
+    """The lead monomials of each component, indexed by component; an ideal
+    has the single component 0."""
+    leads: list = [[] for _ in range(1 if gb.rank is None else gb.rank)]
+    for comp, mono in (row.lt for row in gb._rows):
+        leads[comp].append(mono)
+    return leads
 
 
 def _component_staircase(ring: PolyRing, lead_monomials: list):
@@ -415,23 +424,15 @@ def staircase(gb: GroebnerBasis) -> Staircase:
     when the quotient is a finite-dimensional vector space; its cardinality
     is that dimension."""
     ring = gb.ring
-    if gb.rank is None:
-        leads = [row.lt[1] for row in gb._rows]
-        monos = _component_staircase(ring, leads)
-        if monos is None:
-            return Staircase(None)
-        monos.sort(key=ring.monomial_key)
-        return Staircase(tuple(monos))
     entries = []
-    for comp in range(gb.rank):
-        leads = [row.lt[1] for row in gb._rows if row.lt[0] == comp]
-        if not leads:
-            return Staircase(None)
+    for comp, leads in enumerate(_component_leads(gb)):
         monos = _component_staircase(ring, leads)
         if monos is None:
             return Staircase(None)
         entries.extend((comp, m) for m in monos)
     entries.sort(key=lambda t: ring.module_key(*t))
+    if gb.rank is None:
+        return Staircase(tuple(m for _, m in entries))
     return Staircase(tuple(entries))
 
 
@@ -498,15 +499,10 @@ def _count_standard(nvars: int, lead_monomials: list):
 def dimension(gb: GroebnerBasis):
     """Vector-space dimension of the quotient, or None when infinite: the
     number of standard monomials, counted per component without listing
-    them, so it is cheap where `staircase` would hold millions of entries.
-    A module component with no lead is infinite, as in `staircase`."""
-    nvars = gb.ring.nvars
-    if gb.rank is None:
-        return _count_standard(nvars, [row.lt[1] for row in gb._rows])
+    them, so it is cheap where `staircase` would hold millions of entries."""
     total = 0
-    for comp in range(gb.rank):
-        leads = [row.lt[1] for row in gb._rows if row.lt[0] == comp]
-        count = _count_standard(nvars, leads) if leads else None
+    for leads in _component_leads(gb):
+        count = _count_standard(gb.ring.nvars, leads)
         if count is None:
             return None
         total += count
@@ -518,17 +514,15 @@ def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     staircase is infinite.  For modules the degree of (comp, m) includes the
     weight of the component's variable."""
     ring = gb.ring
-    if gb.rank is None:
-        leads = [row.lt[1] for row in gb._rows]
-        return [m for m in monomials_of_weighted_degree(ring, degree)
-                if not any(mono_divides(lm, m) for lm in leads)]
     out = []
-    for comp in range(gb.rank):
-        leads = [row.lt[1] for row in gb._rows if row.lt[0] == comp]
-        for m in monomials_of_weighted_degree(ring, degree - ring.weights[comp]):
+    for comp, leads in enumerate(_component_leads(gb)):
+        weight = 0 if gb.rank is None else ring.weights[comp]
+        for m in monomials_of_weighted_degree(ring, degree - weight):
             if not any(mono_divides(lm, m) for lm in leads):
                 out.append((comp, m))
     out.sort(key=lambda t: ring.module_key(*t))
+    if gb.rank is None:
+        return [m for _, m in out]
     return out
 
 

@@ -271,6 +271,26 @@ def test_golden_outputs(argv, name, code, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "preparatory"],
+    ["verify", "killing"],
+    ["verify", "gabber", "--start", "samples/dual_numbers.alg"],
+    ["verify", "charp-tower"],
+    ["verify", "twisted", "--trials", "3"],
+    ["verify", "local-case", "--count", "2"],
+    ["verify", "euler", "--trials", "3"],
+    ["map-omega", "--map", "samples/root_tower_step.map"],
+])
+def test_every_report_command_times_itself(argv, capsys, monkeypatch):
+    """Every command that takes `--timing` prints the measured time with it
+    and null without it."""
+    monkeypatch.chdir(SAMPLES.parent)
+    assert main(argv + ["--json", "--timing"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["elapsed_ms"], float)
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["elapsed_ms"] is None
+
+
+@pytest.mark.parametrize("argv", [
     ["omega", "--file", "samples/b5.alg", "--budget", "50"],
     ["verify", "killing", "--budget", "100"],
     ["verify", "local-case", "--count", "20", "--budget", "100"],

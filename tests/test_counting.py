@@ -1,6 +1,7 @@
 """Dimensions are counted from the leading monomials, never by listing the
 staircase: the count against the enumeration on random monomial ideals and
-modules and its edge cases; injectivity by the rank of the image rows
+modules and its edge cases; an ideal against the same generators as a
+submodule of P^1; injectivity by the rank of the image rows
 against the dense matrix of `oracles.linear_matrix`; and the powers of g
 taken in B_t against the powers expanded in the polynomial ring."""
 
@@ -20,8 +21,8 @@ from unramified.algebras import (
     tensor_many,
 )
 from unramified.constructions import B_tensor_power, killing_step
-from unramified.fields import QQ
-from unramified.groebner import buchberger, dimension, staircase
+from unramified.fields import QQ, prime_field
+from unramified.groebner import buchberger, dimension, staircase, staircase_of_degree
 from unramified.polynomials import (
     ModuleVector,
     PolyRing,
@@ -116,6 +117,56 @@ def test_count_with_a_lead_equal_to_one():
                                                         for v in range(3))): one})
                        for var in range(3)])
     assert dimension(gb) == 8
+
+
+def test_a_module_over_a_ring_without_variables():
+    """k^2/(e_0) is k: the component without a lead has the one standard
+    monomial 1, as the zero ideal of k does."""
+    ring = PolyRing(QQ, ())
+    gb = buchberger([ModuleVector.unit(ring, 2, 0)])
+    assert dimension(gb) == 1
+    assert staircase(gb).monomials == ((1, ()),)
+
+
+@st.composite
+def weighted_ideals(draw):
+    """(ring, generators) of a random ideal of F_5[X, ...] in 1 to 3
+    weighted variables.  A drawn coin adds a pure power of every variable,
+    so both finite and infinite quotients occur."""
+    nvars = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    field = prime_field(5)
+    ring = PolyRing(field, NAMES[:nvars], weights)
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = st.lists(st.tuples(exponents, st.integers(1, 4).map(field.from_int)),
+                     min_size=1, max_size=3)
+    gens = [oracles.polynomial(ring, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        gens += [ring.variable(name) ** draw(st.integers(1, 4)) for name in ring.names]
+    return ring, gens
+
+
+@SETTINGS
+@given(weighted_ideals())
+def test_an_ideal_and_its_rank_one_module_agree(case):
+    """The ideal and the same generators as vectors of P^1 have one basis,
+    one dimension and one staircase, entry m against (0, m); the module's
+    degree-d slice is the ideal's slice at d - w_0, the weight of the
+    component's variable."""
+    ring, gens = case
+    ideal = buchberger(gens)
+    module = buchberger([oracles.vector(ring, [g]) for g in gens])
+    assert [v.component(0) for v in module] == list(ideal)
+    assert dimension(module) == dimension(ideal)
+    ideal_stairs = staircase(ideal)
+    module_stairs = staircase(module)
+    assert ideal_stairs.finite == module_stairs.finite
+    if ideal_stairs.finite:
+        assert module_stairs.monomials == tuple((0, m) for m in ideal_stairs.monomials)
+    w0 = ring.weights[0]
+    for degree in range(10):
+        assert (staircase_of_degree(module, degree + w0)
+                == [(0, m) for m in staircase_of_degree(ideal, degree)])
 
 
 def _dense_injective(phi) -> bool:

@@ -5,6 +5,7 @@ import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "unramified"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -75,6 +76,47 @@ def unused_public_definitions(modules: dict) -> list:
         unused.extend(f"{module}.{qualified}" for qualified, name in names
                       if name not in read and ("." in qualified or name not in exported))
     return sorted(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name) and decorator.id == "dataclass":
+            return True
+    return False
+
+
+def public_fields(tree: ast.Module):
+    """(class, attribute) for every field of a public dataclass and every
+    attribute that the `__init__` of a public class assigns on `self`."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        dataclass = _is_dataclass(node)
+        for item in node.body:
+            if (dataclass and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                yield node.name, item.target.id
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for sub in ast.walk(item):
+                    targets = (sub.targets if isinstance(sub, ast.Assign)
+                               else [sub.target] if isinstance(sub, ast.AnnAssign) else [])
+                    for target in targets:
+                        if (isinstance(target, ast.Attribute)
+                                and isinstance(target.value, ast.Name)
+                                and target.value.id == "self"):
+                            yield node.name, target.attr
+
+
+def unread_fields(modules: dict, readers: list) -> list:
+    """`module.Class.attribute` of every public field (see `public_fields`)
+    of `modules`, which maps module names to parsed trees, whose attribute
+    name no tree of `readers` reads."""
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{cls}.{attr}" for module, tree in modules.items()
+                  for cls, attr in public_fields(tree) if attr not in read)
 
 
 def names_defined_twice(modules: dict) -> list:
@@ -185,3 +227,34 @@ def test_no_public_name_is_defined_in_two_modules():
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     assert names_defined_twice(modules) == []
+
+
+def test_unread_fields_helper():
+    defining = ast.parse("from dataclasses import dataclass\n"
+                         "@dataclass(frozen=True)\n"
+                         "class Result:\n"
+                         "    used: int\n"
+                         "    unread: list\n"
+                         "@dataclass\n"
+                         "class _Hidden:\n"
+                         "    unread: int\n"
+                         "class Engine:\n"
+                         "    def __init__(self):\n"
+                         "        self.rows = self.spare = []\n"
+                         "    def helper(self):\n"
+                         "        self.later = 0\n")
+    reader = ast.parse("result.used\nengine.rows.append(1)\nengine.spare = None\n")
+    assert sorted(public_fields(defining)) == [
+        ("Engine", "rows"), ("Engine", "spare"), ("Result", "unread"), ("Result", "used")]
+    assert unread_fields({"a": defining}, [reader]) == ["a.Engine.spare", "a.Result.unread"]
+
+
+def test_every_public_field_is_read():
+    """A field that no module of the package, the tests or the benchmark
+    reads is computed and stored for nobody: delete it."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    readers = list(modules.values()) + [
+        ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))]
+    assert unread_fields(modules, readers) == []
