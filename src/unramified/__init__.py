@@ -19,10 +19,12 @@ from .algebras import (
     identity_map,
     is_injective,
     is_local_with_nilpotent_generators,
+    jordan_type,
     make_map,
     make_quotient,
     nilpotency_index,
     quotient_by,
+    renaming_map,
     tensor_many,
     tensor_quotient,
 )

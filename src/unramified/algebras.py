@@ -50,18 +50,35 @@ class Presentation:
 
 
 class QuotientAlgebra:
-    """P/I with a precomputed Groebner basis; equality of elements is
-    equality of normal forms.  The dimension is counted from the leading
-    monomials on first use and cached, as is the locality test; the
-    staircase, a monomial basis, is enumerated only when a basis is asked
-    for, and cached too.  Instances are immutable after construction (apart
-    from those one-time caches) and safe to share."""
+    """P/I; equality of elements is equality of normal forms against the
+    reduced Groebner basis of I.  The basis is given, or built on first use
+    by a function of no arguments, so that a construction whose claims need
+    no normal form in the algebra never builds it.  The dimension is counted
+    from the leading monomials on first use and cached, as is the locality
+    test; a construction that has proved the dimension may hand it over
+    instead.  The staircase, a monomial basis, is enumerated only when a
+    basis is asked for, and cached too.  Instances are immutable after
+    construction (apart from those one-time caches) and safe to share."""
 
-    def __init__(self, presentation: Presentation, basis: GroebnerBasis):
+    def __init__(self, presentation: Presentation, basis, *, dimension=None):
         self.presentation = presentation
-        self.groebner = basis
+        if isinstance(basis, GroebnerBasis):
+            self.groebner = basis  # fills the cached property
+        else:
+            self._build = basis
+        if dimension is not None:
+            self.dimension = dimension
         # the N of the local model P/(I + m^N); set by artinian_local_model
         self.stabilization_exponent = None
+
+    @cached_property
+    def groebner(self) -> GroebnerBasis:
+        """The reduced Groebner basis of the relations.  A basis that was
+        not given is built here, spending from the step budget in force at
+        first use."""
+        basis = self._build()
+        del self._build
+        return basis
 
     @cached_property
     def staircase(self) -> Staircase:
@@ -160,9 +177,12 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
         f"P/(I + m^N) did not stabilize by the truncation limit m^{DEFAULT_POWER_CAP}")
 
 
-def quotient_by(algebra: QuotientAlgebra, elements) -> QuotientAlgebra:
+def quotient_by(algebra: QuotientAlgebra, elements, *,
+                dimension=None) -> QuotientAlgebra:
     """Quotient an algebra by further elements of its ambient ring.  The
-    algebra's reduced basis is extended by the new elements, not rebuilt."""
+    algebra's reduced basis is extended by the new elements, not rebuilt,
+    and only when the quotient's basis is first used.  `dimension` is the
+    quotient's dimension when the caller has proved it."""
     extra = [e for e in elements if not e.is_zero()]
     for e in extra:
         if e.ring != algebra.ring:
@@ -173,8 +193,10 @@ def quotient_by(algebra: QuotientAlgebra, elements) -> QuotientAlgebra:
         mode = MODE_PLAIN
     if mode == MODE_LOCAL:
         mode = MODE_PLAIN
-    basis = buchberger(extra or [algebra.ring.zero()], start=algebra.groebner)
-    return QuotientAlgebra(Presentation(algebra.ring, relations, mode), basis)
+    return QuotientAlgebra(
+        Presentation(algebra.ring, relations, mode),
+        lambda: buchberger(extra or [algebra.ring.zero()], start=algebra.groebner),
+        dimension=dimension)
 
 
 def tensor_many(algebras: list) -> tuple:
@@ -263,6 +285,23 @@ def make_map(source: QuotientAlgebra, target: QuotientAlgebra, images: dict) -> 
     return phi
 
 
+def renaming_map(source: QuotientAlgebra, target: QuotientAlgebra,
+                 rename: dict) -> AlgebraMap:
+    """The map X -> rename[X] onto variables of the target, verified without
+    a normal form: every relation of the source, renamed, must be one of the
+    target's presentation relations, as for a tensor factor or a quotient of
+    one.  Raises ValueError naming the first relation that is not."""
+    if set(rename) != set(source.ring.names):
+        raise ValueError("the renaming must cover exactly the source variables")
+    relations = set(target.presentation.relations)
+    for rel in source.presentation.relations:
+        if cast(rel, target.ring, rename) not in relations:
+            raise ValueError(
+                f"relation {rel} is not a relation of the target once renamed")
+    return AlgebraMap(source, target, {n: target.ring.variable(new)
+                                       for n, new in rename.items()})
+
+
 def compose(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:
     """The composite outer . inner; both were verified when built, so it is
     well defined and is not checked again."""
@@ -316,6 +355,30 @@ def nilpotency_index(algebra: QuotientAlgebra, f: Polynomial):
         if power.is_zero():
             return t
     return None
+
+
+def jordan_type(algebra: QuotientAlgebra, f: Polynomial) -> dict:
+    """The Jordan type of multiplication by a nilpotent f on a finite
+    dimensional algebra: block size -> number of blocks.  With
+    d_j = dim A/f^jA, the rank of f^j is dim A - d_j, so d_j - d_(j-1) blocks
+    have size at least j; the d_j are the dimensions of the quotients by the
+    nonzero powers of f.  Raises ValueError when f is not nilpotent (some
+    power up to f^dim is not zero)."""
+    if not algebra.is_finite:
+        raise ValueError("Jordan type requires a finite-dimensional algebra")
+    powers = []
+    power = algebra.reduce(f)
+    while not power.is_zero():
+        if len(powers) >= algebra.dimension:
+            raise ValueError("element is not nilpotent")
+        powers.append(power)
+        power = algebra.reduce(power * f)
+    quotients = ([0] + [quotient_by(algebra, [p]).dimension for p in powers]
+                 + [algebra.dimension])
+    at_least = [b - a for a, b in zip(quotients, quotients[1:])] + [0]
+    return {size: at_least[size - 1] - at_least[size]
+            for size in range(1, len(at_least))
+            if at_least[size - 1] != at_least[size]}
 
 
 def is_local_with_nilpotent_generators(algebra: QuotientAlgebra) -> bool:

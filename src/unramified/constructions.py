@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field as dataclass_field
 
+from . import linalg
 from .algebras import (
     AlgebraMap,
     Presentation,
@@ -24,10 +25,12 @@ from .algebras import (
     compose,
     has_nonzero_nilpotent,
     is_local_with_nilpotent_generators,
+    jordan_type,
     make_map,
     make_quotient,
     nilpotency_index,
     quotient_by,
+    renaming_map,
     tensor_quotient,
 )
 from .differentials import (
@@ -297,25 +300,54 @@ def _killing_certificate(r: Polynomial, relation: Polynomial,
     return DZeroCertificate(r, tuple(terms))
 
 
+def _tensor_sum_type(jordan: dict, copies: int, characteristic: int) -> dict:
+    """The Jordan type (block size -> number of blocks) of g_1 + ... + g_copies
+    on a tensor product of `copies` spaces, g_i acting in factor i by a
+    nilpotent of Jordan type `jordan`.  It is built factor by factor with the
+    Clebsch-Gordan rule
+        J_a (x) 1 + 1 (x) J_b = J_(a+b-1) + J_(a+b-3) + ... + J_(|a-b|+1),
+    which holds in characteristic zero only; a positive characteristic is
+    refused."""
+    if characteristic != 0:
+        raise ValueError("the Clebsch-Gordan rule needs characteristic zero")
+    total = {1: 1}  # the zero map on the ground field
+    for _ in range(copies):
+        combined: dict = {}
+        for a, ma in total.items():
+            for b, mb in jordan.items():
+                for size in range(a + b - 1, abs(a - b), -2):
+                    combined[size] = combined.get(size, 0) + ma * mb
+        total = combined
+    return total
+
+
 def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                  cap: int = DIMENSION_CAP) -> KillingStepResult:
     """One differential-killing extension: with t the nilpotency index of r,
     form R' = R (x) B_t / (r (x) 1 - 1 (x) g), with B_t the tensor power of
     B(KILLING_N), and the canonical embedding.
 
-    The cap is checked before any tensor is built, against the Nakayama
-    bound dim(R/rR) * dim(B)^(t-1): R' = R (x)_A B_t over A = k[u]/(u^t),
-    and R is generated over A by dim(R/rR) elements.
-
-    Each claim is decided by the fact that establishes it:
-    - R' is finite dimensional by the count of its standard monomials.  It
-      is local because every generator of R (tested once, on R) and of B_t
+    R' = R (x)_A B_t over A = k[u]/(u^t), with u acting by r on R and by g on
+    B_t, so every claim is decided from R and B, and R' never builds its
+    Groebner basis here; it does on first use of a normal form.
+    - The dimension is exact: Jordan blocks of sizes a and b give
+      A/u^a (x)_A A/u^b = A/u^min(a,b), so dim R' is the sum of min(a, b)
+      over pairs of blocks of r on R and of g on B_t.  The type of r is read
+      off quotients of R, that of g from the type of f on B by the
+      Clebsch-Gordan rule (`_tensor_sum_type`).  The cap is checked against
+      it before any tensor is built.  R has a block of size t, a free
+      summand A (A is self-injective), so dim R' >= dim B_t and the cap also
+      covers B_tensor_power's.
+    - R' is finite dimensional by that count, provided the type of g
+      fills B_t and has largest block t, which the claim checks.  It is
+      local because every generator of R (tested once, on R) and of B_t
       (B is the local model P/(I + m^N)) is nilpotent, and R' is not zero
       because R embeds in it.
-    - The embedding is injective when the B_t report passes.  A is
-      self-injective (a Frobenius algebra), so the embedding A -> B_t that
-      g^(t-1) != 0 gives splits, and R = R (x)_A A -> R (x)_A B_t is split
-      injective; r^t = 0 by the choice of t.
+    - The embedding maps each variable to its renamed copy; every relation
+      of R, renamed, is a presentation relation of R', so it is well
+      defined.  It is injective when the B_t report passes: the embedding
+      A -> B_t that g^(t-1) != 0 gives splits, and R = R (x)_A A ->
+      R (x)_A B_t is split injective; r^t = 0 by the choice of t.
     - The image of r has zero differential by an explicit identity
       (`_killing_certificate`), not a Groebner basis of the differential
       module; the result carries that certificate.  The relation added is
@@ -329,24 +361,23 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     t = nilpotency_index(R, r_reduced)
     if t is None:
         raise ValueError("r must be nilpotent")
-    B, _ = gabber_B(KILLING_N, R.field)
-    projected = quotient_by(R, [r_reduced]).dimension * B.dimension ** (t - 1)
-    if projected > cap:
+    B, f = gabber_B(KILLING_N, R.field)
+    g_type = _tensor_sum_type(jordan_type(B, f), t - 1, R.field.characteristic)
+    dimension = sum(m * n * min(a, b) for a, m in jordan_type(R, r_reduced).items()
+                    for b, n in g_type.items())
+    if dimension > cap:
         raise CapExceededError(
-            f"killing step dimension {projected} exceeds the cap {cap}")
+            f"killing step dimension {dimension} exceeds the cap {cap}")
     tensor = B_tensor_power(B, t, cap=cap)
     Bt = tensor.algebra
-    # R (x) B_t keeps the union of the two bases; only the relation
-    # r (x) 1 - 1 (x) g costs a Buchberger run
     big, renames = tensor_quotient([R, Bt])
     r_emb = cast(r_reduced, big.ring, renames[0])
     parts = [cast(gi, big.ring, renames[1]) for gi in tensor.factor_elements]
     relation = r_emb
     for part in parts:
         relation = relation - part
-    Rp = quotient_by(big, [relation])
-    iota = make_map(R, Rp, {name: Rp.ring.variable(renames[0][name])
-                            for name in R.ring.names})
+    Rp = quotient_by(big, [relation], dimension=dimension)
+    iota = renaming_map(R, Rp, renames[0])
     certificate = _killing_certificate(r_emb, relation, parts)
     report = VerificationReport(
         "killing_step",
@@ -354,7 +385,9 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
          "field": str(R.field)})
     report.add("R' finite dimensional",
                "R' = R (x) B_t / (r (x) 1 - 1 (x) g) is a finite dimensional local algebra",
-               Rp.is_finite and is_local_with_nilpotent_generators(R),
+               Rp.is_finite and is_local_with_nilpotent_generators(R)
+               and max(g_type) == t
+               and sum(b * n for b, n in g_type.items()) == Bt.dimension,
                {"dimension": Rp.dimension})
     report.add("embedding injective",
                "the canonical map R -> R' is injective (rank equals dim R)",
@@ -362,7 +395,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                {"dim_R": R.dimension})
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
-               certifies_d_zero(Rp, certificate, iota.apply(r_reduced)))
+               certifies_d_zero(Rp, certificate, r_emb))
     return KillingStepResult(Rp, iota, report, certificate, renames[0])
 
 
@@ -372,25 +405,53 @@ class KillAllResult:
     embedding: AlgebraMap | None  # composite R -> final
     report: VerificationReport
     killed: list                 # the ring generators processed, in order
+    certificates: dict           # generator of R -> certificate in the final ring
 
 
-def kill_all_differentials(R: QuotientAlgebra, *,
-                           cap: int = DIMENSION_CAP) -> KillAllResult:
+def _outside_m_squared(algebra: QuotientAlgebra, r: Polynomial) -> bool:
+    """Whether r lies outside m^2 in a local algebra P/I with residue field
+    the coefficient field: its linear part is outside the span of the
+    linear parts of the presentation relations, which span the linear parts
+    of I.  Then dr != 0, because Omega (x) k = m/m^2 (Matsumura, Commutative
+    Ring Theory, Thm 25.2).  Decided without a Groebner basis."""
+    ring = algebra.ring
+    field = algebra.field
+
+    def linear_part(p: Polynomial) -> list:
+        row = [field.zero()] * ring.nvars
+        for m, c in p.terms.items():
+            if sum(m) == 1:
+                row[m.index(1)] = c
+        return row
+
+    rows = [linear_part(g) for g in algebra.presentation.relations]
+    return (linalg.rank(rows + [linear_part(r)], ring.nvars, field)
+            > linalg.rank(rows, ring.nvars, field))
+
+
+def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,
+                           known=()) -> KillAllResult:
     """Iterate killing_step over the ring generators so that the composite
     map kills the whole differential module, which the dX_i generate.
 
     The generators are taken in ascending monomial order; one whose
     differential is already zero in the current stage (a zero image
-    included) is skipped.  When the dimension cap is hit, the chain built so
-    far is returned with status "cap" rather than silently truncating the
-    claims.
+    included) is skipped.  Where a fact settles it, that is decided without
+    a differential module: a certificate in hand whose element is the
+    generator's image proves d = 0 (`known` holds those R comes with, such
+    as the certificates a previous stage of a chain ends with), and an image
+    outside m^2 has d != 0 (`_outside_m_squared`).  Only the remaining
+    generators are tested in the stage's differential module.  When the
+    dimension cap is hit, the chain built so far is returned with status
+    "cap" rather than silently truncating the claims.
 
     The composite claim reuses each step's certificate: every embedding
     maps variables to renamed variables and every relation of a stage is a
     renamed relation of the next, so the certificate of a killed generator,
-    renamed forward, checks in the final algebra.  Only a skipped generator,
-    or one whose certified element does not reduce to its composite image,
-    is tested in the final algebra's differential module.
+    renamed forward, checks in the final algebra.  Only a generator skipped
+    in a differential module, or one whose certified element does not reduce
+    to its composite image, is tested in the final algebra's differential
+    module.
     """
     if not is_local_with_nilpotent_generators(R):
         raise ValueError("input must be a finite-dimensional local algebra "
@@ -405,11 +466,18 @@ def kill_all_differentials(R: QuotientAlgebra, *,
     current = R
     embedding: AlgebraMap | None = None
     killed: list = []
+    known = list(known)          # certificates in current's ring
     certificates: dict = {}      # generator name -> certificate in current's ring
     for e in generators:
+        name = format_polynomial(e)
         r = e if embedding is None else embedding.apply(e)
-        if kaehler(current).is_d_zero(r):
-            killed.append(format_polynomial(e))
+        held = next((c for c in known + list(certificates.values())
+                     if c.element == r and certifies_d_zero(current, c, r)), None)
+        if held is not None:
+            certificates[name] = held
+        if held is not None or (not _outside_m_squared(current, r)
+                                and kaehler(current).is_d_zero(r)):
+            killed.append(name)
             continue
         try:
             step = killing_step(current, r, cap=cap)
@@ -418,13 +486,14 @@ def kill_all_differentials(R: QuotientAlgebra, *,
             report.add("cap honored",
                        "the chain stops and reports when the dimension cap would "
                        "be exceeded instead of truncating claims silently",
-                       True, {"stopped_at": format_polynomial(e), "reason": str(exc)})
-            return KillAllResult(current, embedding, report, killed)
-        report.fold(f"kill {format_polynomial(e)}", step.report.claims)
-        killed.append(format_polynomial(e))
-        certificates = {name: c.renamed(step.algebra.ring, step.rename)
-                        for name, c in certificates.items()}
-        certificates[format_polynomial(e)] = step.certificate
+                       True, {"stopped_at": name, "reason": str(exc)})
+            return KillAllResult(current, embedding, report, killed, certificates)
+        report.fold(f"kill {name}", step.report.claims)
+        killed.append(name)
+        known = [c.renamed(step.algebra.ring, step.rename) for c in known]
+        certificates = {n: c.renamed(step.algebra.ring, step.rename)
+                        for n, c in certificates.items()}
+        certificates[name] = step.certificate
         embedding = step.embedding if embedding is None else compose(step.embedding, embedding)
         current = step.algebra
     if embedding is None:
@@ -436,7 +505,7 @@ def kill_all_differentials(R: QuotientAlgebra, *,
                    "the composite embedding induces the zero map on the differential module",
                    is_zero_induced_map(embedding, certificates),
                    {"final_dimension": current.dimension})
-    return KillAllResult(current, embedding, report, killed)
+    return KillAllResult(current, embedding, report, killed, certificates)
 
 
 @dataclass
@@ -466,19 +535,21 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
                R0.dimension > 1, {"dimension": R0.dimension})
     algebras = [R0]
     embeddings: list = []
+    known: tuple = ()            # d = 0 certificates in the last stage's ring
     for i in range(steps):
         current = algebras[-1]
         report.add(f"stage {i} local",
                    "each stage is a finite dimensional local algebra with residue field k",
                    current.is_finite and is_local_with_nilpotent_generators(current),
                    {"dimension": current.dimension})
-        result = kill_all_differentials(current, cap=cap)
+        result = kill_all_differentials(current, cap=cap, known=known)
         report.fold(f"stage {i}", result.report.claims)
         if result.report.status == STATUS_CAP:
             report.status = STATUS_CAP
             break
         algebras.append(result.algebra)
         embeddings.append(result.embedding)
+        known = tuple(result.certificates.values())
         # the last claim of a finished kill-all, folded in above, checks the
         # composite embedding on differentials ("nothing to kill" without one)
         report.add(f"stage {i} kills differentials",

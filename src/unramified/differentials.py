@@ -28,6 +28,7 @@ from .polynomials import (
     PolyRing,
     cast,
     partial_derivative,
+    substitute,
 )
 
 
@@ -134,14 +135,15 @@ class DZeroCertificate:
 def certifies_d_zero(algebra: QuotientAlgebra, certificate: DZeroCertificate,
                      f: Polynomial) -> bool:
     """Whether the certificate proves that the class of f has zero
-    differential in the algebra: the certified element reduces to the class
-    of f, every G is one of the algebra's presentation relations, and the
-    terms sum exactly to the raw differential of the element.  d is well
-    defined on classes, so the element may be any representative."""
+    differential in the algebra: the certified element is f or reduces to
+    the class of f, every G is one of the algebra's presentation relations,
+    and the terms sum exactly to the raw differential of the element.  d is
+    well defined on classes, so the element may be any representative; only
+    an element that differs from f as a polynomial is reduced."""
     ring = algebra.ring
     if certificate.element.ring != ring:
         return False
-    if algebra.reduce(certificate.element) != algebra.reduce(f):
+    if certificate.element != f and algebra.reduce(certificate.element) != algebra.reduce(f):
         return False
     relations = set(algebra.presentation.relations)
     total = ModuleVector(ring, ring.nvars, {})
@@ -174,12 +176,14 @@ def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bo
 
     `certificates` maps source variable names to DZeroCertificates in the
     target.  A generator whose certificate proves d(phi(X_i)) = 0 there
-    needs no Groebner basis of the differential module; every other
-    generator is tested in the target's module."""
+    needs no Groebner basis of the differential module, and none of the
+    target either when the certified element is phi(X_i) as a polynomial;
+    every other generator is tested in the target's module.  d is well
+    defined on classes, so the images are not reduced."""
     certificates = certificates or {}
     target = phi.target
     for name in phi.source.ring.names:
-        image = phi.apply(phi.source.ring.variable(name))
+        image = substitute(phi.source.ring.variable(name), phi.images, target.ring)
         certificate = certificates.get(name)
         if certificate is not None and certifies_d_zero(target, certificate, image):
             continue

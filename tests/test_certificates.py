@@ -7,7 +7,7 @@ import json
 import pytest
 
 from unramified import constructions, differentials
-from unramified.algebras import Presentation, identity_map, make_quotient, quotient_by
+from unramified.algebras import Presentation, identity_map, make_quotient
 from unramified.cli import main
 from unramified.constructions import (
     STATUS_CAP,
@@ -119,14 +119,15 @@ def test_z5_chain_agrees_with_the_module_basis():
 
 def test_no_module_basis_of_a_built_algebra(monkeypatch):
     """The killing step and the composite claim over one generator need no
-    differential module beyond the skip test on the input."""
+    differential module, and the skip test needs none on the input either:
+    Z is outside m^2, so dZ != 0."""
     seen = _record_kaehler(monkeypatch)
     R, Z = _truncated(3)
     killing_step(R, Z)
     assert seen == []
     result = kill_all_differentials(R)
     assert result.report.passed
-    assert seen == [R]
+    assert seen == []
 
 
 def test_certificates_are_renamed_forward_through_the_chain():
@@ -213,24 +214,20 @@ def test_planted_element_that_is_not_the_image_falls_back_to_the_module(
 
 @pytest.mark.parametrize("R_r", ["ladder2", "ladder3", "ladder4", "ladder5", "b5_f", "dual_z"])
 def test_nakayama_bound_caps_the_step(R_r, b5, dual_numbers):
-    """The cap is checked against dim(R/rR) * dim(B)^(t-1), which bounds dim R'
-    and equals it on the ladder."""
+    """The cap is checked against the exact dimension of R', from Jordan
+    types, which replaced the Nakayama bound dim(R/rR) * dim(B)^(t-1): a cap
+    of dim R' passes, and one below it stops the step and names dim R'."""
     if R_r.startswith("ladder"):
         R, r = _truncated(int(R_r[-1]))
     elif R_r == "b5_f":
         R, r = b5
     else:
         R, r = dual_numbers, dual_numbers.ring.variable("Z")
-    B, _ = b5
-    step = killing_step(R, r)
-    t = step.report.params["t"]
-    bound = quotient_by(R, [R.reduce(r)]).dimension * B.dimension ** (t - 1)
-    assert step.algebra.dimension <= bound
-    if R_r.startswith("ladder"):
-        assert step.algebra.dimension == bound
-    assert killing_step(R, r, cap=bound).algebra.dimension == step.algebra.dimension
-    with pytest.raises(CapExceededError, match=f"killing step dimension {bound} exceeds"):
-        killing_step(R, r, cap=bound - 1)
+    dim = killing_step(R, r).algebra.dimension
+    assert killing_step(R, r, cap=dim).algebra.dimension == dim
+    with pytest.raises(CapExceededError,
+                       match=f"killing step dimension {dim} exceeds the cap {dim - 1}$"):
+        killing_step(R, r, cap=dim - 1)
 
 
 def test_z6_exceeds_the_default_cap(tmp_path, capsys):

@@ -1,0 +1,331 @@
+"""The killing step decides its claims from R and B alone: dim R' from Jordan
+types, the embedding from the presentation, "dr dies" from a certificate.
+R' builds its Groebner basis only on first use.  The explicit construction,
+the quotient of R (x) B_t by r (x) 1 - 1 (x) g, stays the oracle."""
+
+import pathlib
+
+import pytest
+
+from unramified import constructions, differentials
+from unramified.algebras import (
+    Presentation,
+    artinian_local_model,
+    jordan_type,
+    make_quotient,
+    nilpotency_index,
+    quotient_by,
+    renaming_map,
+    tensor_quotient,
+)
+from unramified.cli import main
+from unramified.constructions import (
+    KILLING_N,
+    STATUS_CAP,
+    STATUS_OK,
+    B_tensor_power,
+    _outside_m_squared,
+    _tensor_sum_type,
+    gabber_B,
+    gabber_sequence,
+    kill_all_differentials,
+    killing_step,
+)
+from unramified.differentials import DZeroCertificate, kaehler
+from unramified.errors import BudgetExceededError
+from unramified.fields import QQ
+from unramified.groebner import buchberger, dimension, step_budget
+from unramified.parsing import build_algebra, parse_presentation
+from unramified.polynomials import PolyRing, cast
+
+SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
+
+
+def _truncated(names, exponents):
+    ring = PolyRing(QQ, names)
+    return make_quotient(Presentation(
+        ring, tuple(ring.variable(v) ** e for v, e in zip(names, exponents))))
+
+
+def _built(algebra) -> bool:
+    """Whether the algebra's Groebner basis has been built."""
+    return "groebner" in vars(algebra)
+
+
+def _explicit_basis(R, r):
+    """The reduced basis of R' as the explicit construction computes it:
+    the union of the bases of R and B_t, extended by r (x) 1 - 1 (x) g."""
+    r = R.reduce(r)
+    B, _ = gabber_B(KILLING_N)
+    tensor = B_tensor_power(B, nilpotency_index(R, r), cap=10 ** 6)
+    big, renames = tensor_quotient([R, tensor.algebra])
+    relation = cast(r, big.ring, renames[0])
+    for gi in tensor.factor_elements:
+        relation = relation - cast(gi, big.ring, renames[1])
+    return buchberger([relation], start=big.groebner)
+
+
+def _instances(instance, b5, dual_numbers, monkeypatch) -> list:
+    """(R, r, KillingStepResult) of every killing step the instance takes."""
+    if instance.startswith("ladder"):
+        R = _truncated(("Z",), (int(instance[-1]),))
+        r = R.ring.variable("Z")
+        return [(R, r, killing_step(R, r))]
+    if instance == "b5_f":
+        return [(*b5, killing_step(*b5))]
+    if instance == "dual_z":
+        r = dual_numbers.ring.variable("Z")
+        return [(dual_numbers, r, killing_step(dual_numbers, r))]
+    steps = []
+    real = constructions.killing_step
+
+    def recording(R, r, **kwargs):
+        steps.append((R, r, real(R, r, **kwargs)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(constructions, "killing_step", recording)
+    start = build_algebra(parse_presentation((SAMPLES / "z5.alg").read_text()))
+    assert gabber_sequence(1, start=start).report.passed
+    return steps
+
+
+@pytest.mark.parametrize("instance", ["ladder2", "ladder3", "ladder4", "ladder5",
+                                      "b5_f", "dual_z", "z5_chain"])
+def test_proved_dimension_equals_the_explicit_count(instance, b5, dual_numbers,
+                                                    monkeypatch):
+    """The step returns R' with its basis unbuilt; the dimension it proved
+    equals the standard-monomial count of the explicit R', and the basis
+    built on first use is the explicit one."""
+    steps = _instances(instance, b5, dual_numbers, monkeypatch)
+    assert steps
+    for R, r, step in steps:
+        Rp = step.algebra
+        assert not _built(Rp)
+        assert step.report.passed
+        explicit = _explicit_basis(R, r)
+        assert Rp.dimension == dimension(explicit)
+        assert not _built(Rp)
+        assert Rp.groebner.generators == explicit.generators
+
+
+def test_lazy_and_eager_bases_agree(b5):
+    """A quotient builds the same reduced basis on first use as an algebra
+    given it at once, and a handed dimension stands in for the count."""
+    B, f = b5
+    lazy = quotient_by(B, [f])
+    assert not _built(lazy)
+    eager = make_quotient(lazy.presentation)
+    assert lazy.dimension == eager.dimension == 10
+    assert _built(lazy)
+    assert lazy.groebner.generators == eager.groebner.generators
+    proved = quotient_by(B, [f], dimension=10)
+    assert proved.dimension == 10 and proved.is_finite and not _built(proved)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_clebsch_gordan_type_equals_the_quotient_type(t, b5):
+    """The type of g on B_t from that of f on B by the Clebsch-Gordan rule
+    equals the type read off dim B_t / g^j B_t."""
+    B, f = b5
+    assert jordan_type(B, f) == {1: 9, 2: 1}
+    tensor = B_tensor_power(B, t)
+    g = tensor.algebra.ring.zero()
+    for gi in tensor.factor_elements:
+        g = g + gi
+    cg = _tensor_sum_type(jordan_type(B, f), t - 1, 0)
+    assert jordan_type(tensor.algebra, g) == cg
+    assert max(cg) == t
+    assert sum(size * count for size, count in cg.items()) == tensor.algebra.dimension
+
+
+def test_clebsch_gordan_refuses_positive_characteristic():
+    with pytest.raises(ValueError, match="characteristic zero"):
+        _tensor_sum_type({1: 9, 2: 1}, 2, 7)
+
+
+def test_jordan_type_guards(dual_numbers):
+    Z = dual_numbers.ring.variable("Z")
+    assert jordan_type(dual_numbers, Z) == {2: 1}
+    assert jordan_type(dual_numbers, Z * 0) == {1: 2}
+    with pytest.raises(ValueError, match="not nilpotent"):
+        jordan_type(dual_numbers, dual_numbers.ring.one() + Z)
+
+
+def test_k7_is_counted_without_a_basis():
+    """dim R' = 11^6 on k[Z]/(Z^7), with every claim decided and R' unbuilt."""
+    R = _truncated(("Z",), (7,))
+    step = killing_step(R, R.ring.variable("Z"), cap=2 * 10 ** 6)
+    assert step.algebra.dimension == 1771561
+    assert step.report.passed
+    assert not _built(step.algebra)
+
+
+def test_z6_chain_ends_ok_without_a_basis():
+    """The composite claim of a one-generator chain is the step's certificate
+    on the image as it is: `verify gabber` ends ok at 11^5 and the final
+    algebra never builds its basis."""
+    start = build_algebra(parse_presentation("field QQ\nring Z:1\nrel Z^6\nmode plain\n"))
+    result = gabber_sequence(1, start=start, cap=200000)
+    assert result.report.status == STATUS_OK and result.report.passed
+    assert result.algebras[-1].dimension == 161051
+    assert not _built(result.algebras[-1])
+
+
+def test_embedding_needs_every_relation_in_the_target(dual_numbers):
+    """The renaming map is well defined only when every renamed relation of
+    the source is a presentation relation of the target."""
+    Z = dual_numbers.ring.variable("Z")
+    step = killing_step(dual_numbers, Z)
+    assert step.embedding.images == {"Z": step.algebra.ring.variable(step.rename["Z"])}
+    loose = make_quotient(Presentation(dual_numbers.ring, (Z ** 3,)))
+    with pytest.raises(ValueError, match="is not a relation of the target"):
+        renaming_map(dual_numbers, loose, {"Z": "Z"})
+    with pytest.raises(ValueError, match="exactly the source variables"):
+        renaming_map(dual_numbers, dual_numbers, {})
+
+
+def test_a_lazy_basis_spends_from_the_ambient_budget(tmp_path, capsys):
+    """R' builds its basis under the step budget in force at first use, so
+    `--budget` binds it: on the (X^2, Y^2) chain, which reduces in the first
+    R' to kill X, a budget that would cover the command without that build
+    stops it with exit 3."""
+    R = _truncated(("Z",), (3,))
+    step = killing_step(R, R.ring.variable("Z"))
+    with step_budget(10 ** 9) as budget:
+        step.algebra.groebner
+    lazy = 10 ** 9 - budget.remaining
+    assert lazy > 0
+    step = killing_step(R, R.ring.variable("Z"))
+    with step_budget(lazy - 1), pytest.raises(BudgetExceededError):
+        step.algebra.groebner
+
+    text = "field QQ\nring X:1 Y:1\nrel X^2\nrel Y^2\nmode plain\n"
+    start = tmp_path / "xy.alg"
+    start.write_text(text)
+    with step_budget(10 ** 9) as budget:
+        algebra = build_algebra(parse_presentation(text))
+        assert gabber_sequence(1, start=algebra).report.passed
+    total = 10 ** 9 - budget.remaining
+    first = killing_step(algebra, algebra.ring.variable("Y"))
+    with step_budget(10 ** 9) as budget:
+        first.algebra.groebner
+    lazy = 10 ** 9 - budget.remaining
+    assert 0 < lazy < total
+    argv = ["verify", "gabber", "--steps", "1", "--start", str(start)]
+    assert main(argv + ["--budget", str(total)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--budget", str(total - lazy)]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def _count_kaehler_builds(monkeypatch) -> list:
+    built = []
+
+    class Counting(differentials.KaehlerModule):
+        def __init__(self, algebra):
+            built.append(algebra)
+            super().__init__(algebra)
+
+    monkeypatch.setattr(differentials, "KaehlerModule", Counting)
+    return built
+
+
+def test_x2_y3_chain_builds_no_kaehler_module(monkeypatch):
+    """Each generator of the (X^2, Y^3) chain is outside m^2 of its stage,
+    so the skip test needs no differential module, and the composite claim
+    holds by certificates."""
+    built = _count_kaehler_builds(monkeypatch)
+    result = kill_all_differentials(_truncated(("X", "Y"), (2, 3)))
+    assert result.killed == ["Y", "X"]
+    assert result.algebra.dimension == 1331
+    assert result.report.passed
+    assert built == []
+
+
+@pytest.mark.parametrize("shape", ["x2_y3", "x2_y_minus_x2", "b5_w", "dual"])
+def test_outside_m_squared_agrees_with_the_module(shape, dual_numbers):
+    """Every generator outside m^2 has a nonzero differential in the Kaehler
+    module: the linear-part test never keeps a generator the module would
+    skip."""
+    ring = PolyRing(QQ, ("X", "Y", "W"))
+    X, Y, W = (ring.variable(v) for v in ring.names)
+    if shape == "x2_y3":
+        algebra = _truncated(("X", "Y"), (2, 3))
+    elif shape == "x2_y_minus_x2":
+        algebra = make_quotient(Presentation(ring, (X ** 2, Y - X ** 2, W ** 2)))
+    elif shape == "b5_w":
+        algebra = _b5_with_f(ring)
+    else:
+        algebra = dual_numbers
+    outside = []
+    for name in algebra.ring.names:
+        e = algebra.ring.variable(name)
+        if _outside_m_squared(algebra, e):
+            outside.append(name)
+            assert not kaehler(algebra).is_d_zero(e)
+    expected = {"x2_y3": ["X", "Y"], "x2_y_minus_x2": ["X", "W"], "b5_w": ["X", "Y"],
+                "dual": ["Z"]}
+    assert outside == expected[shape]
+
+
+def _b5_with_f(ring):
+    """B(5) with a third generator W = f, and dW = df = 0."""
+    X, Y, W = (ring.variable(v) for v in ring.names)
+    F = X ** 2 * Y ** 2 + X ** 5 + Y ** 5
+    return artinian_local_model(ring, [X * (2 * Y ** 2 + 5 * X ** 3),
+                                       Y * (2 * X ** 2 + 5 * Y ** 3), W - F])
+
+
+def test_a_held_certificate_skips_without_a_module(monkeypatch):
+    """W = f has dW = 0 by dW = d(W - F) + X F1 dX + Y F2 dY; with that
+    certificate in hand kill-all skips W without a differential module, and
+    decides as the module does."""
+    ring = PolyRing(QQ, ("X", "Y", "W"))
+    X, Y, W = (ring.variable(v) for v in ring.names)
+    B = _b5_with_f(ring)
+    one = ring.one()
+    F = X ** 2 * Y ** 2 + X ** 5 + Y ** 5
+    certificate = DZeroCertificate(W, ((one, W - F, None),
+                                       (one, X * (2 * Y ** 2 + 5 * X ** 3), "X"),
+                                       (one, Y * (2 * X ** 2 + 5 * Y ** 3), "Y")))
+    built = _count_kaehler_builds(monkeypatch)
+    held = kill_all_differentials(B, cap=50, known=[certificate])
+    assert built == []
+    assert held.killed == ["W"]
+    assert held.certificates == {"W": certificate}
+    plain = kill_all_differentials(B, cap=50)
+    assert built == [B]
+    assert plain.report.to_json() == held.report.to_json()
+    assert held.report.status == STATUS_CAP
+
+
+def test_the_chain_forwards_its_certificates(dual_numbers, monkeypatch):
+    """Each stage of a chain starts with the certificates the previous one
+    ended with, in its own ring."""
+    calls = []
+    real = constructions.kill_all_differentials
+
+    def recording(R, **kwargs):
+        calls.append((R, list(kwargs.get("known", ()))))
+        return real(R, **kwargs)
+
+    monkeypatch.setattr(constructions, "kill_all_differentials", recording)
+    gabber_sequence(2, start=dual_numbers)
+    (R0, known0), (R1, known1) = calls
+    assert known0 == []
+    (certificate,) = known1
+    assert certificate.element == R1.ring.variable("Z#1")
+    assert differentials.certifies_d_zero(R1, certificate, certificate.element)
+
+
+@pytest.mark.parametrize("planted", [{1: 11, 2: 5}, {1: 8, 3: 1}, {1: 2, 2: 5}])
+def test_planted_wrong_jordan_type_fails_the_dimension_claim(planted, dual_numbers,
+                                                             monkeypatch):
+    """A type of g that does not fill B_t, or whose largest block is not t,
+    fails "R' finite dimensional" and with it the step."""
+    monkeypatch.setattr(constructions, "_tensor_sum_type", lambda *args: dict(planted))
+    step = killing_step(dual_numbers, dual_numbers.ring.variable("Z"))
+    claims = {c.label: c.passed for c in step.report.claims}
+    assert claims == {"R' finite dimensional": False, "embedding injective": True,
+                      "dr dies": True}
+    assert not step.report.passed
