@@ -342,19 +342,26 @@ def is_injective(phi: AlgebraMap) -> bool:
     return linalg.rank(rows, len(columns), field) == len(rows)
 
 
-def nilpotency_index(algebra: QuotientAlgebra, f: Polynomial):
-    """Least t with f^t = 0 in the algebra, or None when f is not nilpotent.
-    Powers are tried up to dim + 1, which is enough by the minimal-polynomial
-    degree bound."""
+def _nonzero_powers(algebra: QuotientAlgebra, f: Polynomial):
+    """The nonzero reduced powers f, f^2, ... in order, or None when f is not
+    nilpotent: f^(dim + 1) != 0 (the minimal-polynomial degree bound)."""
     if not algebra.is_finite:
-        raise ValueError("nilpotency search requires a finite-dimensional algebra")
+        raise ValueError("nilpotency requires a finite-dimensional algebra")
     g = algebra.reduce(f)
-    power = algebra.ring.one()
-    for t in range(1, algebra.dimension + 2):
+    powers = []
+    power = g
+    while not power.is_zero():
+        if len(powers) >= algebra.dimension:
+            return None
+        powers.append(power)
         power = algebra.reduce(power * g)
-        if power.is_zero():
-            return t
-    return None
+    return powers
+
+
+def nilpotency_index(algebra: QuotientAlgebra, f: Polynomial):
+    """Least t with f^t = 0 in the algebra, or None when f is not nilpotent."""
+    powers = _nonzero_powers(algebra, f)
+    return None if powers is None else len(powers) + 1
 
 
 def jordan_type(algebra: QuotientAlgebra, f: Polynomial) -> dict:
@@ -362,17 +369,10 @@ def jordan_type(algebra: QuotientAlgebra, f: Polynomial) -> dict:
     dimensional algebra: block size -> number of blocks.  With
     d_j = dim A/f^jA, the rank of f^j is dim A - d_j, so d_j - d_(j-1) blocks
     have size at least j; the d_j are the dimensions of the quotients by the
-    nonzero powers of f.  Raises ValueError when f is not nilpotent (some
-    power up to f^dim is not zero)."""
-    if not algebra.is_finite:
-        raise ValueError("Jordan type requires a finite-dimensional algebra")
-    powers = []
-    power = algebra.reduce(f)
-    while not power.is_zero():
-        if len(powers) >= algebra.dimension:
-            raise ValueError("element is not nilpotent")
-        powers.append(power)
-        power = algebra.reduce(power * f)
+    nonzero powers of f.  Raises ValueError when f is not nilpotent."""
+    powers = _nonzero_powers(algebra, f)
+    if powers is None:
+        raise ValueError("element is not nilpotent")
     quotients = ([0] + [quotient_by(algebra, [p]).dimension for p in powers]
                  + [algebra.dimension])
     at_least = [b - a for a, b in zip(quotients, quotients[1:])] + [0]

@@ -28,7 +28,6 @@ from .algebras import (
     jordan_type,
     make_map,
     make_quotient,
-    nilpotency_index,
     quotient_by,
     renaming_map,
     tensor_quotient,
@@ -324,8 +323,8 @@ def _tensor_sum_type(jordan: dict, copies: int, characteristic: int) -> dict:
 def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                  cap: int = DIMENSION_CAP) -> KillingStepResult:
     """One differential-killing extension: with t the nilpotency index of r,
-    form R' = R (x) B_t / (r (x) 1 - 1 (x) g), with B_t the tensor power of
-    B(KILLING_N), and the canonical embedding.
+    its largest Jordan block on R, form R' = R (x) B_t / (r (x) 1 - 1 (x) g),
+    with B_t the tensor power of B(KILLING_N), and the canonical embedding.
 
     R' = R (x)_A B_t over A = k[u]/(u^t), with u acting by r on R and by g on
     B_t, so every claim is decided from R and B, and R' never builds its
@@ -358,12 +357,11 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     r_reduced = R.reduce(r)
     if r_reduced.is_zero():
         raise ValueError("r must be nonzero in R")
-    t = nilpotency_index(R, r_reduced)
-    if t is None:
-        raise ValueError("r must be nilpotent")
+    r_type = jordan_type(R, r_reduced)
+    t = max(r_type)
     B, f = gabber_B(KILLING_N, R.field)
     g_type = _tensor_sum_type(jordan_type(B, f), t - 1, R.field.characteristic)
-    dimension = sum(m * n * min(a, b) for a, m in jordan_type(R, r_reduced).items()
+    dimension = sum(m * n * min(a, b) for a, m in r_type.items()
                     for b, n in g_type.items())
     if dimension > cap:
         raise CapExceededError(
@@ -445,32 +443,31 @@ def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,
     dimension cap is hit, the chain built so far is returned with status
     "cap" rather than silently truncating the claims.
 
-    The composite claim reuses each step's certificate: every embedding
-    maps variables to renamed variables and every relation of a stage is a
-    renamed relation of the next, so the certificate of a killed generator,
-    renamed forward, checks in the final algebra.  Only a generator skipped
-    in a differential module, or one whose certified element does not reduce
-    to its composite image, is tested in the final algebra's differential
-    module.
+    Every embedding renames variables and keeps every relation, so the
+    chain is one renaming of R's variables: a generator's image is its
+    renamed variable, unreduced (d, the test outside m^2 and certificates
+    are defined on classes), and the composite embedding, built once by
+    `renaming_map`, is that renaming.  The composite claim checks each
+    step's certificate, renamed forward, in the final algebra; a generator
+    with none, or whose certified element is not its image, is reduced or
+    tested there in the differential module.
     """
     if not is_local_with_nilpotent_generators(R):
         raise ValueError("input must be a finite-dimensional local algebra "
                          "with nilpotent generators")
     ring = R.ring
-    generators = sorted((ring.variable(name) for name in ring.names),
-                        key=lambda g: ring.monomial_key(g.leading()[0]))
+    order = sorted(ring.names, key=lambda n: ring.monomial_key(ring.variable(n).leading()[0]))
     report = VerificationReport(
         "kill_all_differentials",
-        {"dim_R": R.dimension, "generators": len(generators),
+        {"dim_R": R.dimension, "generators": len(order),
          "field": str(R.field), "cap": cap})
     current = R
-    embedding: AlgebraMap | None = None
+    names = {n: n for n in ring.names}  # variable of R -> its name in current
     killed: list = []
     known = list(known)          # certificates in current's ring
     certificates: dict = {}      # generator name -> certificate in current's ring
-    for e in generators:
-        name = format_polynomial(e)
-        r = e if embedding is None else embedding.apply(e)
+    for name in order:
+        r = current.ring.variable(names[name])
         held = next((c for c in known + list(certificates.values())
                      if c.element == r and certifies_d_zero(current, c, r)), None)
         if held is not None:
@@ -487,25 +484,28 @@ def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,
                        "the chain stops and reports when the dimension cap would "
                        "be exceeded instead of truncating claims silently",
                        True, {"stopped_at": name, "reason": str(exc)})
-            return KillAllResult(current, embedding, report, killed, certificates)
+            break
         report.fold(f"kill {name}", step.report.claims)
         killed.append(name)
         known = [c.renamed(step.algebra.ring, step.rename) for c in known]
         certificates = {n: c.renamed(step.algebra.ring, step.rename)
                         for n, c in certificates.items()}
         certificates[name] = step.certificate
-        embedding = step.embedding if embedding is None else compose(step.embedding, embedding)
+        names = {n: step.rename[m] for n, m in names.items()}
         current = step.algebra
-    if embedding is None:
+    composite = None if current is R else renaming_map(R, current, names)
+    if report.status == STATUS_CAP:
+        return KillAllResult(current, composite, report, killed, certificates)
+    if composite is None:
         report.add("nothing to kill",
                    "the maximal ideal is zero, so the differential module already dies",
                    True)
     else:
         report.add("composite kills differentials",
                    "the composite embedding induces the zero map on the differential module",
-                   is_zero_induced_map(embedding, certificates),
+                   is_zero_induced_map(composite, certificates),
                    {"final_dimension": current.dimension})
-    return KillAllResult(current, embedding, report, killed, certificates)
+    return KillAllResult(current, composite, report, killed, certificates)
 
 
 @dataclass

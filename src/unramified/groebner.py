@@ -58,6 +58,11 @@ class _Budget:
 _STEP_BUDGET: ContextVar = ContextVar("step_budget", default=None)
 
 
+def _current_budget() -> _Budget:
+    """The budget of the enclosing `step_budget` block, else a fresh one."""
+    return _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
+
+
 @contextmanager
 def step_budget(limit: int):
     """Make every reduction step in the block spend from one budget of
@@ -77,7 +82,7 @@ class _Row:
     leading (component, monomial) pair and `degree` the total degree of its
     monomial; the pair criteria work on them."""
 
-    __slots__ = ("terms", "lt", "key", "is_monomial", "degree")
+    __slots__ = ("terms", "lt", "key", "degree")
 
     def __init__(self, ring: PolyRing, terms: dict):
         mk = ring.module_key
@@ -89,7 +94,6 @@ class _Row:
         self.terms = terms
         self.lt = lt
         self.key = mk(*lt)
-        self.is_monomial = len(terms) == 1
         self.degree = sum(lt[1])
 
 
@@ -248,7 +252,7 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
     runaway input produces an explicit error rather than a wrong answer.
     """
     ring, rank, gens, seed = _prepare_input(generators, start)
-    budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
+    budget = _current_budget()
     rows: list = []
     buckets: dict = {}
     active: list = []  # indices of rows that still get new pairs
@@ -278,7 +282,7 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
             if other.lt[0] != comp:
                 continue
             lcm = mono_lcm(other.lt[1], lead)
-            known_zero = ((other.is_monomial and row.is_monomial)
+            known_zero = (len(other.terms) == len(row.terms) == 1
                           or (rank is None and sum(lcm) == other.degree + row.degree))
             entry = candidates.get(lcm)
             if entry is None:
@@ -319,25 +323,20 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
         if r:
             update(add(r))
 
-    # Interreduce: keep rows with minimal leading terms, then tail-reduce each
-    # against the others (sequentially, updating as we go) to reach the unique
-    # reduced basis.
+    # Interreduce: keep the rows with minimal leads, in order, then reduce each
+    # tail in turn, in place, against all of them (a tail is below its lead).
     rows.sort(key=lambda r: r.key)
     kept: list = []
+    kept_buckets: dict = {}
     for row in rows:
-        if any(k.lt[0] == row.lt[0] and mono_divides(k.lt[1], row.lt[1])
-               for k in kept):
-            continue
-        kept.append(row)
-    for idx in range(len(kept)):
-        other_buckets: dict = {}
-        for k, row in enumerate(kept):
-            if k == idx:
-                continue
-            other_buckets.setdefault(row.lt[0], []).append(row)
-        nf = _reduce_terms(ring, kept[idx].terms, other_buckets, budget)
-        kept[idx] = _Row(ring, nf)
-    kept.sort(key=lambda r: r.key)
+        same = kept_buckets.setdefault(row.lt[0], [])
+        if not any(mono_divides(k.lt[1], row.lt[1]) for k in same):
+            kept.append(row)
+            same.append(row)
+    for row in kept:
+        tail = {t: c for t, c in row.terms.items() if t != row.lt}
+        row.terms = {row.lt: row.terms[row.lt],
+                     **_reduce_terms(ring, tail, kept_buckets, budget)}
     return GroebnerBasis(ring, rank, kept)
 
 
@@ -351,7 +350,7 @@ def normal_form(f, gb: GroebnerBasis):
         raise ValueError("module rank mismatch")
     if f.ring != gb.ring:
         raise ValueError("ring mismatch")
-    budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
+    budget = _current_budget()
     return _from_terms(gb.ring, gb.rank,
                        _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget))
 
@@ -529,7 +528,7 @@ def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
 def satisfies_buchberger_criterion(gb: GroebnerBasis) -> bool:
     """Directly check that every S-pair of basis elements reduces to zero."""
     rows = gb._rows
-    budget = _STEP_BUDGET.get() or _Budget(DEFAULT_BUDGET)
+    budget = _current_budget()
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if rows[i].lt[0] != rows[j].lt[0]:

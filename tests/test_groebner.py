@@ -218,6 +218,25 @@ def test_nested_step_budget_restores_the_outer_one():
     buchberger(gens)  # outside every block again
 
 
+def test_katsura3_spends_the_recorded_steps():
+    """Katsura-3 tail-reduces several rows in the final interreduction; its
+    basis and step count (92, read before the interreduction shared one
+    bucket set across rows) stay fixed."""
+    ring = PolyRing(QQ, ("A", "B", "C", "D"))
+    A, B, C, D = (ring.variable(v) for v in ring.names)
+    gens = [A + 2 * B + 2 * C + 2 * D - 1, A ** 2 + 2 * B ** 2 + 2 * C ** 2 + 2 * D ** 2 - A,
+            2 * A * B + 2 * B * C + 2 * C * D - B, B ** 2 + 2 * A * C + 2 * B * D - C]
+    with step_budget(10 ** 6) as budget:
+        gb = buchberger(gens)
+    assert 10 ** 6 - budget.remaining == 92
+    assert len(gb) == 7 and satisfies_buchberger_criterion(gb)
+    leads = [g.leading()[0] for g in gb]
+    for g, lead in zip(gb, leads):
+        for m in g.terms:  # reduced: no lead divides a term but its own
+            dividing = [k for k in leads if all(a <= b for a, b in zip(k, m))]
+            assert dividing == ([lead] if m == lead else [])
+
+
 def test_mixed_input_rejected():
     with pytest.raises(ValueError):
         buchberger([X, oracles.vector(R, [X, Y])])

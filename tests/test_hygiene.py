@@ -48,6 +48,18 @@ def parameter_names(node) -> set:
     return {a.arg for a in every if a is not None}
 
 
+def names_read(trees) -> set:
+    """Every name the trees read, as a name or as an attribute."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def unused_public_definitions(modules: dict) -> list:
     """`module.name` of every public module-level function or class that
     `__init__` does not export and no module of the package reads, as a
@@ -57,15 +69,7 @@ def unused_public_definitions(modules: dict) -> list:
     exported = {alias.asname or alias.name
                 for node in modules["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    read = set()
-    for name, tree in modules.items():
-        if name == "__init__":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = names_read(tree for name, tree in modules.items() if name != "__init__")
     unused = []
     for module, tree in modules.items():
         names = [(node.name, node.name) for node in tree.body
@@ -76,6 +80,18 @@ def unused_public_definitions(modules: dict) -> list:
         unused.extend(f"{module}.{qualified}" for qualified, name in names
                       if name not in read and ("." in qualified or name not in exported))
     return sorted(unused)
+
+
+def unused_private_functions(modules: dict) -> list:
+    """`module.name` of every private module-level function (its name starts
+    with a single underscore) that no module of the package reads, as a
+    name or as an attribute.  `modules` maps module names to parsed trees."""
+    read = names_read(modules.values())
+    return sorted(f"{module}.{node.name}" for module, tree in modules.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in read)
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -211,6 +227,29 @@ def test_every_public_definition_is_exported_or_used():
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     assert unused_public_definitions(modules) == []
+
+
+def test_unused_private_functions_helper():
+    modules = {
+        "a": ast.parse("def _orphan(): pass\n"
+                       "def _called(): pass\n"
+                       "def __getattr__(name): pass\n"
+                       "def public(): _called()\n"
+                       "class C:\n"
+                       "    def _method(self): pass\n"),
+        "b": ast.parse("from . import a\n"
+                       "def _by_attribute(): pass\n"
+                       "a._by_attribute\n"),
+    }
+    assert unused_private_functions(modules) == ["a._orphan"]
+
+
+def test_every_private_function_is_used():
+    """A private helper that no module of the package calls, left behind
+    when its last caller went, is dead weight: delete it."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert unused_private_functions(modules) == []
 
 
 def test_names_defined_twice_helper():

@@ -7,10 +7,11 @@ import pathlib
 
 import pytest
 
-from unramified import constructions, differentials
+from unramified import algebras, constructions, differentials
 from unramified.algebras import (
     Presentation,
     artinian_local_model,
+    is_local_with_nilpotent_generators,
     jordan_type,
     make_quotient,
     nilpotency_index,
@@ -151,6 +152,15 @@ def test_jordan_type_guards(dual_numbers):
         jordan_type(dual_numbers, dual_numbers.ring.one() + Z)
 
 
+def test_nilpotency_index_is_the_largest_jordan_block(b5):
+    """Both read the one walk through the powers of an element."""
+    B, f = b5
+    X, Y = B.ring.variable("X"), B.ring.variable("Y")
+    for e in (X, Y, X + Y, X * Y ** 2, f):
+        assert nilpotency_index(B, e) == max(jordan_type(B, e))
+    assert nilpotency_index(B, B.ring.one() + X) is None
+
+
 def test_k7_is_counted_without_a_basis():
     """dim R' = 11^6 on k[Z]/(Z^7), with every claim decided and R' unbuilt."""
     R = _truncated(("Z",), (7,))
@@ -240,6 +250,48 @@ def test_x2_y3_chain_builds_no_kaehler_module(monkeypatch):
     assert result.algebra.dimension == 1331
     assert result.report.passed
     assert built == []
+
+
+@pytest.mark.parametrize("exponents, final", [((2, 3), 1331), ((2, 2), 121)])
+def test_a_chain_is_carried_by_one_renaming(exponents, final, monkeypatch):
+    """Kill-all over two generators carries the chain as one renaming: no
+    map is composed or applied, the composite sends each generator to its
+    renamed variable in the final algebra, and that algebra never builds
+    its basis."""
+    def refuse(*args):
+        raise AssertionError("the chain reduced an image")
+
+    monkeypatch.setattr(constructions, "compose", refuse)
+    monkeypatch.setattr(algebras.AlgebraMap, "apply", refuse)
+    R = _truncated(("X", "Y"), exponents)
+    result = kill_all_differentials(R)
+    assert result.report.passed and result.killed == ["Y", "X"]
+    assert result.algebra.dimension == final
+    ring = result.algebra.ring
+    assert result.embedding.source is R and result.embedding.target is result.algebra
+    assert result.embedding.images == {"X": ring.variable("X#1#1"),
+                                       "Y": ring.variable("Y#1#1")}
+    assert not _built(result.algebra)
+
+
+def test_killing_step_walks_the_powers_of_r_once(monkeypatch):
+    """t is the largest Jordan block of r, read off the one walk through r's
+    powers that the type needs, so the step never asks for the nilpotency
+    index; a non-nilpotent r is still refused."""
+    R = _truncated(("Z",), (4,))
+    Z = R.ring.variable("Z")
+    assert is_local_with_nilpotent_generators(R)  # the locality test asks once, here
+
+    def refuse(*args):
+        raise AssertionError("the step asked for the nilpotency index")
+
+    monkeypatch.setattr(algebras, "nilpotency_index", refuse)
+    monkeypatch.setattr(constructions, "nilpotency_index", refuse, raising=False)
+    step = killing_step(R, Z)
+    assert step.report.params["t"] == 4 and step.report.passed
+    assert step.algebra.dimension == 11 ** 3
+    with pytest.raises(ValueError, match="not nilpotent"):
+        killing_step(R, R.ring.one() + Z)
 
 
 @pytest.mark.parametrize("shape", ["x2_y3", "x2_y_minus_x2", "b5_w", "dual"])
