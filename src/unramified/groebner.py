@@ -25,9 +25,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import le
+from operator import add, le, mul
 
 from .errors import BudgetExceededError
+from .fields import PRIME_FIELD, RATIONAL_FUNCTIONS, FieldElement
 from .polynomials import (
     ModuleVector,
     PolyRing,
@@ -37,7 +38,6 @@ from .polynomials import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomials_of_weighted_degree,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -112,13 +112,25 @@ def _from_terms(ring: PolyRing, rank, terms: dict):
 
 
 def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -> dict:
-    """Full normal form of a term dict against rows bucketed by lead component."""
+    """Full normal form of a term dict against rows bucketed by lead component.
+
+    The loop works on raw coefficients: the int residue over F_p (reduced
+    mod p after every operation), the Fraction over QQ, and the element
+    itself over F_p(x), whose payload has no arithmetic of its own.  Input
+    coefficients are unwrapped once, each reducer term's payload is read as
+    it is used, and only the output terms are wrapped back into elements.
+    The heap holds the negated module key (component, -weighted degree,
+    reversed exponents), so the largest term pops first.
+    """
     if not terms:
         return {}
-    mk = ring.module_key
-    work = dict(terms)
+    field = ring.field
+    raw = field.kind != RATIONAL_FUNCTIONS
+    p = field.p if field.kind == PRIME_FIELD else 0
+    weights = ring.weights
+    work = {key: c.payload for key, c in terms.items()} if raw else dict(terms)
     out: dict = {}
-    heap = [(tuple(-x for x in mk(c, m)), c, m) for (c, m) in work]
+    heap = [((c, -sum(map(mul, weights, m))) + m[::-1], c, m) for (c, m) in work]
     heapify(heap)
     while heap:
         _, comp, mono = heappop(heap)
@@ -138,19 +150,25 @@ def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -
             del work[(comp, mono)]
             continue
         budget.spend()
+        neg = -coeff
         for (tc, tm), tv in reducer.terms.items():
-            key = (tc, mono_mul(tm, quotient))
-            delta = coeff * tv
+            m = tuple(map(add, tm, quotient))
+            key = (tc, m)
+            v = neg * (tv.payload if raw else tv)
             cur = work.get(key)
             if cur is None:
-                work[key] = -delta
-                heappush(heap, (tuple(-x for x in mk(*key)),) + key)
+                work[key] = v % p if p else v
+                heappush(heap, ((tc, -sum(map(mul, weights, m))) + m[::-1], tc, m))
             else:
-                nv = cur - delta
-                if nv.is_zero():
-                    del work[key]
+                v += cur
+                if p:
+                    v %= p
+                if v:
+                    work[key] = v
                 else:
-                    work[key] = nv
+                    del work[key]
+    if raw:
+        return {key: FieldElement(field, v) for key, v in out.items()}
     return out
 
 
@@ -268,13 +286,13 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
     def update(h: int):
         row = rows[h]
         comp, lead = row.lt
-        # criterion B on the queued pairs
-        for pair, (c, lcm) in list(live.items()):
-            if c == comp and mono_divides(lead, lcm):
-                i, j = pair
-                if (mono_lcm(rows[i].lt[1], lead) != lcm
-                        and mono_lcm(rows[j].lt[1], lead) != lcm):
-                    del live[pair]
+        # criterion B on the queued pairs, scanned in place
+        doomed = [pair for pair, (c, lcm) in live.items()
+                  if c == comp and mono_divides(lead, lcm)
+                  and mono_lcm(rows[pair[0]].lt[1], lead) != lcm
+                  and mono_lcm(rows[pair[1]].lt[1], lead) != lcm]
+        for pair in doomed:
+            del live[pair]
         # criteria M and F on the new pairs, one candidate per lcm
         candidates: dict = {}  # lcm -> [i, S-vector known to reduce to zero]
         for i in active:
@@ -379,6 +397,16 @@ def _component_leads(gb: GroebnerBasis) -> list:
     return leads
 
 
+def _by_last_var(lead_monomials: list) -> dict:
+    """The lead monomials grouped by their last variable with a nonzero
+    exponent; none of them may be the monomial 1."""
+    by_last_var: dict = {}
+    for lm in lead_monomials:
+        last = max(i for i, e in enumerate(lm) if e)
+        by_last_var.setdefault(last, []).append(lm)
+    return by_last_var
+
+
 def _component_staircase(ring: PolyRing, lead_monomials: list):
     """Staircase monomials for one component, or None when infinite.
 
@@ -395,10 +423,7 @@ def _component_staircase(ring: PolyRing, lead_monomials: list):
         if not pure:
             return None
         bounds.append(min(pure))
-    by_last_var: dict = {}
-    for lm in lead_monomials:
-        last = max(i for i, e in enumerate(lm) if e)
-        by_last_var.setdefault(last, []).append(lm)
+    by_last_var = _by_last_var(lead_monomials)
     out: list = []
     exps = [0] * n
 
@@ -508,6 +533,48 @@ def dimension(gb: GroebnerBasis):
     return total
 
 
+def _component_slice(ring: PolyRing, lead_monomials: list, degree: int) -> list:
+    """Standard monomials of one component at exact weighted degree.
+
+    The same depth-first search as `_component_staircase`, with the same cut
+    on the leads whose last variable is the one being set, but each exponent
+    is bounded by the degree that remains and the last variable's exponent
+    is fixed by it, so only monomials of the degree are ever built.
+    """
+    if degree < 0 or ring.monomial_one in lead_monomials:
+        return []
+    n = ring.nvars
+    if n == 0:
+        return [()] if degree == 0 else []
+    weights = ring.weights
+    by_last_var = _by_last_var(lead_monomials)
+    last = n - 1
+    out: list = []
+    exps = [0] * n
+
+    def walk(var: int, remaining: int):
+        w = weights[var]
+        if var == last:
+            if remaining % w:
+                return
+            exps[var] = remaining // w
+            if not any(all(map(le, lm, exps)) for lm in by_last_var.get(var, ())):
+                out.append(tuple(exps))
+            exps[var] = 0
+            return
+        leads = by_last_var.get(var, ())
+        for e in range(remaining // w + 1):
+            exps[var] = e
+            # exponents past `var` are still zero, as they are in lm
+            if any(all(map(le, lm, exps)) for lm in leads):
+                break  # higher exponents at this variable stay divisible
+            walk(var + 1, remaining - w * e)
+        exps[var] = 0
+
+    walk(0, degree)
+    return out
+
+
 def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     """Staircase entries of exact weighted degree, even when the full
     staircase is infinite.  For modules the degree of (comp, m) includes the
@@ -516,9 +583,7 @@ def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     out = []
     for comp, leads in enumerate(_component_leads(gb)):
         weight = 0 if gb.rank is None else ring.weights[comp]
-        for m in monomials_of_weighted_degree(ring, degree - weight):
-            if not any(mono_divides(lm, m) for lm in leads):
-                out.append((comp, m))
+        out.extend((comp, m) for m in _component_slice(ring, leads, degree - weight))
     out.sort(key=lambda t: ring.module_key(*t))
     if gb.rank is None:
         return [m for _, m in out]

@@ -415,14 +415,15 @@ def monomials_of_weighted_degree(ring: PolyRing, degree: int) -> list:
     """All monomials of exact weighted degree, ascending in the ring order."""
     out: list = []
     exps = list(ring.monomial_one)
+    nvars, weights = ring.nvars, ring.weights
 
     def walk(var: int, remaining: int):
         if remaining == 0:
             out.append(tuple(exps))
             return
-        if var >= ring.nvars:
+        if var >= nvars:
             return
-        w = ring.weights[var]
+        w = weights[var]
         walk(var + 1, remaining)
         for e in range(1, remaining // w + 1):
             exps[var] = e

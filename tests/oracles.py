@@ -4,8 +4,9 @@ test input.
 The oracles are deliberately self-contained: dense monomial tuples,
 Fraction coefficients, and a local Gaussian elimination.  They use nothing
 of the package under test, so an agreement between engine and oracle is a
-real cross-check and not a tautology; `linear_matrix` and `matmul` take the
-package's maps and field elements and use only their public methods.  The
+real cross-check and not a tautology; `linear_matrix`, `matmul`,
+`reference_normal_form` and `reference_slice` take the package's maps,
+field elements and Groebner bases and use only their public methods.  The
 builders at the end (`scalar`, `polynomial`, `vector`) make package
 elements from plain data through its public constructors.
 """
@@ -147,6 +148,80 @@ def linear_matrix(phi) -> list:
         for tm, c in image.terms.items():
             rows[target_index[tm]][j] = c
     return rows
+
+
+def _term_dict(obj) -> dict:
+    """The terms of a polynomial as a module vector of rank 1, or of a
+    module vector as they are: {(component, monomial): coefficient}."""
+    if isinstance(obj, Polynomial):
+        return {(0, m): c for m, c in obj.terms.items()}
+    return dict(obj.terms)
+
+
+def reference_normal_form(f, gb) -> tuple:
+    """(normal form, reduction steps) of f modulo a Groebner basis, by the
+    plain division loop on field elements: the largest remaining term in
+    the ring's module order is cancelled with the first basis element, in
+    basis order, of its component whose lead divides it, or else moved to
+    the remainder.  Reads only `gb.generators` and public element methods."""
+    ring = gb.ring
+    order = lambda t: ring.module_key(*t)
+    reducers: dict = {}
+    for g in gb.generators:
+        terms = _term_dict(g)
+        comp, lead = max(terms, key=order)
+        reducers.setdefault(comp, []).append((lead, terms[(comp, lead)], terms))
+    work = _term_dict(f)
+    out: dict = {}
+    steps = 0
+    while work:
+        comp, mono = max(work, key=order)
+        coeff = work.pop((comp, mono))
+        for lead, lead_coeff, terms in reducers.get(comp, ()):
+            if all(a <= b for a, b in zip(lead, mono)):
+                break
+        else:
+            out[(comp, mono)] = coeff
+            continue
+        steps += 1
+        shift = tuple(b - a for a, b in zip(lead, mono))
+        factor = coeff / lead_coeff
+        for (tc, tm), tv in terms.items():
+            key = (tc, tuple(a + b for a, b in zip(tm, shift)))
+            if key == (comp, mono):
+                continue
+            value = work.pop(key, ring.field.zero()) - factor * tv
+            if not value.is_zero():
+                work[key] = value
+    if isinstance(f, Polynomial):
+        return Polynomial(ring, {m: c for (_, m), c in out.items()}), steps
+    return ModuleVector(ring, f.rank, out), steps
+
+
+def reference_slice(gb, degree: int) -> list:
+    """Staircase entries of exact weighted degree by listing every monomial
+    of the degree and keeping those that no lead monomial of their
+    component divides, in ascending module order; plain monomials for an
+    ideal, (component, monomial) pairs for a module, whose component adds
+    the weight of the variable of the same index."""
+    ring = gb.ring
+    weights = ring.weights
+    leads: dict = {}
+    for g in gb.generators:
+        comp, lead = max(_term_dict(g), key=lambda t: ring.module_key(*t))
+        leads.setdefault(comp, []).append(lead)
+    out = []
+    for comp in range(1 if gb.rank is None else gb.rank):
+        d = degree - (0 if gb.rank is None else weights[comp])
+        if d < 0:
+            continue
+        for m in product(*(range(d // w + 1) for w in weights)):
+            if (sum(w * e for w, e in zip(weights, m)) == d
+                    and not any(all(a <= b for a, b in zip(lm, m))
+                                for lm in leads.get(comp, ()))):
+                out.append((comp, m))
+    out.sort(key=lambda t: ring.module_key(*t))
+    return [m for _, m in out] if gb.rank is None else out
 
 
 def scalar(field, numerator: int, denominator: int = 1):

@@ -8,8 +8,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from unramified.differentials import kaehler
 from unramified.errors import BudgetExceededError
-from unramified.fields import QQ
+from unramified.fields import (
+    QQ,
+    RATIONAL_FUNCTIONS,
+    FieldElement,
+    prime_field,
+    rational_functions,
+)
 from unramified.groebner import (
     GroebnerBasis,
     buchberger,
@@ -22,6 +29,7 @@ from unramified.groebner import (
     staircase_of_degree,
     step_budget,
 )
+from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import (
     ModuleVector,
     PolyRing,
@@ -247,3 +255,108 @@ def test_criterion_detects_non_basis():
     raw = buchberger([X ** 2 - Y])._rows + buchberger([X * Y - 1])._rows
     fake = GroebnerBasis(R, None, raw)
     assert not satisfies_buchberger_criterion(fake)
+
+
+KERNEL_FIELDS = [QQ, prime_field(2), prime_field(7), rational_functions(5)]
+
+
+def _random_scalar(rng, field):
+    if field.kind == RATIONAL_FUNCTIONS:
+        return field.from_ratio((rng.randrange(field.p), rng.randrange(2)))
+    if field == QQ:
+        return oracles.scalar(field, rng.randrange(-4, 5), rng.randrange(1, 4))
+    return field.from_int(rng.randrange(field.p))
+
+
+def _random_element(rng, ring, max_exp, max_terms):
+    terms = [(tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars)),
+              _random_scalar(rng, ring.field)) for _ in range(max_terms)]
+    return oracles.polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_normal_form_equals_the_reference_loop(field):
+    """Ideals and rank-2 modules in a weighted ring: every normal form
+    equals the plain element loop of `oracles` and spends as many steps."""
+    rng = random.Random(field.p + 17)
+    ring = PolyRing(field, ("A", "B"), (1, 2))
+    steps_total = 0
+    for trial in range(4):
+        gens = [_random_element(rng, ring, 3, 3) for _ in range(3)]
+        vecs = [oracles.vector(ring, [_random_element(rng, ring, 2, 2),
+                                      _random_element(rng, ring, 2, 2)]) for _ in range(3)]
+        for gb, make in ((buchberger(gens), lambda: _random_element(rng, ring, 5, 6)),
+                         (buchberger(vecs), lambda: oracles.vector(
+                             ring, [_random_element(rng, ring, 2, 3) for _ in range(2)]))):
+            for _ in range(4):
+                f = make()
+                expected, steps = oracles.reference_normal_form(f, gb)
+                with step_budget(10 ** 6) as budget:
+                    assert normal_form(f, gb) == expected, f"trial {trial}: {f}"
+                assert 10 ** 6 - budget.remaining == steps
+                steps_total += steps
+    assert steps_total > 0
+
+
+def test_normal_form_wraps_only_its_output_terms(monkeypatch):
+    """Over F_p the loop runs on int residues: it makes a field element for
+    each output term and for nothing else."""
+    field = prime_field(7)
+    ring = PolyRing(field, ("A", "B"))
+    A, B = ring.variable("A"), ring.variable("B")
+    gb = buchberger([A ** 3 - 2 * A * B + 3, B ** 2 + A - 1])
+    f = (A + 2 * B + 3) ** 6
+    created = []
+    original = FieldElement.__init__
+
+    def counted(self, *args):
+        created.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    nf = normal_form(f, gb)
+    assert len(created) <= len(nf.terms)
+    monkeypatch.undo()
+    with step_budget(10 ** 6) as budget:
+        assert normal_form(f, gb) == oracles.reference_normal_form(f, gb)[0]
+    assert budget.remaining < 10 ** 6 - 10
+
+
+WEIGHTED_CURVE = """field Fp 5
+ring A:1 B:2 C:3
+rel C^2 + 4*B^3 + 2*A^6 + 3*A^2*B^2 + A*B*C
+mode graded
+"""
+
+
+def _slice_cases():
+    weighted = build_algebra(parse_presentation(WEIGHTED_CURVE))
+    square = build_algebra(parse_presentation("field QQ\nring X:1 Y:1\nrel X^2 - Y^2\n"
+                                              "mode graded\n"))
+    ring = PolyRing(QQ, ("X", "Y", "Z"), (2, 1, 3))
+    Xw, Yw, Zw = (ring.variable(v) for v in ring.names)
+    empty = PolyRing(QQ, ())
+    return {
+        "weighted curve": weighted.groebner,
+        "weighted curve, Kaehler module": kaehler(weighted).groebner,
+        "square difference, Kaehler module": kaehler(square).groebner,
+        "weighted ideal, infinite": buchberger([Xw * Yw - Zw * Yw, Yw ** 4]),
+        "weighted module": buchberger([oracles.vector(ring, [Xw, Yw ** 2, ring.zero()]),
+                                       oracles.vector(ring, [ring.zero(), Zw, Xw * Yw])]),
+        "finite quotient": buchberger([X ** 2, X * Y, Y ** 3]),
+        "unit ideal": buchberger([X, X + 1]),
+        "zero ideal": buchberger([R.zero()]),
+        "unit module component": buchberger([oracles.vector(R, [R.one(), X])]),
+        "no variables": buchberger([empty.zero()]),
+        "no variables, unit ideal": buchberger([empty.one()]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_slice_cases()))
+def test_staircase_of_degree_equals_list_and_filter(name):
+    """The pruned walk against listing every monomial of the degree and
+    filtering; degrees from 0 up include, for modules, the degrees below a
+    component's weight."""
+    gb = _slice_cases()[name]
+    for degree in range(-1, 13):
+        assert staircase_of_degree(gb, degree) == oracles.reference_slice(gb, degree), degree
