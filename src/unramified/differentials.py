@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import groebner, linalg
 from .algebras import MODE_GRADED, AlgebraMap, QuotientAlgebra
@@ -26,6 +27,7 @@ from .polynomials import (
     ModuleVector,
     Polynomial,
     PolyRing,
+    _accumulate,
     cast,
     partial_derivative,
     substitute,
@@ -192,20 +194,34 @@ def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bo
     return True
 
 
-def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
-    """Basis of the homogeneous elements of the given positive degree killed
-    by the universal derivation, by exact linear algebra on the degree slice.
+def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict):
+    """d(mono) reduced, for a standard monomial of the given degree.  Let x_j
+    be mono's last variable with a nonzero exponent and m' = mono / x_j.
+    When `images` records the degree of m', d(x_j m') = x_j dm' + m' dX_j
+    and the relation submodule is a submodule over P, so the image is
+    NF(x_j NF(dm') + m' dX_j); a divisor of a standard monomial is
+    standard, so NF(dm') is recorded.  Otherwise d(mono) is reduced from
+    scratch."""
+    ring = module.algebra.ring
+    j = max(i for i, e in enumerate(mono) if e)
+    below = images.get(degree - ring.weights[j])
+    if below is None:
+        return module.d_image(Polynomial(ring, {mono: ring.field.one()}))
+    shift = tuple(int(i == j) for i in range(ring.nvars))
+    prev = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
+    terms = {(c, tuple(map(add, m, shift))): v for (c, m), v in below[prev].terms.items()}
+    _accumulate(terms, (((j, prev), ring.field.one()),))
+    return module.reduce(ModuleVector(ring, module.rank, terms))
 
-    The algebra must be in graded mode; the module Groebner basis is
-    homogeneous, so normal forms of homogeneous vectors stay in the degree
-    slice and the slice matrix is exact.
-    """
-    if algebra.presentation.mode != MODE_GRADED:
-        raise ValueError("kernel computation requires a graded presentation")
-    if degree < 1:
-        raise ValueError("degree must be positive")
+
+def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> list:
+    """Kernel basis of d on the degree slice, recording the reduced image of
+    every standard monomial of the degree in images[degree].  `images` maps
+    lower degrees to such records, which `_reduced_image` reads.  Normal
+    forms are unique, so the basis does not depend on what is recorded."""
     module = kaehler(algebra)
     domain = staircase_of_degree(algebra.groebner, degree)
+    images[degree] = recorded = {}
     if not domain:
         return []
     codomain = staircase_of_degree(module.groebner, degree)
@@ -215,7 +231,7 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     rows = [[zero] * len(domain) for _ in codomain]
     ring = algebra.ring
     for j, mono in enumerate(domain):
-        image = module.d_image(Polynomial(ring, {mono: field.one()}))
+        recorded[mono] = image = _reduced_image(module, mono, degree, images)
         for key, c in image.terms.items():
             if key not in index:
                 raise ComputationError(
@@ -227,6 +243,36 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
         terms = {m: c for m, c in zip(domain, vec) if not c.is_zero()}
         basis.append(Polynomial(ring, terms))
     return basis
+
+
+def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
+    """Basis of the homogeneous elements of the given positive degree killed
+    by the universal derivation, by exact linear algebra on the degree slice.
+
+    The algebra must be in graded mode; the module Groebner basis is
+    homogeneous, so normal forms of homogeneous vectors stay in the degree
+    slice and the slice matrix is exact.  Every image is reduced from
+    scratch: for one degree that is cheaper than walking up from degree 1
+    by the Leibniz rule, as `veronese_containment_check` does.
+    """
+    if algebra.presentation.mode != MODE_GRADED:
+        raise ValueError("kernel computation requires a graded presentation")
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    return _kernel_in_degree(algebra, degree, {})
+
+
+def _walked_kernels(algebra: QuotientAlgebra, max_degree: int):
+    """The kernel bases of degrees 1..max_degree in turn, every image
+    reduced by the Leibniz rule from the images of the degrees below."""
+    ring = algebra.ring
+    # degree d reads the images of degrees d - w_j, so only the last
+    # max(w_j) degrees are kept; the walk starts from d(1) = 0
+    images = {0: {ring.monomial_one: ModuleVector(ring, ring.nvars, {})}}
+    width = max(ring.weights, default=1)
+    for d in range(1, max_degree + 1):
+        yield _kernel_in_degree(algebra, d, images)
+        images.pop(d - width, None)
 
 
 @dataclass(frozen=True)
@@ -250,10 +296,12 @@ def veronese_containment_check(algebra: QuotientAlgebra, max_degree: int) -> Ver
         raise ValueError("the containment statement concerns positive characteristic")
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
+    if algebra.presentation.mode != MODE_GRADED:
+        raise ValueError("kernel computation requires a graded presentation")
     dims = {}
     ok = True
-    for d in range(1, max_degree + 1):
-        dims[d] = len(derivation_kernel_in_degree(algebra, d))
+    for d, basis in enumerate(_walked_kernels(algebra, max_degree), 1):
+        dims[d] = len(basis)
         if d % p != 0 and dims[d] != 0:
             ok = False
     return VeroneseReport(p, max_degree, dims, ok)

@@ -258,6 +258,8 @@ SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
     (["verify", "killing"], "killing.json", 0),
     (["verify", "euler", "--trials", "100", "--field", "Fp:3"], "euler_100_fp3.json", 0),
     (["verify", "gabber", "--steps", "1", "--start", "z5.alg"], "gabber_z5_steps1.json", 0),
+    (["veronese", "--file", "weighted_curve_f5.alg", "--max-deg", "12"],
+     "veronese_weighted_curve_f5_12.json", 0),
 ])
 def test_golden_outputs(argv, name, code, capsys, monkeypatch):
     """JSON output and exit code of README verbs, byte for byte; `--base`

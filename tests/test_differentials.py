@@ -15,6 +15,7 @@ from unramified.algebras import (
     make_quotient,
 )
 from unramified.differentials import (
+    _walked_kernels,
     derivation_kernel_in_degree,
     induced_map_on_omega,
     is_omega_zero,
@@ -24,6 +25,8 @@ from unramified.differentials import (
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field, rational_functions
+from unramified.groebner import step_budget
+from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import (
     ModuleVector,
     PolyRing,
@@ -245,6 +248,12 @@ def test_degree_times_kernel_element_vanishes():
                 assert algebra.is_zero_element(f.scale(degree))
 
 
+def _assert_walk_equals_single_degrees(algebra, max_degree):
+    walked = list(_walked_kernels(algebra, max_degree))
+    assert walked == [derivation_kernel_in_degree(algebra, d)
+                      for d in range(1, max_degree + 1)]
+
+
 def test_degree_times_kernel_element_vanishes_randomized():
     from unramified.polynomials import monomials_of_weighted_degree
     rng = random.Random(31)
@@ -266,6 +275,7 @@ def test_degree_times_kernel_element_vanishes_randomized():
             if not rel.is_zero():
                 relations.append(rel)
         algebra = make_quotient(Presentation(ring, tuple(relations), MODE_GRADED))
+        _assert_walk_equals_single_degrees(algebra, 6)
         for degree in range(1, 7):
             for f in derivation_kernel_in_degree(algebra, degree):
                 assert algebra.is_zero_element(f.scale(degree))
@@ -298,3 +308,86 @@ def test_finite_omega_dimension_cross_check(b5, dual_numbers):
         rank = linalg.rank(rows, len(basis) * module.rank, field)
         assert dim_module == len(basis) * module.rank - rank
         assert module.is_zero() == (dim_module == 0)
+
+
+# The forms of the `graded` benchmark, unscaled: (field, ring, relations,
+# highest degree checked there).
+GRADED_FORMS = {
+    "plane cubic": ("Fp 3", "X:1 Y:1 Z:1",
+                    ("X*Y^2 + Y^3 + X*Y*Z + 2*Y^2*Z + X*Z^2 + Z^3",), 24),
+    "weighted curve": ("Fp 5", "X:1 Y:2 Z:3",
+                       ("Z^2 + 4*Y^3 + 2*X^6 + 3*X^2*Y^2 + X*Y*Z",), 24),
+    "two quadrics": ("Fp 2", "X:1 Y:1 Z:1 W:1",
+                     ("X^2 + Y*Z + Z*W + X*W", "Y^2 + X*Z + Y*W + W^2"), 16),
+}
+
+
+def _graded_form(name):
+    field, ring, relations, max_degree = GRADED_FORMS[name]
+    text = "\n".join([f"field {field}", f"ring {ring}",
+                      *(f"rel {r}" for r in relations), "mode graded"])
+    return build_algebra(parse_presentation(text + "\n")), max_degree
+
+
+@pytest.mark.parametrize("name", list(GRADED_FORMS))
+def test_walked_kernels_equal_single_degrees_on_graded_forms(name):
+    _assert_walk_equals_single_degrees(*_graded_form(name))
+
+
+def test_walked_kernels_equal_single_degrees_over_rational_functions():
+    field = rational_functions(5)
+    ring = PolyRing(field, ("U", "V"), (1, 2))
+    U, V = ring.variable("U"), ring.variable("V")
+    relation = U ** 4 + (U ** 2 * V).scale(field.generator()) + V ** 2
+    algebra = make_quotient(Presentation(ring, (relation,), MODE_GRADED))
+    _assert_walk_equals_single_degrees(algebra, 7)
+
+
+def test_walked_kernels_without_variables():
+    """The algebra is the field: every positive degree is empty."""
+    field_only = make_quotient(Presentation(PolyRing(prime_field(2), ()), (), MODE_GRADED))
+    _assert_walk_equals_single_degrees(field_only, 4)
+    report = veronese_containment_check(field_only, 4)
+    assert report.passed and report.kernel_dimensions == {1: 0, 2: 0, 3: 0, 4: 0}
+
+
+def test_walked_kernels_through_empty_degrees():
+    """Weights 2 and 3 leave degree 1 empty, and k[X, Y]/(X^2, Y^2) has
+    nothing above the degree 5 of XY: the walk reads past empty degrees
+    and ends in them."""
+    ring = PolyRing(prime_field(3), ("X", "Y"), (2, 3))
+    X_, Y_ = ring.variable("X"), ring.variable("Y")
+    sparse = make_quotient(Presentation(ring, (), MODE_GRADED))
+    assert derivation_kernel_in_degree(sparse, 1) == []
+    _assert_walk_equals_single_degrees(sparse, 12)
+    short = make_quotient(Presentation(ring, (X_ ** 2, Y_ ** 2), MODE_GRADED))
+    assert [derivation_kernel_in_degree(short, d) for d in range(6, 9)] == [[]] * 3
+    _assert_walk_equals_single_degrees(short, 9)
+
+
+# Reduction steps on each form: `veronese_containment_check` when every
+# image was reduced from scratch, the same check by the Leibniz rule, and
+# `derivation_kernel_in_degree` at the highest degree alone.  The weighted
+# curve needs a window of three degrees.
+STEPS = {"plane cubic": (17167, 2820, 2820), "weighted curve": (411, 45, 62),
+         "two quadrics": (2494, 59, 451)}
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_walk_spends_fewer_reduction_steps(name):
+    algebra, max_degree = _graded_form(name)
+    algebra.groebner, kaehler(algebra)  # built outside the counted block
+    with step_budget(10 ** 6) as budget:
+        assert veronese_containment_check(algebra, max_degree).passed
+    assert 10 ** 6 - budget.remaining <= STEPS[name][1]
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_single_degree_is_reduced_from_scratch(name):
+    """The highest degree alone spends what it spent before the walk
+    existed: a single degree reads no table."""
+    algebra, max_degree = _graded_form(name)
+    algebra.groebner, kaehler(algebra)
+    with step_budget(10 ** 6) as budget:
+        derivation_kernel_in_degree(algebra, max_degree)
+    assert 10 ** 6 - budget.remaining == STEPS[name][2]
