@@ -15,9 +15,9 @@ from .groebner import GroebnerBasis, Staircase, buchberger, normal_form
 from .polynomials import (
     PolyRing,
     Polynomial,
+    _standard_monomials,
     cast,
     is_homogeneous,
-    monomials_of_weighted_degree,
     substitute,
 )
 
@@ -141,10 +141,11 @@ def make_quotient(presentation: Presentation) -> QuotientAlgebra:
 def _power_generators(ring: PolyRing, n: int) -> list:
     """Monomial generators of the n-th power of the irrelevant ideal
     (X_1, ..., X_s); unweighted total degree is used, matching the maximal
-    ideal of the local model."""
-    unweighted = PolyRing(ring.field, ring.names)
+    ideal of the local model.  They share the total degree n, so in the
+    unweighted ring order they ascend as their reversed exponents descend."""
+    monos = _standard_monomials((1,) * ring.nvars, (), n, n)
     return [Polynomial(ring, {m: ring.field.one()})
-            for m in monomials_of_weighted_degree(unweighted, n)]
+            for m in sorted(monos, key=lambda m: m[::-1], reverse=True)]
 
 
 def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:

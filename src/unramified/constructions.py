@@ -468,7 +468,9 @@ def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,
     certificates: dict = {}      # generator name -> certificate in current's ring
     for name in order:
         r = current.ring.variable(names[name])
-        held = next((c for c in known + list(certificates.values())
+        # a step's certificate is for the generator it killed, never visited
+        # again, so only the certificates R came with can match
+        held = next((c for c in known
                      if c.element == r and certifies_d_zero(current, c, r)), None)
         if held is not None:
             certificates[name] = held
@@ -755,15 +757,16 @@ def standard_local_corpus(count: int = 20, seed: int = 0) -> list:
 # The Euler identity on random homogeneous polynomials
 # ---------------------------------------------------------------------------
 
-def _random_homogeneous(rng: random.Random, field: FieldDescriptor,
-                        max_vars: int = 4, max_weight: int = 4,
-                        max_degree: int = 12):
-    nvars = rng.randrange(1, max_vars + 1)
+def _random_homogeneous(rng: random.Random, field: FieldDescriptor):
+    """A ring of 1 to 4 variables of weights 1 to 4, and a random form in it
+    of degree 1 to 12 with its degree; the zero form and degree 0 when 50
+    draws of a degree find no monomial."""
+    nvars = rng.randrange(1, 5)
     names = tuple(f"X{i}" for i in range(1, nvars + 1))
-    weights = tuple(rng.randrange(1, max_weight + 1) for _ in range(nvars))
+    weights = tuple(rng.randrange(1, 5) for _ in range(nvars))
     ring = PolyRing(field, names, weights)
     for _ in range(50):
-        degree = rng.randrange(1, max_degree + 1)
+        degree = rng.randrange(1, 13)
         monos = monomials_of_weighted_degree(ring, degree)
         if monos:
             break

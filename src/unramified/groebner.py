@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul
+from operator import add, mul
 
 from .errors import BudgetExceededError
 from .fields import PRIME_FIELD, RATIONAL_FUNCTIONS, FieldElement
@@ -34,6 +34,7 @@ from .polynomials import (
     PolyRing,
     Polynomial,
     _accumulate,
+    _standard_monomials,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -397,52 +398,6 @@ def _component_leads(gb: GroebnerBasis) -> list:
     return leads
 
 
-def _by_last_var(lead_monomials: list) -> dict:
-    """The lead monomials grouped by their last variable with a nonzero
-    exponent; none of them may be the monomial 1."""
-    by_last_var: dict = {}
-    for lm in lead_monomials:
-        last = max(i for i, e in enumerate(lm) if e)
-        by_last_var.setdefault(last, []).append(lm)
-    return by_last_var
-
-
-def _component_staircase(ring: PolyRing, lead_monomials: list):
-    """Staircase monomials for one component, or None when infinite.
-
-    Enumerated by depth-first search over exponent vectors with divisibility
-    pruning: once a partial monomial is divisible by a leading term, every
-    deeper or higher-exponent extension is too, so whole subtrees are cut.
-    """
-    if ring.monomial_one in lead_monomials:
-        return []
-    n = ring.nvars
-    bounds = []
-    for var in range(n):
-        pure = [m[var] for m in lead_monomials if sum(m) == m[var]]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    by_last_var = _by_last_var(lead_monomials)
-    out: list = []
-    exps = [0] * n
-
-    def walk(var: int):
-        if var == n:
-            out.append(tuple(exps))
-            return
-        for e in range(bounds[var]):
-            exps[var] = e
-            # exponents past `var` are still zero, as they are in lm
-            if any(all(map(le, lm, exps)) for lm in by_last_var.get(var, ())):
-                break  # higher exponents at this variable stay divisible
-            walk(var + 1)
-        exps[var] = 0
-
-    walk(0)
-    return out
-
-
 def staircase(gb: GroebnerBasis) -> Staircase:
     """Monomials outside the leading-term ideal (submodule).  Finite exactly
     when the quotient is a finite-dimensional vector space; its cardinality
@@ -450,10 +405,14 @@ def staircase(gb: GroebnerBasis) -> Staircase:
     ring = gb.ring
     entries = []
     for comp, leads in enumerate(_component_leads(gb)):
-        monos = _component_staircase(ring, leads)
-        if monos is None:
-            return Staircase(None)
-        entries.extend((comp, m) for m in monos)
+        # every standard monomial lies below each variable's least pure power
+        top = 0
+        for var, w in enumerate(ring.weights):
+            pure = [m[var] for m in leads if sum(m) == m[var]]
+            if not pure:
+                return Staircase(None)
+            top += (min(pure) - 1) * w
+        entries.extend((comp, m) for m in _standard_monomials(ring.weights, leads, 0, top))
     entries.sort(key=lambda t: ring.module_key(*t))
     if gb.rank is None:
         return Staircase(tuple(m for _, m in entries))
@@ -533,48 +492,6 @@ def dimension(gb: GroebnerBasis):
     return total
 
 
-def _component_slice(ring: PolyRing, lead_monomials: list, degree: int) -> list:
-    """Standard monomials of one component at exact weighted degree.
-
-    The same depth-first search as `_component_staircase`, with the same cut
-    on the leads whose last variable is the one being set, but each exponent
-    is bounded by the degree that remains and the last variable's exponent
-    is fixed by it, so only monomials of the degree are ever built.
-    """
-    if degree < 0 or ring.monomial_one in lead_monomials:
-        return []
-    n = ring.nvars
-    if n == 0:
-        return [()] if degree == 0 else []
-    weights = ring.weights
-    by_last_var = _by_last_var(lead_monomials)
-    last = n - 1
-    out: list = []
-    exps = [0] * n
-
-    def walk(var: int, remaining: int):
-        w = weights[var]
-        if var == last:
-            if remaining % w:
-                return
-            exps[var] = remaining // w
-            if not any(all(map(le, lm, exps)) for lm in by_last_var.get(var, ())):
-                out.append(tuple(exps))
-            exps[var] = 0
-            return
-        leads = by_last_var.get(var, ())
-        for e in range(remaining // w + 1):
-            exps[var] = e
-            # exponents past `var` are still zero, as they are in lm
-            if any(all(map(le, lm, exps)) for lm in leads):
-                break  # higher exponents at this variable stay divisible
-            walk(var + 1, remaining - w * e)
-        exps[var] = 0
-
-    walk(0, degree)
-    return out
-
-
 def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     """Staircase entries of exact weighted degree, even when the full
     staircase is infinite.  For modules the degree of (comp, m) includes the
@@ -583,7 +500,8 @@ def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     out = []
     for comp, leads in enumerate(_component_leads(gb)):
         weight = 0 if gb.rank is None else ring.weights[comp]
-        out.extend((comp, m) for m in _component_slice(ring, leads, degree - weight))
+        d = degree - weight
+        out.extend((comp, m) for m in _standard_monomials(ring.weights, leads, d, d))
     out.sort(key=lambda t: ring.module_key(*t))
     if gb.rank is None:
         return [m for _, m in out]

@@ -27,20 +27,24 @@ def row_reduce(rows: list, ncols: int, field: FieldDescriptor) -> tuple:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
+        # rows from r on, the pivot row among them, are zero left of column
+        # c, so only columns c and after change
+        pivot = work[r]
         if p:
-            inv = pow(work[r][c], -1, p)
-            pivot = work[r] = [v * inv % p for v in work[r]]
+            inv = pow(pivot[c], -1, p)
+            pivot[c:] = [v * inv % p for v in pivot[c:]]
         else:
-            inv = work[r][c].inverse()
-            pivot = work[r] = [v * inv for v in work[r]]
+            inv = pivot[c].inverse()
+            pivot[c:] = [v * inv for v in pivot[c:]]
+        tail = pivot[c:]
         for i, row in enumerate(work):
             factor = row[c]
             if i == r or not factor:
                 continue
             if p:
-                work[i] = [(a - factor * b) % p for a, b in zip(row, pivot)]
+                row[c:] = [(a - factor * b) % p for a, b in zip(row[c:], tail)]
             else:
-                work[i] = [a - factor * b for a, b in zip(row, pivot)]
+                row[c:] = [a - factor * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(work):

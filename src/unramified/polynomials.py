@@ -411,30 +411,58 @@ def substitute(p: Polynomial, images: dict, target: PolyRing) -> Polynomial:
     return total
 
 
-def monomials_of_weighted_degree(ring: PolyRing, degree: int) -> list:
-    """All monomials of exact weighted degree, ascending in the ring order."""
+def _standard_monomials(weights: tuple, leads, lo: int, hi: int) -> list:
+    """The exponent vectors whose weighted degree lies in [lo, hi] and that
+    no monomial of `leads` divides, in no particular order.
+
+    Depth-first search over the variables in turn.  A lead is tested at the
+    variable of its last nonzero exponent, where the exponents past it are
+    still zero, as they are in the lead; once it divides, every higher
+    exponent there does too, so the loop breaks.  When the partial degree
+    reaches hi every later exponent is zero, and the last variable's
+    exponents are bounded by the window from both sides, so only monomials
+    of the window are built.
+    """
+    n = len(weights)
+    if hi < max(lo, 0):
+        return []
+    by_last_var: dict = {}
+    for lm in leads:
+        nonzero = [i for i, e in enumerate(lm) if e]
+        if not nonzero:
+            return []  # the lead 1 divides every monomial
+        by_last_var.setdefault(nonzero[-1], []).append(lm)
+    last = n - 1
     out: list = []
-    exps = list(ring.monomial_one)
-    nvars, weights = ring.nvars, ring.weights
+    exps = [0] * n
 
     def walk(var: int, remaining: int):
-        if remaining == 0:
-            out.append(tuple(exps))
-            return
-        if var >= nvars:
+        if var == n or remaining == 0:
+            if hi - remaining >= lo:
+                out.append(tuple(exps))
             return
         w = weights[var]
-        walk(var + 1, remaining)
-        for e in range(1, remaining // w + 1):
+        divisors = by_last_var.get(var, ())
+        # only the last variable's exponent can reach lo from below
+        first = max(0, -((hi - lo - remaining) // w)) if var == last else 0
+        for e in range(first, remaining // w + 1):
             exps[var] = e
-            walk(var + 1, remaining - w * e)
+            if divisors and any(all(map(le, lm, exps)) for lm in divisors):
+                break  # higher exponents at this variable stay divisible
+            if var == last:
+                out.append(tuple(exps))
+            else:
+                walk(var + 1, remaining - w * e)
         exps[var] = 0
 
-    if degree < 0:
-        return []
-    walk(0, degree)
-    out.sort(key=ring.monomial_key)
+    walk(0, hi)
     return out
+
+
+def monomials_of_weighted_degree(ring: PolyRing, degree: int) -> list:
+    """All monomials of exact weighted degree, ascending in the ring order."""
+    return sorted(_standard_monomials(ring.weights, (), degree, degree),
+                  key=ring.monomial_key)
 
 
 # ---------------------------------------------------------------------------

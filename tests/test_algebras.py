@@ -67,6 +67,21 @@ def test_artinian_b5_matches_truncation_oracle(b5):
     assert B.stabilization_exponent == exponent
 
 
+def test_artinian_model_truncates_by_unweighted_degree():
+    """m^N is generated by the monomials of total degree N, whatever the
+    weights, so a weighted ring gives the unweighted dimension and N."""
+    W = PolyRing(QQ, ("X", "Y"), (2, 3))
+    U, V = W.variable("X"), W.variable("Y")
+    for plain, weighted in (
+            ([X ** 2, Y ** 3], [U ** 2, V ** 3]),
+            ([X * (2 * Y ** 2 + 5 * X ** 3), Y * (2 * X ** 2 + 5 * Y ** 3)],
+             [U * (2 * V ** 2 + 5 * U ** 3), V * (2 * U ** 2 + 5 * V ** 3)])):
+        expected = artinian_local_model(R, plain)
+        model = artinian_local_model(W, weighted)
+        assert model.dimension == expected.dimension
+        assert model.stabilization_exponent == expected.stabilization_exponent
+
+
 def test_artinian_requires_m_primary():
     with pytest.raises(NotMPrimaryError, match="truncation limit m\\^64"):
         artinian_local_model(R, [X])

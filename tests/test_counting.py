@@ -6,7 +6,7 @@ against the dense matrix of `oracles.linear_matrix`; and the powers of g
 taken in B_t against the powers expanded in the polynomial ring."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -67,6 +67,32 @@ def monomial_bases(draw):
 @given(monomial_bases())
 def test_count_equals_enumeration(gb):
     assert dimension(gb) == staircase(gb).dimension
+
+
+@SETTINGS
+@given(monomial_bases())
+def test_staircase_is_the_union_of_its_degree_slices(gb):
+    """The full staircase and the slices come from one walk over different
+    degree windows; a module's components take the weights of the variables
+    of the same index, so only modules of rank at most nvars have slices."""
+    assume(gb.rank is None or gb.rank <= gb.ring.nvars)
+    ring = gb.ring
+    stairs = staircase(gb)
+    if not stairs.finite:
+        assert dimension(gb) is None
+        return
+    if gb.rank is None:
+        degree, key = ring.weighted_degree, ring.monomial_key
+    else:
+        def degree(entry):
+            return ring.weighted_degree(entry[1]) + ring.weights[entry[0]]
+
+        def key(entry):
+            return ring.module_key(*entry)
+    top = max(map(degree, stairs.monomials), default=0)
+    slices = [e for d in range(top + 3) for e in staircase_of_degree(gb, d)]
+    assert tuple(sorted(slices, key=key)) == stairs.monomials
+    assert len(slices) == dimension(gb)
 
 
 @pytest.fixture(scope="module")

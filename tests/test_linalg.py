@@ -19,6 +19,18 @@ def test_rank_and_rref():
     assert linalg.rank(rows, 3, QQ) == 2
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=str)
+def test_row_reduce_leaves_its_input_alone(field):
+    """The reduction updates its working rows in place; the caller's rows
+    and their lists stay as they were."""
+    rows = M(field, [[0, 2, 1, 3], [1, 1, 0, 2], [2, 0, 4, 1]])
+    snapshot = [list(row) for row in rows]
+    lists = [id(row) for row in rows]
+    linalg.row_reduce(rows, 4, field)
+    assert rows == snapshot
+    assert [id(row) for row in rows] == lists
+
+
 def test_kernel_basis():
     rows = M(QQ, [[1, 0, -1], [0, 1, 2]])
     basis = linalg.kernel_basis(rows, 3, QQ)

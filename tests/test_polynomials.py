@@ -1,6 +1,7 @@
 """Polynomial arithmetic, weighted gradings, partial derivatives, and the
 Euler operator."""
 
+import itertools
 import random
 
 import pytest
@@ -190,6 +191,17 @@ def test_monomials_of_weighted_degree():
     assert as_polys == {"X^3", "Y^2"}
     assert monomials_of_weighted_degree(ring, 1) == []
     assert monomials_of_weighted_degree(ring, 0) == [(0, 0)]
+
+
+@pytest.mark.parametrize("weights", [(1, 2, 3), (2, 3), (1, 1, 1), ()])
+def test_monomials_of_weighted_degree_equal_a_filtered_product(weights):
+    ring = PolyRing(QQ, tuple(f"X{i}" for i in range(len(weights))), weights)
+    for degree in range(-1, 13):
+        expected = sorted(
+            (m for m in itertools.product(range(max(degree, 0) + 1), repeat=len(weights))
+             if ring.weighted_degree(m) == degree),
+            key=ring.monomial_key)
+        assert monomials_of_weighted_degree(ring, degree) == expected, degree
 
 
 def test_module_vectors():
