@@ -7,7 +7,7 @@ realizes power-series quotients as finite-dimensional polynomial quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import groebner, linalg
 from .errors import NotMPrimaryError
@@ -51,21 +51,18 @@ class Presentation:
 
 class QuotientAlgebra:
     """P/I; equality of elements is equality of normal forms against the
-    reduced Groebner basis of I.  The basis is given, or built on first use
-    by a function of no arguments, so that a construction whose claims need
-    no normal form in the algebra never builds it.  The dimension is counted
+    reduced Groebner basis of I.  The basis is built on first use by
+    `build`, a function of no arguments, so that a construction whose claims
+    need no normal form in the algebra never builds it.  The dimension is counted
     from the leading monomials on first use and cached, as is the locality
     test; a construction that has proved the dimension may hand it over
     instead.  The staircase, a monomial basis, is enumerated only when a
     basis is asked for, and cached too.  Instances are immutable after
     construction (apart from those one-time caches) and safe to share."""
 
-    def __init__(self, presentation: Presentation, basis, *, dimension=None):
+    def __init__(self, presentation: Presentation, build, *, dimension=None):
         self.presentation = presentation
-        if isinstance(basis, GroebnerBasis):
-            self.groebner = basis  # fills the cached property
-        else:
-            self._build = basis
+        self._build = build
         if dimension is not None:
             self.dimension = dimension
         # the N of the local model P/(I + m^N); set by artinian_local_model
@@ -73,9 +70,8 @@ class QuotientAlgebra:
 
     @cached_property
     def groebner(self) -> GroebnerBasis:
-        """The reduced Groebner basis of the relations.  A basis that was
-        not given is built here, spending from the step budget in force at
-        first use."""
+        """The reduced Groebner basis of the relations, built here on first
+        use and spending from the step budget in force then."""
         basis = self._build()
         del self._build
         return basis
@@ -134,8 +130,8 @@ class QuotientAlgebra:
 
 def make_quotient(presentation: Presentation) -> QuotientAlgebra:
     """Quotient by the relations as a plain polynomial ideal."""
-    basis = buchberger(presentation.relations or [presentation.ring.zero()])
-    return QuotientAlgebra(presentation, basis)
+    return QuotientAlgebra(presentation, partial(
+        buchberger, presentation.relations or [presentation.ring.zero()]))
 
 
 def _power_generators(ring: PolyRing, n: int) -> list:
@@ -169,8 +165,8 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
     for n in range(1, DEFAULT_POWER_CAP + 2):
         relations = tuple(gens) + tuple(_power_generators(ring, n))
         algebra = QuotientAlgebra(Presentation(ring, relations, MODE_LOCAL),
-                                  buchberger(relations))
-        if prev is not None and algebra.dimension == prev.dimension:
+                                  partial(buchberger, relations))
+        if prev is not None and prev.dimension == algebra.dimension:
             prev.stabilization_exponent = n - 1
             return prev
         prev = algebra
@@ -235,15 +231,15 @@ def tensor_quotient(algebras: list) -> tuple:
     The factors live in disjoint sets of variables, so every pair of rows
     from different factors has coprime leading terms and the union of the
     factors' renamed reduced bases is the reduced basis of the product; it
-    is taken as it is.  A factor whose basis is {1} makes the product's
+    is taken as it is, on first use of the product's basis, and no factor's
+    basis is read before.  A factor whose basis is {1} makes the product's
     basis {1}.
     """
     presentation, renamings = tensor_many(algebras)
     ring = presentation.ring
-    known = [cast(g, ring, rename)
-             for a, rename in zip(algebras, renamings) for g in a.groebner]
-    basis = buchberger([ring.zero()], start=known)
-    return QuotientAlgebra(presentation, basis), renamings
+    factors = list(zip(algebras, renamings))
+    return QuotientAlgebra(presentation, lambda: buchberger([ring.zero()], start=[
+        cast(g, ring, rename) for a, rename in factors for g in a.groebner])), renamings
 
 
 class AlgebraMap:

@@ -352,8 +352,13 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
       module; the result carries that certificate.  The relation added is
       r - (g_1 + ... + g_(t-1)) unreduced, which the identity needs; R' is
       the same algebra as with r - NF(g).
-    No staircase larger than R's is enumerated.
+    No staircase larger than R's is enumerated.  A field of positive
+    characteristic is refused before any work: the Clebsch-Gordan rule
+    holds in characteristic zero only.
     """
+    if R.field.characteristic != 0:
+        raise ValueError("the killing step needs characteristic zero: the "
+                         "Clebsch-Gordan rule gives the Jordan type of g only there")
     r_reduced = R.reduce(r)
     if r_reduced.is_zero():
         raise ValueError("r must be nonzero in R")

@@ -495,8 +495,12 @@ def dimension(gb: GroebnerBasis):
 def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     """Staircase entries of exact weighted degree, even when the full
     staircase is infinite.  For modules the degree of (comp, m) includes the
-    weight of the component's variable."""
+    weight of variable comp, so component i is weighted by variable i and
+    the rank may not exceed the number of variables."""
     ring = gb.ring
+    if gb.rank is not None and gb.rank > ring.nvars:
+        raise ValueError(f"a module of rank {gb.rank} over {ring.nvars} variables "
+                         "has no variable to weight every component")
     out = []
     for comp, leads in enumerate(_component_leads(gb)):
         weight = 0 if gb.rank is None else ring.weights[comp]

@@ -18,7 +18,6 @@ from operator import add, le, mul, sub
 from .fields import (
     FIELD_VARIABLE,
     RATIONAL_FUNCTIONS,
-    RATIONALS,
     FieldDescriptor,
     FieldElement,
     format_scalar,
@@ -520,19 +519,14 @@ def format_monomial(ring: PolyRing, m: Monomial) -> str:
 
 def _coefficient_text(c: FieldElement) -> tuple:
     """(sign, magnitude text, needs_parens) for use inside a term."""
-    kind = c.field.kind
-    if kind == RATIONAL_FUNCTIONS:
-        text = format_scalar(c)
+    text = format_scalar(c)
+    if c.field.kind == RATIONAL_FUNCTIONS:
         num, den = c.payload
         simple = den == (1,) and sum(1 for x in num if x) == 1
         return "+", text, not simple
-    if kind == RATIONALS:
-        f = c.payload
-        sign = "-" if f < 0 else "+"
-        mag = -f if f < 0 else f
-        text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        return sign, text, False
-    return "+", str(c.payload), False
+    if text.startswith("-"):
+        return "-", text[1:], False
+    return "+", text, False
 
 
 def format_polynomial(p: Polynomial) -> str:

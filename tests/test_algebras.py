@@ -23,9 +23,11 @@ from unramified.algebras import (
     nilpotency_index,
     quotient_by,
     tensor_many,
+    tensor_quotient,
 )
-from unramified.errors import NotMPrimaryError
+from unramified.errors import BudgetExceededError, NotMPrimaryError
 from unramified.fields import QQ, prime_field
+from unramified.groebner import buchberger, step_budget
 from unramified.polynomials import PolyRing, Polynomial, format_polynomial
 
 R = PolyRing(QQ, ("X", "Y"))
@@ -131,6 +133,54 @@ def test_tensor_products(b5, dual_numbers):
     with pytest.raises(ValueError):
         tensor_many([dual_numbers, make_quotient(
             Presentation(PolyRing(prime_field(2), ("W",)), ()))])
+
+
+def _built(algebra) -> bool:
+    return "groebner" in vars(algebra)
+
+
+def test_a_plain_quotient_builds_its_basis_when_first_read():
+    for relations in [(X ** 2 - Y, X * Y - 1), (X ** 3, Y ** 2, X * Y), ()]:
+        quotient = make_quotient(Presentation(R, relations))
+        assert not _built(quotient)
+        assert quotient.groebner.generators == buchberger(relations or [R.zero()]).generators
+
+
+def test_a_tensor_product_builds_the_union_when_first_read():
+    """No factor's basis is read before the product's, which then equals
+    the basis of the tensor presentation built from scratch."""
+    RW = PolyRing(QQ, ("W",))
+    W = RW.variable("W")
+    ground = PolyRing(QQ, ())
+    for make in [lambda: [make_quotient(Presentation(R, (X ** 2 - Y, Y ** 3))),
+                          make_quotient(Presentation(RW, (W ** 2,)))],
+                 lambda: [make_quotient(Presentation(RZ, (Z ** 3,)))] * 3,
+                 lambda: [make_quotient(Presentation(RW, (W ** 2,))),
+                          make_quotient(Presentation(ground, ()))],
+                 lambda: [make_quotient(Presentation(RW, (W ** 2,))),
+                          make_quotient(Presentation(RZ, (Z, Z - 1)))]]:
+        factors = make()
+        product, _ = tensor_quotient(factors)
+        assert not any(_built(a) for a in factors + [product])
+        expected = make_quotient(tensor_many(factors)[0])
+        assert product.groebner.generators == expected.groebner.generators
+        assert product.dimension == expected.dimension
+
+
+def test_a_plain_quotient_spends_from_the_budget_in_force_at_first_read():
+    """Made inside one `step_budget` block and read inside another, the
+    basis is charged to the second."""
+    presentation = Presentation(R, (X ** 2 - Y, X * Y - 1))
+    with step_budget(10 ** 6) as made:
+        quotient = make_quotient(presentation)
+    assert made.remaining == 10 ** 6
+    with step_budget(10 ** 6) as read:
+        assert quotient.dimension == 3
+    assert read.remaining < 10 ** 6
+    with step_budget(0):
+        quotient = make_quotient(presentation)
+    with step_budget(0), pytest.raises(BudgetExceededError):
+        quotient.groebner
 
 
 def test_quotient_by(dual_numbers):

@@ -134,6 +134,18 @@ def test_verify_gabber_cap_exit_code(capsys):
     assert payload["status"] == "cap"
 
 
+def test_verify_gabber_refuses_positive_characteristic(tmp_path, capsys):
+    """The killing step needs characteristic zero: a usage error that names
+    the step and the Clebsch-Gordan rule, not a flag the verb lacks."""
+    start = tmp_path / "z3_f7.alg"
+    start.write_text("field Fp 7\nring Z:1\nrel Z^3\n")
+    assert main(["verify", "gabber", "--start", str(start)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the killing step needs characteristic zero: the "
+                            "Clebsch-Gordan rule gives the Jordan type of g only there\n")
+
+
 def test_verify_gabber_refuses_an_infinite_start(capsys):
     """k[X,Y]/(XY) is not finite dimensional: a usage error on one line,
     before any claim, not a traceback."""
@@ -178,6 +190,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_budget_exit_code(b5_file, capsys):
     assert main(["dim", "--file", b5_file, "--budget", "3"]) == 3
     assert "stopped" in capsys.readouterr().err
+
+
+def test_budget_binds_a_plain_basis_built_on_first_use(tmp_path, capsys):
+    """A plain quotient builds its basis when `dim` first reads it, inside
+    the command's budget: (X^2 - Y, XY - 1) spends steps, so budget 0 stops
+    it with exit 3 and the default budget does not."""
+    path = tmp_path / "hyperbola.alg"
+    path.write_text("field QQ\nring X:1 Y:1\nrel X^2 - Y\nrel X*Y - 1\n")
+    assert main(["dim", "--file", str(path), "--budget", "0"]) == 3
+    assert "reduction-step budget 0 exceeded" in capsys.readouterr().err
+    assert main(["dim", "--file", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 3
 
 
 def test_not_m_primary_exit_code(tmp_path, capsys):

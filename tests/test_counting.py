@@ -133,6 +133,19 @@ def test_count_of_a_module_component_without_lead():
     assert dimension(gb) == 5
 
 
+def test_a_slice_needs_a_variable_for_every_component():
+    """Component i of a module is weighted by variable i, so the slices of a
+    module of rank above the number of variables are refused by name; the
+    count and the staircase take the same basis."""
+    ring = PolyRing(QQ, ("X",))
+    one = QQ.one()
+    gb = buchberger([ModuleVector(ring, 2, {(0, (2,)): one}),
+                     ModuleVector(ring, 2, {(1, (3,)): one})])
+    assert dimension(gb) == staircase(gb).dimension == 5
+    with pytest.raises(ValueError, match="a module of rank 2 over 1 variables"):
+        staircase_of_degree(gb, 1)
+
+
 def test_count_with_a_lead_equal_to_one():
     for nvars in (0, 1, 3):
         ring = PolyRing(QQ, NAMES[:nvars])

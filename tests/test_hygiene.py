@@ -156,6 +156,20 @@ def names_defined_twice(modules: dict) -> list:
                   for name, found in defined.items() if len(found) > 1)
 
 
+def callers(modules: dict, name: str) -> list:
+    """The modules that call `name`, as a name or as an attribute, or hand
+    it to a call as an argument, as to `functools.partial`.  `modules` maps
+    module names to parsed trees."""
+    def names(node) -> bool:
+        return ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name))
+
+    return sorted(module for module, tree in modules.items()
+                  if any(isinstance(node, ast.Call)
+                         and (names(node.func) or any(names(a) for a in node.args))
+                         for node in ast.walk(tree)))
+
+
 def test_unused_imports_helper_sees_only_unread_names():
     tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n")
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
@@ -297,3 +311,25 @@ def test_every_public_field_is_read():
         ast.parse(path.read_text(), filename=str(path))
         for path in sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))]
     assert unread_fields(modules, readers) == []
+
+
+def test_callers_helper():
+    modules = {
+        "a": ast.parse("def build(): pass\nbuild()\n"),
+        "b": ast.parse("from functools import partial\nfrom .a import build\n"
+                       "later = partial(build, 1)\n"),
+        "c": ast.parse("from . import a\na.build()\n"),
+        "d": ast.parse("from .a import build\ndef f(x: build) -> build: return x\n"),
+    }
+    assert callers(modules, "build") == ["a", "b", "c"]
+
+
+def test_one_module_builds_algebras_and_three_run_buchberger():
+    """Every algebra comes from a constructor of `algebras`, which hands
+    `QuotientAlgebra` the function that builds its basis on first use; a
+    Groebner basis is computed only for an algebra, a Kaehler module, or a
+    membership test."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert callers(modules, "QuotientAlgebra") == ["algebras"]
+    assert callers(modules, "buchberger") == ["algebras", "differentials", "groebner"]

@@ -34,7 +34,7 @@ from unramified.constructions import (
 )
 from unramified.differentials import DZeroCertificate, kaehler
 from unramified.errors import BudgetExceededError
-from unramified.fields import QQ
+from unramified.fields import QQ, prime_field
 from unramified.groebner import buchberger, dimension, step_budget
 from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import PolyRing, cast
@@ -179,6 +179,38 @@ def test_z6_chain_ends_ok_without_a_basis():
     assert result.report.status == STATUS_OK and result.report.passed
     assert result.algebras[-1].dimension == 161051
     assert not _built(result.algebras[-1])
+
+
+def test_the_ladder_step_leaves_the_product_basis_unbuilt(monkeypatch):
+    """On k[Z]/(Z^4) the step reads the basis of B_t but not that of
+    R (x) B_t; reading R' builds both, and R' is the explicit one."""
+    products = []
+    real = constructions.tensor_quotient
+
+    def recording(factors):
+        products.append(real(factors))
+        return products[-1]
+
+    monkeypatch.setattr(constructions, "tensor_quotient", recording)
+    R = _truncated(("Z",), (4,))
+    step = killing_step(R, R.ring.variable("Z"))
+    assert step.report.passed
+    (Bt, _), (big, renames) = products
+    assert set(renames[0]) == {"Z"}
+    assert _built(Bt) and not _built(big) and not _built(step.algebra)
+    assert step.algebra.groebner.generators == _explicit_basis(
+        R, R.ring.variable("Z")).generators
+    assert _built(big)
+
+
+def test_killing_step_refuses_positive_characteristic_first():
+    """Before R's basis or r's powers: the Clebsch-Gordan rule holds in
+    characteristic zero only."""
+    ring = PolyRing(prime_field(7), ("Z",))
+    R = make_quotient(Presentation(ring, (ring.variable("Z") ** 3,)))
+    with pytest.raises(ValueError, match="killing step needs characteristic zero"):
+        killing_step(R, ring.variable("Z"))
+    assert not _built(R)
 
 
 def test_embedding_needs_every_relation_in_the_target(dual_numbers):
