@@ -1,7 +1,8 @@
 """Finitely presented algebras R = P/I: element arithmetic through normal
 forms, tensor products, quotients, algebra maps verified when built,
-nilpotency tests, and the power-of-the-maximal-ideal stabilization model that
-realizes power-series quotients as finite-dimensional polynomial quotients.
+nilpotency tests, and the local model that realizes a power-series quotient
+as a finite-dimensional polynomial quotient P/(I + m^N), read from one local
+standard basis.
 """
 
 from __future__ import annotations
@@ -145,15 +146,21 @@ def _power_generators(ring: PolyRing, n: int) -> list:
 
 
 def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
-    """Realize the power-series quotient k[[X_1..X_s]]/I as a polynomial
-    quotient: compute P/(I + m^N) for N = 1, 2, ... and stop at the first N
-    where the dimension equals that of N+1.  Each P/(I + m^N) is finite
-    dimensional, as m^N is in the ideal.
+    """Realize the power-series quotient k[[X_1..X_s]]/I as the polynomial
+    quotient P/(I + m^N), for the least N with m^N inside I k[[X]].
 
-    At that point m^N is contained in I + m^(N+1), so Nakayama's lemma in
-    the complete local ring gives m^N inside I k[[X]], and P/(I + m^N) is the
-    power-series quotient.  Raises NotMPrimaryError when N reaches the
-    truncation limit DEFAULT_POWER_CAP without stabilizing.
+    Both numbers are read from one standard basis of I + m^L, with
+    L = DEFAULT_POWER_CAP + 1, in the local degree order
+    (`groebner.local_leading_monomials`): the dimension is the number of
+    standard monomials of its leading monomials, and those of total degree
+    j count the tangent cone's Hilbert function HF(j).  By Nakayama's lemma dim P/(I + m^N) is the sum
+    of HF(j) over j < N, so N is the first degree without a standard
+    monomial.  The reduced basis of I + m^N is built only when something
+    reads it.  The model is local with nilpotent generators, and says so
+    without a test: each X_i^N is a relation, and 1 is standard because the
+    generators lie in m.  Raises NotMPrimaryError when every degree up to
+    the truncation limit DEFAULT_POWER_CAP has a standard monomial: I is not
+    m-primary, or N exceeds the limit.
     """
     gens = list(generators)
     for g in gens:
@@ -161,17 +168,20 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
             raise ValueError("generator from a different ring")
         if not g.constant_coefficient().is_zero():
             raise ValueError("generators must lie in the maximal ideal")
-    prev = None
-    for n in range(1, DEFAULT_POWER_CAP + 2):
-        relations = tuple(gens) + tuple(_power_generators(ring, n))
-        algebra = QuotientAlgebra(Presentation(ring, relations, MODE_LOCAL),
-                                  partial(buchberger, relations))
-        if prev is not None and prev.dimension == algebra.dimension:
-            prev.stabilization_exponent = n - 1
-            return prev
-        prev = algebra
-    raise NotMPrimaryError(
-        f"P/(I + m^N) did not stabilize by the truncation limit m^{DEFAULT_POWER_CAP}")
+    leads = groebner.local_leading_monomials(gens, DEFAULT_POWER_CAP + 1)
+    ones = (1,) * ring.nvars
+    exponent = next((n for n in range(1, DEFAULT_POWER_CAP + 1)
+                     if not _standard_monomials(ones, leads, n, n)), None)
+    if exponent is None:
+        raise NotMPrimaryError(
+            f"P/(I + m^N) did not stabilize by the truncation limit m^{DEFAULT_POWER_CAP}")
+    relations = tuple(gens) + tuple(_power_generators(ring, exponent))
+    model = QuotientAlgebra(Presentation(ring, relations, MODE_LOCAL),
+                            partial(buchberger, relations or [ring.zero()]),
+                            dimension=groebner._count_standard(ring.nvars, leads))
+    model.stabilization_exponent = exponent
+    model.local_with_nilpotent_generators = True
+    return model
 
 
 def quotient_by(algebra: QuotientAlgebra, elements, *,

@@ -138,8 +138,7 @@ def _b_ingredients(n: int, field: FieldDescriptor):
 def gabber_B(n: int, field: FieldDescriptor = QQ, *,
              allow_positive_characteristic: bool = False):
     """The local algebra B = k[[X,Y]]/(X F1, Y F2) with F = X^2 Y^2 + X^n + Y^n,
-    realized through power-of-the-maximal-ideal stabilization, together with
-    the image f of F.
+    realized as the local model P/(I + m^N), together with the image f of F.
 
     Requires n >= 5.  The construction is stated over characteristic zero; a
     positive characteristic p is accepted only behind the explicit flag and

@@ -17,6 +17,10 @@ that of an algebra being quotiented further or the union of the bases of
 tensor factors; its rows are kept and paired only with new rows.  Neither
 changes the output, because the reduced basis is unique; only the number of
 S-pairs and reduction steps falls.
+
+For power-series quotients, `local_leading_monomials` computes a standard
+basis in a local degree order, modulo a power of the maximal ideal, and
+returns only its leading monomials, which is all the dimension count needs.
 """
 
 from __future__ import annotations
@@ -524,3 +528,121 @@ def satisfies_buchberger_criterion(gb: GroebnerBasis) -> bool:
             if _reduce_terms(gb.ring, s, gb._buckets, budget):
                 return False
     return True
+
+
+def _local_rank(m: tuple) -> tuple:
+    """Sort key that lists monomials in the local degree order, the leading
+    one first: the lowest total degree first, and monomials of equal degree
+    like the ring's revlex, the one with smaller reversed exponents first."""
+    return (sum(m), m[::-1])
+
+
+def local_leading_monomials(generators, truncation: int) -> list:
+    """Leading monomials of a standard basis of I + m^truncation, where I is
+    the ideal that the polynomials `generators` span in the local ring at
+    the origin, for the local degree order (`_local_rank`); the monomials of
+    m^truncation themselves are left out.  When m^truncation lies in I,
+    their standard monomials are a basis of k[[X]]/I, and those of total
+    degree j count the tangent cone's Hilbert function at j.
+
+    The basis is computed modulo m^bound: every term of total degree
+    `bound` or more is dropped.  Below the bound the local order
+    well-orders finitely many monomials, so cancelling leading terms
+    terminates as in Buchberger's algorithm, and Mora's ecart device
+    (Greuel and Pfister, "A Singular Introduction to Commutative Algebra",
+    1.7), which makes the reduction terminate without a truncation, is not
+    needed.  Each generator and each S-polynomial, taken in ascending degree
+    of its lcm, is reduced until its leading monomial is no lead multiple,
+    and a nonzero remainder joins the basis; pairs with coprime leading
+    monomials are skipped by Buchberger's product criterion.
+
+    The bound starts at the truncation degree and falls as leads are found:
+    once each variable X_i has a pure power X_i^(a_i) among them, every
+    monomial of degree 1 + sum (a_i - 1) is a lead multiple.  Dividing such
+    a monomial by the basis leaves only terms of that degree or more, all
+    lead multiples again, so in the power series ring that power of m lies
+    in the ideal, and adding it changes no leading monomial.  Coefficients
+    are raw payloads, as in `_reduce_terms`, and every reduction step
+    spends from the current `step_budget`.
+    """
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return []
+    nvars = gens[0].ring.nvars
+    field = gens[0].ring.field
+    raw = field.kind != RATIONAL_FUNCTIONS
+    p = field.p if field.kind == PRIME_FIELD else 0
+    one = 1 if raw else field.one()
+    budget = _current_budget()
+    bound = truncation
+    basis: list = []  # (leading monomial, monic terms)
+    pairs: list = []  # heap of (lcm degree, i, j)
+
+    def reduce(summands) -> dict:
+        """The remainder of the sum of the c * X^shift * terms of `summands`.
+        The heap yields the terms in the local order, the lead first; a term
+        that cancels stays in it and is skipped when it pops.  Each step's
+        new terms lie below the lead it cancels, so a popped lead never
+        comes back."""
+        h: dict = {}
+        heap: list = []
+
+        def add_multiple(c, shift: tuple, terms: dict):
+            for m, v in terms.items():
+                key = tuple(map(add, m, shift))
+                if sum(key) >= bound:
+                    continue
+                cur = h.get(key)
+                if cur is None:
+                    h[key] = c * v % p if p else c * v
+                    heappush(heap, (_local_rank(key), key))
+                    continue
+                v = cur + c * v
+                if p:
+                    v %= p
+                if v:
+                    h[key] = v
+                else:
+                    del h[key]
+
+        for summand in summands:
+            add_multiple(*summand)
+        while heap:
+            lead = heappop(heap)[1]
+            if lead not in h:
+                continue
+            reducer = next((r for r in basis if mono_divides(r[0], lead)), None)
+            if reducer is None:
+                return h
+            budget.spend()
+            add_multiple(-h[lead], mono_div(lead, reducer[0]), reducer[1])
+        return h
+
+    def join(h: dict):
+        nonlocal bound
+        new = min(h, key=_local_rank)
+        inv = pow(h[new], p - 2, p) if p else one / h[new]
+        for i, (lead, _) in enumerate(basis):
+            lcm = mono_lcm(lead, new)
+            if sum(lcm) < sum(lead) + sum(new):
+                heappush(pairs, (sum(lcm), i, len(basis)))
+        basis.append((new, {m: v * inv % p if p else v * inv for m, v in h.items()}))
+        pure = [min((m[v] for m, _ in basis if sum(m) == m[v]), default=None)
+                for v in range(nvars)]
+        if None not in pure:
+            bound = min(bound, 1 + sum(pure) - nvars)
+
+    origin = (0,) * nvars
+    for g in gens:
+        h = reduce([(one, origin, {m: c.payload for m, c in g.terms.items()}
+                     if raw else g.terms)])
+        if h:
+            join(h)
+    while pairs:
+        _, i, j = heappop(pairs)
+        (a, fa), (b, fb) = basis[i], basis[j]
+        lcm = mono_lcm(a, b)
+        h = reduce([(one, mono_div(lcm, a), fa), (-one, mono_div(lcm, b), fb)])
+        if h:
+            join(h)
+    return [lead for lead, _ in basis]

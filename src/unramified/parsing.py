@@ -310,8 +310,9 @@ def format_presentation(presentation: Presentation) -> str:
 
 
 def build_algebra(presentation: Presentation) -> QuotientAlgebra:
-    """Materialize a parsed presentation: local mode goes through the
-    power-of-the-maximal-ideal stabilization, the others are plain quotients."""
+    """Materialize a parsed presentation: local mode builds the local model
+    P/(I + m^N) of the power-series quotient, the others are plain
+    quotients."""
     if presentation.mode == MODE_LOCAL:
         return artinian_local_model(presentation.ring, presentation.relations)
     return make_quotient(presentation)

@@ -6,14 +6,17 @@ Fraction coefficients, and a local Gaussian elimination.  They use nothing
 of the package under test, so an agreement between engine and oracle is a
 real cross-check and not a tautology; `linear_matrix`, `matmul`,
 `reference_normal_form` and `reference_slice` take the package's maps,
-field elements and Groebner bases and use only their public methods.  The
-builders at the end (`scalar`, `polynomial`, `vector`) make package
-elements from plain data through its public constructors.
+field elements and Groebner bases and use only their public methods, and
+`ascending_local_model` is the explicit local-model search on the
+package's Buchberger runs.  The builders at the end (`scalar`,
+`polynomial`, `vector`) make package elements from plain data through its
+public constructors.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from unramified.groebner import buchberger, dimension
 from unramified.polynomials import ModuleVector, Polynomial
 
 
@@ -31,9 +34,10 @@ def poly_mul_mono(poly: dict, mono: tuple) -> dict:
     return {tuple(e + m for e, m in zip(exps, mono)): c for exps, c in poly.items()}
 
 
-def fraction_rank(rows: list) -> int:
-    """Rank by plain Gaussian elimination over Fraction."""
-    work = [list(r) for r in rows if any(r)]
+def fraction_rank(rows: list, p: int = 0) -> int:
+    """Rank by plain Gaussian elimination over Fraction, or over F_p on
+    integer entries when p is a prime."""
+    work = [[int(v) % p for v in r] if p else list(r) for r in rows if any(r)]
     ncols = len(work[0]) if work else 0
     rank = 0
     col = 0
@@ -47,21 +51,24 @@ def fraction_rank(rows: list) -> int:
             col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = Fraction(1, 1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
+        inv = pow(work[rank][col], p - 2, p) if p else Fraction(1, 1) / work[rank][col]
+        work[rank] = [v * inv % p if p else v * inv for v in work[rank]]
         for i in range(len(work)):
             if i != rank and work[i][col] != 0:
                 factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+                work[i] = [(a - factor * b) % p if p else a - factor * b
+                           for a, b in zip(work[i], work[rank])]
         rank += 1
         col += 1
     return rank
 
 
-def truncated_quotient_dimension(generators: list, nvars: int, truncation: int) -> int:
-    """dim of QQ[X_1..X_n]/(I + m^truncation) by linear algebra: count the
-    monomials of degree < truncation and subtract the rank of the truncated
-    multiples of the generators."""
+def truncated_quotient_dimension(generators: list, nvars: int, truncation: int,
+                                 p: int = 0) -> int:
+    """dim of k[X_1..X_n]/(I + m^truncation) by linear algebra, with k = QQ,
+    or F_p on integer coefficients when p is a prime: count the monomials
+    of degree < truncation and subtract the rank of the truncated multiples
+    of the generators."""
     monos = [m for m in monomials_up_to(nvars, truncation - 1)]
     index = {m: i for i, m in enumerate(monos)}
     rows = []
@@ -76,19 +83,41 @@ def truncated_quotient_dimension(generators: list, nvars: int, truncation: int) 
                     nonzero = True
             if nonzero:
                 rows.append(row)
-    return len(monos) - fraction_rank(rows)
+    return len(monos) - fraction_rank(rows, p)
 
 
-def stabilized_local_dimension(generators: list, nvars: int, cap: int = 40) -> tuple:
+def stabilized_local_dimension(generators: list, nvars: int, cap: int = 40,
+                               p: int = 0) -> tuple:
     """Dimension of the power-series quotient via truncation: increase the
-    truncation exponent until the dimension repeats; returns (dim, exponent)."""
+    truncation exponent until the dimension repeats; returns (dim, exponent).
+    The field is QQ, or F_p when p is a prime."""
     previous = None
     for n in range(1, cap + 1):
-        dim = truncated_quotient_dimension(generators, nvars, n)
+        dim = truncated_quotient_dimension(generators, nvars, n, p)
         if previous is not None and dim == previous:
             return dim, n - 1
         previous = dim
     raise AssertionError("no stabilization below the cap; not an m-primary input")
+
+
+def maximal_ideal_power(ring, n: int) -> list:
+    """The monomials of unweighted total degree n, which span m^n."""
+    return [ring.monomial(dict(enumerate(m)))
+            for m in monomials_up_to(ring.nvars, n) if sum(m) == n]
+
+
+def ascending_local_model(ring, generators, cap: int = 64):
+    """(dim, N) of the power-series quotient k[[X]]/I by the explicit
+    ascending search: the reduced basis of I + m^N is built from scratch for
+    N = 1, 2, ..., and N is the first one whose quotient has the dimension
+    of the next (Nakayama's lemma); None when none does by m^cap."""
+    previous = None
+    for n in range(1, cap + 2):
+        dim = dimension(buchberger(list(generators) + maximal_ideal_power(ring, n)))
+        if previous == dim:
+            return dim, n - 1
+        previous = dim
+    return None
 
 
 def membership_oracle(f: dict, generators: list, nvars: int, bound: int) -> bool:

@@ -2,12 +2,14 @@
 truncation oracle, tensor products, maps, and nilpotency."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from unramified import linalg
+from unramified import algebras, groebner, linalg
 from unramified.algebras import (
     MODE_GRADED,
     AlgebraMap,
@@ -25,9 +27,11 @@ from unramified.algebras import (
     tensor_many,
     tensor_quotient,
 )
+from unramified.constructions import standard_local_corpus
 from unramified.errors import BudgetExceededError, NotMPrimaryError
-from unramified.fields import QQ, prime_field
+from unramified.fields import QQ, RATIONAL_FUNCTIONS, prime_field
 from unramified.groebner import buchberger, step_budget
+from unramified.parsing import parse_presentation
 from unramified.polynomials import PolyRing, Polynomial, format_polynomial
 
 R = PolyRing(QQ, ("X", "Y"))
@@ -84,9 +88,161 @@ def test_artinian_model_truncates_by_unweighted_degree():
         assert model.stabilization_exponent == expected.stabilization_exponent
 
 
+def test_the_local_model_of_the_ground_field():
+    """No variables, no relations: the local model is the field itself, and
+    its basis builds like that of the plain quotient."""
+    model = artinian_local_model(PolyRing(QQ, ()), [])
+    assert (model.dimension, model.stabilization_exponent) == (1, 1)
+    assert model.basis_monomials() == ((),)
+
+
 def test_artinian_requires_m_primary():
     with pytest.raises(NotMPrimaryError, match="truncation limit m\\^64"):
         artinian_local_model(R, [X])
+
+
+def _b_generators(ring, n: int) -> list:
+    """X F1 and Y F2, the partial derivatives of F = X^2 Y^2 + X^n + Y^n:
+    the relations of B(n)."""
+    U, V = (ring.variable(name) for name in ring.names)
+    return [U * (2 * V ** 2 + n * U ** (n - 2)), V * (2 * U ** 2 + n * V ** (n - 2))]
+
+
+def _check_local_model(ring, generators):
+    """The local model agrees on (dim, N) with the explicit ascending search
+    and with the linear-algebra truncation oracle; its lazily built basis is
+    that of the generators and m^N, and its carried locality is the walked
+    nilpotency test.  Returns the model."""
+    model = artinian_local_model(ring, generators)
+    found = (model.dimension, model.stabilization_exponent)
+    assert found == oracles.ascending_local_model(ring, generators)
+    if ring.field.kind != RATIONAL_FUNCTIONS:
+        payloads = [{m: c.payload for m, c in g.terms.items()} for g in generators]
+        assert found == oracles.stabilized_local_dimension(
+            payloads, ring.nvars, p=ring.field.characteristic)
+    assert not _built(model)
+    expected = buchberger(list(generators) + oracles.maximal_ideal_power(ring, found[1]))
+    assert model.groebner.generators == expected.generators
+    walked = model.dimension > 0 and all(
+        nilpotency_index(model, ring.variable(name)) is not None for name in ring.names)
+    assert model.local_with_nilpotent_generators is walked is True
+    return model
+
+
+def test_local_model_of_b_n_matches_both_oracles():
+    for n in range(5, 13):
+        model = _check_local_model(R, _b_generators(R, n))
+        assert (model.dimension, model.stabilization_exponent) == (2 * n + 1, n + 1)
+
+
+def test_local_model_of_every_standard_corpus_entry():
+    """Each entry of the standard corpus is local with nilpotent generators,
+    so its plain quotient is the power-series quotient of its relations."""
+    for name, algebra in standard_local_corpus(20, seed=0):
+        if algebra.ring.nvars:
+            model = _check_local_model(algebra.ring, algebra.presentation.relations)
+            assert model.dimension == algebra.dimension, name
+
+
+def _corpus_shaped(rng, ring, exps) -> list:
+    """X_i^a_i plus one or two terms of degree a_i + 1 or a_i + 2 with unit
+    coefficients, one relation per variable: the initial forms are the
+    regular sequence X_i^a_i, so dim = prod a_i and N = 1 + sum (a_i - 1)."""
+    field = ring.field
+    units = [field.from_int(c) for c in (1, 2, 3, -1, -2, -3)]
+    units = [c for c in units if not c.is_zero()]
+    relations = []
+    for i, a in enumerate(exps):
+        higher = [m for d in (a + 1, a + 2)
+                  for m in oracles.monomials_up_to(ring.nvars, d) if sum(m) == d]
+        f = ring.monomial({i: a}, rng.choice(units))
+        for m in rng.sample(higher, rng.randrange(1, 3)):
+            f = f + ring.monomial(dict(enumerate(m)), rng.choice(units))
+        relations.append(f)
+    return relations
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_local_model_of_corpus_shaped_entries(p):
+    rng = random.Random(p)
+    field = QQ if p == 0 else prime_field(p)
+    for exps in [(5,), (2, 2), (2, 3), (3, 3), (4, 3), (2, 2, 2), (3, 2, 2)]:
+        ring = PolyRing(field, ("X", "Y", "Z")[:len(exps)])
+        for _ in range(2):
+            model = _check_local_model(ring, _corpus_shaped(rng, ring, exps))
+            assert model.dimension == math.prod(exps)
+            assert model.stabilization_exponent == 1 + sum(a - 1 for a in exps)
+
+
+def test_local_model_of_weighted_rings():
+    """The weights change the ring's order but not m^N, which is spanned
+    by the monomials of unweighted total degree N."""
+    for weights in [(2, 3), (3, 1)]:
+        ring = PolyRing(QQ, ("X", "Y"), weights)
+        _check_local_model(ring, _b_generators(ring, 6))
+    rng = random.Random(1)
+    ring = PolyRing(QQ, ("X", "Y", "Z"), (1, 2, 3))
+    for exps in [(2, 3, 2), (3, 3, 3)]:
+        _check_local_model(ring, _corpus_shaped(rng, ring, exps))
+
+
+def test_local_model_over_rational_functions_and_of_ideals_not_m_primary():
+    """Over F_2(x) the coefficients are elements, not raw payloads.  Ideals
+    that are not m-primary in three variables raise once the standard
+    basis modulo m^65 is done."""
+    fx = parse_presentation(
+        "field FpX 2\nring X:2 Y:1 Z:1\nrel X^4 + X*Y\nrel X^2*Y*Z + Y^3 + Y*Z\n"
+        "rel (x + 1)*X^2*Y^2*Z + Z^3 + Y*Z\nmode local\n")
+    model = _check_local_model(fx.ring, fx.relations)
+    assert (model.dimension, model.stabilization_exponent) == (24, 13)
+    for text in ("field QQ\nring X:1 Y:2 Z:1\nrel -X^3*Y^3 - X^2*Y*Z^4 + X^4\n"
+                 "rel -3*X*Y^3*Z^2 + 3*Y*Z^3 + Z^4\nrel X^2*Y*Z^2 + 3*X*Y*Z^3 + X*Y*Z\n",
+                 "field Fp 3\nring X:1 Y:1 Z:1\nrel 2*Y^4*Z^2 + X^2 + Y*Z\n"
+                 "rel X^2*Y^3*Z^2 + Z^3\nrel 2*X^2*Y^3 + X*Y*Z^3 + 2*X^3*Y\n"):
+        presentation = parse_presentation(text + "mode local\n")
+        with pytest.raises(NotMPrimaryError):
+            artinian_local_model(presentation.ring, presentation.relations)
+
+
+def test_the_local_model_runs_no_buchberger(monkeypatch):
+    """One standard basis gives the dimension, m-power and locality; the
+    reduced basis is built only when read.  A non-m-primary ideal raises
+    after that one standard basis."""
+    runs, bases = [], []
+    real_buchberger = groebner.buchberger
+    real_local = groebner.local_leading_monomials
+
+    def counting_buchberger(*args, **kwargs):
+        runs.append(args)
+        return real_buchberger(*args, **kwargs)
+
+    def counting_local(generators, truncation):
+        bases.append(generators)
+        return real_local(generators, truncation)
+
+    monkeypatch.setattr(groebner, "buchberger", counting_buchberger)
+    monkeypatch.setattr(algebras, "buchberger", counting_buchberger)
+    monkeypatch.setattr(groebner, "local_leading_monomials", counting_local)
+    model = artinian_local_model(R, _b_generators(R, 5))
+    assert not _built(model)
+    assert (model.dimension, model.stabilization_exponent) == (11, 6)
+    assert is_local_with_nilpotent_generators(model)
+    assert has_nonzero_nilpotent(model)
+    assert not _built(model) and runs == [] and len(bases) == 1
+    model.groebner
+    assert len(runs) == 1
+
+    with pytest.raises(NotMPrimaryError, match="truncation limit m\\^64"):
+        artinian_local_model(R, [X])
+    assert len(bases) == 2 and len(runs) == 1
+
+
+def test_the_local_model_spends_from_the_budget_in_force():
+    with step_budget(1), pytest.raises(BudgetExceededError):
+        artinian_local_model(R, _b_generators(R, 5))
+    with step_budget(10 ** 6) as budget:
+        model = artinian_local_model(R, _b_generators(R, 5))
+    assert budget.remaining < 10 ** 6 and not _built(model)
 
 
 def test_artinian_stability_beyond_the_first_repeat(b5):

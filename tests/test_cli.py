@@ -318,9 +318,9 @@ def test_every_report_command_times_itself(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["omega", "--file", "samples/b5.alg", "--budget", "50"],
-    ["verify", "killing", "--budget", "100"],
+    ["verify", "killing", "--budget", "50"],
     ["verify", "local-case", "--count", "20", "--budget", "100"],
-    ["verify", "gabber", "--steps", "1", "--budget", "50"],
+    ["verify", "gabber", "--steps", "1", "--budget", "30"],
 ])
 def test_budget_binds_the_whole_command(argv, capsys, monkeypatch):
     """Every Groebner run and normal form of a command, Kaehler modules and

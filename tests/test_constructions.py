@@ -387,6 +387,15 @@ def test_local_case_harness(b5, dual_numbers):
         check_theorem_local_case([("free", free)])
 
 
+def test_local_case_builds_no_basis_of_a_local_entry():
+    """A local model carries its dimension and locality, and the Kaehler
+    module reads only the presentation, so the harness builds no reduced
+    basis of the entry."""
+    model = build_algebra(parse_presentation((SAMPLES / "b5.alg").read_text()))
+    assert check_theorem_local_case([("B(5)", model)]).passed
+    assert "groebner" not in vars(model)
+
+
 def test_local_corpus_size_and_determinism():
     corpus = standard_local_corpus(20, seed=0)
     assert len(corpus) >= 27  # 20 random + the named examples
