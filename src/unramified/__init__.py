@@ -16,9 +16,7 @@ from .algebras import (
     artinian_local_model,
     compose,
     has_nonzero_nilpotent,
-    identity_map,
     is_injective,
-    is_local_with_nilpotent_generators,
     jordan_type,
     make_map,
     make_quotient,
@@ -63,10 +61,7 @@ from .groebner import (
     Staircase,
     buchberger,
     dimension,
-    ideal_member,
-    module_member,
     normal_form,
-    satisfies_buchberger_criterion,
     staircase,
     staircase_of_degree,
     step_budget,

@@ -101,8 +101,10 @@ class QuotientAlgebra:
     @cached_property
     def local_with_nilpotent_generators(self) -> bool:
         """Whether the algebra is not zero and every generator image is
-        nilpotent, tested once and cached; see
-        `is_local_with_nilpotent_generators`."""
+        nilpotent; then the generators span the unique maximal ideal and the
+        residue field is the coefficient field.  The zero algebra has no
+        maximal ideal, so it is not local.  Tested once and cached; a
+        construction that has proved the fact sets it instead."""
         if not self.is_finite:
             raise ValueError("test requires a finite-dimensional algebra")
         return self.dimension > 0 and all(
@@ -318,11 +320,6 @@ def compose(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:
                       {n: outer.apply(q) for n, q in inner.images.items()})
 
 
-def identity_map(algebra: QuotientAlgebra) -> AlgebraMap:
-    images = {n: algebra.ring.variable(n) for n in algebra.ring.names}
-    return make_map(algebra, algebra, images)
-
-
 def is_injective(phi: AlgebraMap) -> bool:
     """Injectivity by exact rank: the images of the source basis are
     linearly independent.  They are ranked as rows in monomial coordinates,
@@ -388,18 +385,10 @@ def jordan_type(algebra: QuotientAlgebra, f: Polynomial) -> dict:
             if at_least[size - 1] != at_least[size]}
 
 
-def is_local_with_nilpotent_generators(algebra: QuotientAlgebra) -> bool:
-    """True when the algebra is not zero and every generator image is
-    nilpotent; then the generators span the unique maximal ideal and the
-    residue field is the coefficient field.  The zero algebra has no maximal
-    ideal, so it is not local.  The answer is cached on the algebra."""
-    return algebra.local_with_nilpotent_generators
-
-
 def has_nonzero_nilpotent(algebra: QuotientAlgebra) -> bool:
     """For a local algebra with nilpotent generators: non-reduced exactly
     when the dimension exceeds 1 (the maximal ideal is then nonzero and
     nilpotent)."""
-    if not is_local_with_nilpotent_generators(algebra):
+    if not algebra.local_with_nilpotent_generators:
         raise ValueError("only defined for local algebras with nilpotent generators")
     return algebra.dimension > 1

@@ -24,7 +24,6 @@ from .algebras import (
     artinian_local_model,
     compose,
     has_nonzero_nilpotent,
-    is_local_with_nilpotent_generators,
     jordan_type,
     make_map,
     make_quotient,
@@ -319,6 +318,14 @@ def _tensor_sum_type(jordan: dict, copies: int, characteristic: int) -> dict:
     return total
 
 
+def _refuse_positive_characteristic(field: FieldDescriptor):
+    """The killing step needs characteristic zero; the step and every chain
+    of steps call this before any work."""
+    if field.characteristic != 0:
+        raise ValueError("the killing step needs characteristic zero: the "
+                         "Clebsch-Gordan rule gives the Jordan type of g only there")
+
+
 def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                  cap: int = DIMENSION_CAP) -> KillingStepResult:
     """One differential-killing extension: with t the nilpotency index of r,
@@ -340,7 +347,9 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
       fills B_t and has largest block t, which the claim checks.  It is
       local because every generator of R (tested once, on R) and of B_t
       (B is the local model P/(I + m^N)) is nilpotent, and R' is not zero
-      because R embeds in it.
+      because R embeds in it.  When this claim and the embedding's pass,
+      R' carries that locality, and no later test walks its generators'
+      powers.
     - The embedding maps each variable to its renamed copy; every relation
       of R, renamed, is a presentation relation of R', so it is well
       defined.  It is injective when the B_t report passes: the embedding
@@ -355,9 +364,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     characteristic is refused before any work: the Clebsch-Gordan rule
     holds in characteristic zero only.
     """
-    if R.field.characteristic != 0:
-        raise ValueError("the killing step needs characteristic zero: the "
-                         "Clebsch-Gordan rule gives the Jordan type of g only there")
+    _refuse_positive_characteristic(R.field)
     r_reduced = R.reduce(r)
     if r_reduced.is_zero():
         raise ValueError("r must be nonzero in R")
@@ -385,16 +392,18 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
         "killing_step",
         {"n": KILLING_N, "t": t, "r": format_polynomial(r_reduced),
          "field": str(R.field)})
-    report.add("R' finite dimensional",
-               "R' = R (x) B_t / (r (x) 1 - 1 (x) g) is a finite dimensional local algebra",
-               Rp.is_finite and is_local_with_nilpotent_generators(R)
-               and max(g_type) == t
-               and sum(b * n for b, n in g_type.items()) == Bt.dimension,
-               {"dimension": Rp.dimension})
-    report.add("embedding injective",
-               "the canonical map R -> R' is injective (rank equals dim R)",
-               tensor.report.passed,
-               {"dim_R": R.dimension})
+    local = report.add(
+        "R' finite dimensional",
+        "R' = R (x) B_t / (r (x) 1 - 1 (x) g) is a finite dimensional local algebra",
+        Rp.is_finite and R.local_with_nilpotent_generators and max(g_type) == t
+        and sum(b * n for b, n in g_type.items()) == Bt.dimension,
+        {"dimension": Rp.dimension})
+    embedded = report.add("embedding injective",
+                          "the canonical map R -> R' is injective (rank equals dim R)",
+                          tensor.report.passed,
+                          {"dim_R": R.dimension})
+    if local and embedded:
+        Rp.local_with_nilpotent_generators = True
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
                certifies_d_zero(Rp, certificate, r_emb))
@@ -454,9 +463,12 @@ def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,
     `renaming_map`, is that renaming.  The composite claim checks each
     step's certificate, renamed forward, in the final algebra; a generator
     with none, or whose certified element is not its image, is reduced or
-    tested there in the differential module.
+    tested there in the differential module.  A field of positive
+    characteristic is refused before any work, even when nothing is left
+    to kill.
     """
-    if not is_local_with_nilpotent_generators(R):
+    _refuse_positive_characteristic(R.field)
+    if not R.local_with_nilpotent_generators:
         raise ValueError("input must be a finite-dimensional local algebra "
                          "with nilpotent generators")
     ring = R.ring
@@ -527,10 +539,12 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
     differentials, verifying at each stage: the base properly contains the
     coefficient field, every stage is finite dimensional local with residue
     field k, and each inclusion induces the zero map on differentials.  A
-    start that is not finite dimensional is refused before any claim."""
+    start that is not finite dimensional, or over a field of positive
+    characteristic, is refused before any claim."""
     if steps < 1:
         raise ValueError("at least one step is required")
     R0 = start if start is not None else gabber_B(KILLING_N)[0]
+    _refuse_positive_characteristic(R0.field)
     if not R0.is_finite:
         raise ValueError("the start algebra must be finite dimensional")
     report = VerificationReport(
@@ -546,7 +560,7 @@ def gabber_sequence(steps: int, *, start: QuotientAlgebra | None = None,
         current = algebras[-1]
         report.add(f"stage {i} local",
                    "each stage is a finite dimensional local algebra with residue field k",
-                   current.is_finite and is_local_with_nilpotent_generators(current),
+                   current.is_finite and current.local_with_nilpotent_generators,
                    {"dimension": current.dimension})
         result = kill_all_differentials(current, cap=cap, known=known)
         report.fold(f"stage {i}", result.report.claims)
@@ -698,7 +712,7 @@ def check_theorem_local_case(entries) -> VerificationReport:
     entries = list(entries)
     report = VerificationReport("local_case", {"entries": len(entries)})
     for name, algebra in entries:
-        if not algebra.is_finite or not is_local_with_nilpotent_generators(algebra):
+        if not algebra.is_finite or not algebra.local_with_nilpotent_generators:
             raise ValueError(f"corpus entry {name!r} is not Artinian local "
                              "with nilpotent generators")
         omega_zero = is_omega_zero(algebra)

@@ -75,10 +75,6 @@ class KaehlerModule:
         """Canonical representative of a vector's class in the module."""
         return normal_form(v, self.groebner)
 
-    def contains(self, v: ModuleVector) -> bool:
-        """Membership in the relation submodule, i.e. v = 0 in the module."""
-        return self.reduce(v).is_zero()
-
     def d_image(self, f: Polynomial) -> ModuleVector:
         """The universal derivation applied to (the class of) f, reduced.
         Well defined: representatives differing by a relation give vectors
@@ -93,10 +89,8 @@ class KaehlerModule:
         """Whether the whole differential module vanishes: every generator
         dX_i must lie in the relation submodule."""
         ring = self.algebra.ring
-        for i in range(self.rank):
-            if not self.contains(ModuleVector.unit(ring, self.rank, i)):
-                return False
-        return True
+        return all(self.reduce(ModuleVector.unit(ring, self.rank, i)).is_zero()
+                   for i in range(self.rank))
 
     def dimension(self):
         """Vector-space dimension of the module over the coefficient field,

@@ -1,6 +1,6 @@
 """Buchberger's algorithm for ideals and for submodules of finite free
-modules, with normal forms, membership tests, staircases and dimension
-counts.
+modules, with normal forms, staircases and dimension counts.  A normal form
+is zero exactly when its input is a member.
 
 Ideals and submodules share one engine: a polynomial is treated as a rank-1
 vector living in component 0, and every monomial carries a component tag.
@@ -378,21 +378,6 @@ def normal_form(f, gb: GroebnerBasis):
                        _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget))
 
 
-def ideal_member(f: Polynomial, generators) -> bool:
-    """True exactly when f lies in the ideal spanned by `generators` (a list
-    of polynomials, or an already computed GroebnerBasis)."""
-    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(generators)
-    return normal_form(f, gb).is_zero()
-
-
-def module_member(v: ModuleVector, generators) -> bool:
-    """True exactly when v lies in the submodule spanned by `generators`."""
-    if v.is_zero():
-        return True
-    gb = generators if isinstance(generators, GroebnerBasis) else buchberger(generators)
-    return normal_form(v, gb).is_zero()
-
-
 def _component_leads(gb: GroebnerBasis) -> list:
     """The lead monomials of each component, indexed by component; an ideal
     has the single component 0."""
@@ -514,20 +499,6 @@ def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     if gb.rank is None:
         return [m for _, m in out]
     return out
-
-
-def satisfies_buchberger_criterion(gb: GroebnerBasis) -> bool:
-    """Directly check that every S-pair of basis elements reduces to zero."""
-    rows = gb._rows
-    budget = _current_budget()
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if rows[i].lt[0] != rows[j].lt[0]:
-                continue
-            s = _spair(rows[i], rows[j])
-            if _reduce_terms(gb.ring, s, gb._buckets, budget):
-                return False
-    return True
 
 
 def _local_rank(m: tuple) -> tuple:

@@ -5,17 +5,18 @@ The oracles are deliberately self-contained: dense monomial tuples,
 Fraction coefficients, and a local Gaussian elimination.  They use nothing
 of the package under test, so an agreement between engine and oracle is a
 real cross-check and not a tautology; `linear_matrix`, `matmul`,
-`reference_normal_form` and `reference_slice` take the package's maps,
-field elements and Groebner bases and use only their public methods, and
-`ascending_local_model` is the explicit local-model search on the
-package's Buchberger runs.  The builders at the end (`scalar`,
-`polynomial`, `vector`) make package elements from plain data through its
-public constructors.
+`reference_normal_form`, `satisfies_buchberger_criterion` and
+`reference_slice` take the package's maps, field elements and Groebner
+bases and use only their public methods, and `ascending_local_model` is
+the explicit local-model search on the package's Buchberger runs.  The
+builders at the end (`scalar`, `polynomial`, `vector`, `identity_map`)
+make package elements from plain data through its public constructors.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from unramified.algebras import make_map
 from unramified.groebner import buchberger, dimension
 from unramified.polynomials import ModuleVector, Polynomial
 
@@ -227,6 +228,38 @@ def reference_normal_form(f, gb) -> tuple:
     return ModuleVector(ring, f.rank, out), steps
 
 
+def satisfies_buchberger_criterion(gb) -> bool:
+    """Buchberger's criterion, checked directly: the S-vector of every two
+    basis elements whose leads lie in one component reduces to zero by
+    `reference_normal_form`.  Reads only `gb.generators`."""
+    ring = gb.ring
+    zero = ring.field.zero()
+    rows = []
+    for g in gb.generators:
+        terms = _term_dict(g)
+        lead = max(terms, key=lambda t: ring.module_key(*t))
+        rows.append((lead, terms))
+    for i, ((comp, lead_a), a) in enumerate(rows):
+        for (other, lead_b), b in rows[i + 1:]:
+            if other != comp:
+                continue
+            lcm = tuple(map(max, lead_a, lead_b))
+            s: dict = {}
+            for lead, terms, sign in ((lead_a, a, 1), (lead_b, b, -1)):
+                shift = tuple(x - y for x, y in zip(lcm, lead))
+                factor = ring.field.from_int(sign) / terms[(comp, lead)]
+                for (tc, tm), tv in terms.items():
+                    key = (tc, tuple(x + y for x, y in zip(tm, shift)))
+                    value = s.pop(key, zero) + factor * tv
+                    if not value.is_zero():
+                        s[key] = value
+            spair = (Polynomial(ring, {m: c for (_, m), c in s.items()})
+                     if gb.rank is None else ModuleVector(ring, gb.rank, s))
+            if not reference_normal_form(spair, gb)[0].is_zero():
+                return False
+    return True
+
+
 def reference_slice(gb, degree: int) -> list:
     """Staircase entries of exact weighted degree by listing every monomial
     of the degree and keeping those that no lead monomial of their
@@ -271,3 +304,9 @@ def vector(ring, polys: list) -> ModuleVector:
     """The module vector whose i-th component is polys[i]."""
     return ModuleVector(ring, len(polys), {(i, m): c for i, p in enumerate(polys)
                                            for m, c in p.terms.items()})
+
+
+def identity_map(algebra):
+    """The identity of an algebra, verified by `make_map` like any map."""
+    return make_map(algebra, algebra, {n: algebra.ring.variable(n)
+                                       for n in algebra.ring.names})

@@ -17,9 +17,7 @@ from unramified.algebras import (
     artinian_local_model,
     compose,
     has_nonzero_nilpotent,
-    identity_map,
     is_injective,
-    is_local_with_nilpotent_generators,
     make_map,
     make_quotient,
     nilpotency_index,
@@ -226,7 +224,7 @@ def test_the_local_model_runs_no_buchberger(monkeypatch):
     model = artinian_local_model(R, _b_generators(R, 5))
     assert not _built(model)
     assert (model.dimension, model.stabilization_exponent) == (11, 6)
-    assert is_local_with_nilpotent_generators(model)
+    assert model.local_with_nilpotent_generators
     assert has_nonzero_nilpotent(model)
     assert not _built(model) and runs == [] and len(bases) == 1
     model.groebner
@@ -363,7 +361,7 @@ def test_make_map_checks_every_relation(dual_numbers):
     with pytest.raises(ValueError, match="cover exactly the source variables"):
         make_map(dual_numbers, dual_numbers, [Z])
 
-    ident = identity_map(dual_numbers)
+    ident = oracles.identity_map(dual_numbers)
     assert ident.apply(Z) == Z
 
 
@@ -378,7 +376,7 @@ def test_maps_between_two_fields_are_refused(dual_numbers):
 
 
 def test_linear_matrix_and_injectivity(dual_numbers):
-    ident = identity_map(dual_numbers)
+    ident = oracles.identity_map(dual_numbers)
     matrix = oracles.linear_matrix(ident)
     assert linalg.rank(matrix, 2, QQ) == 2
     assert is_injective(ident)
@@ -393,7 +391,7 @@ def test_matrix_of_composite_is_product(dual_numbers):
     pres, renames = tensor_many([dual_numbers, dual_numbers])
     T = make_quotient(pres)
     inner = make_map(dual_numbers, T, {"Z": T.ring.variable("Z#1")})
-    outer = identity_map(T)
+    outer = oracles.identity_map(T)
     comp = compose(outer, inner)
     left = oracles.linear_matrix(comp)
     right = oracles.matmul(oracles.linear_matrix(outer), oracles.linear_matrix(inner),
@@ -411,14 +409,14 @@ def test_nilpotency(b5, dual_numbers):
 
 def test_locality_predicates(b5, dual_numbers):
     B, _ = b5
-    assert is_local_with_nilpotent_generators(B)
+    assert B.local_with_nilpotent_generators
     assert has_nonzero_nilpotent(B)
     ground = make_quotient(Presentation(PolyRing(QQ, ()), ()))
-    assert is_local_with_nilpotent_generators(ground)
+    assert ground.local_with_nilpotent_generators
     assert not has_nonzero_nilpotent(ground)
     # Z^2 = 1 has non-nilpotent generator away from characteristic 2
     split = make_quotient(Presentation(RZ, (Z ** 2 - 1,)))
-    assert not is_local_with_nilpotent_generators(split)
+    assert not split.local_with_nilpotent_generators
     with pytest.raises(ValueError):
         has_nonzero_nilpotent(split)
 

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+import oracles
 from unramified import constructions, differentials
-from unramified.algebras import Presentation, identity_map, make_quotient
+from unramified.algebras import Presentation, make_quotient
 from unramified.cli import main
 from unramified.constructions import (
     STATUS_CAP,
@@ -193,7 +194,7 @@ def test_planted_element_that_is_not_the_image_falls_back_to_the_module(
     assert certifies_d_zero(dual_numbers, stray, square)
     assert not certifies_d_zero(dual_numbers, stray, Z)
     seen = _record_kaehler(monkeypatch)
-    assert not is_zero_induced_map(identity_map(dual_numbers), {"Z": stray})
+    assert not is_zero_induced_map(oracles.identity_map(dual_numbers), {"Z": stray})
     assert seen == [dual_numbers]
 
     # the composite claim of kill-all with the same planted certificate

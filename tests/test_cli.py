@@ -146,10 +146,11 @@ def test_verify_gabber_refuses_positive_characteristic(tmp_path, capsys):
                             "Clebsch-Gordan rule gives the Jordan type of g only there\n")
 
 
-def test_verify_gabber_refuses_an_infinite_start(capsys):
+def test_verify_gabber_refuses_an_infinite_start(tmp_path, capsys):
     """k[X,Y]/(XY) is not finite dimensional: a usage error on one line,
     before any claim, not a traceback."""
-    start = pathlib.Path(__file__).parent.parent / "samples" / "cross_term_f2.alg"
+    start = tmp_path / "cross_term.alg"
+    start.write_text("field QQ\nring X:1 Y:1\nrel X*Y\n")
     assert main(["verify", "gabber", "--steps", "1", "--start", str(start)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,8 +11,8 @@ from unramified.algebras import (
     Presentation,
     artinian_local_model,
     is_injective,
-    is_local_with_nilpotent_generators,
     make_quotient,
+    nilpotency_index,
 )
 from unramified.cli import main
 from unramified.constructions import (
@@ -199,8 +199,9 @@ def test_gabber_sequence(dual_numbers):
 
 
 def test_locality_is_tested_once_per_algebra(monkeypatch):
-    """Each algebra of the chain tests its generators for nilpotency once,
-    however many stages and kill-all runs ask whether it is local."""
+    """Only the start of the chain tests its generators for nilpotency, and
+    once, however many stages and kill-all runs ask whether it is local:
+    every later stage carries the locality its killing step proved."""
     real = algebras.nilpotency_index
     tested = []
 
@@ -212,33 +213,45 @@ def test_locality_is_tested_once_per_algebra(monkeypatch):
     ring = PolyRing(QQ, ("Z",))
     start = make_quotient(Presentation(ring, (ring.variable("Z") ** 2,)))
     gabber_sequence(2, start=start)
-    distinct = {id(a): a for a, _ in tested}
-    assert start in distinct.values() and len(distinct) == 2
-    for a in distinct.values():
-        assert sorted(name for b, name in tested if b is a) == sorted(a.ring.names)
+    assert tested == [(start, "Z")]
+
+
+def test_a_chain_over_positive_characteristic_is_refused_first():
+    """Over F_7 the chain and kill-all refuse with the killing step's
+    message before building a basis, counting a dimension or walking a
+    power; a start of dimension 1 is refused too."""
+    message = "the killing step needs characteristic zero"
+    for text in ("field Fp 7\nring Z:1\nrel Z^3\n", "field Fp 7\n"):
+        for run in (lambda R: gabber_sequence(1, start=R), kill_all_differentials):
+            R = build_algebra(parse_presentation(text))
+            with pytest.raises(ValueError, match=message):
+                run(R)
+            assert not {"groebner", "dimension",
+                        "local_with_nilpotent_generators"} & set(vars(R))
 
 
 def test_chain_start_must_be_finite_and_not_zero():
     """An infinite start is refused before any claim.  The zero algebra has
     no maximal ideal, so it is not local and the chain refuses it too."""
-    F2 = prime_field(2)
-    plane = PolyRing(F2, ("X", "Y"))
-    cross = make_quotient(Presentation(plane, (plane.variable("X") * plane.variable("Y"),)))
+    ring = PolyRing(QQ, ("X", "Y"))
+    X, Y = ring.variable("X"), ring.variable("Y")
+    cross = make_quotient(Presentation(ring, (X * Y,)))
     with pytest.raises(ValueError, match="must be finite dimensional"):
         gabber_sequence(1, start=cross)
 
-    ring = PolyRing(QQ, ("X", "Y"))
-    X, Y = ring.variable("X"), ring.variable("Y")
     zero = make_quotient(Presentation(ring, (X ** 2, X * Y - 1)))
     assert zero.dimension == 0
-    assert not is_local_with_nilpotent_generators(zero)
+    assert not zero.local_with_nilpotent_generators
     with pytest.raises(ValueError, match="local algebra"):
         gabber_sequence(1, start=zero)
 
 
 def test_planted_B_t_failure_fails_the_embedding_claim(monkeypatch, dual_numbers):
     """"embedding injective" is decided by the report of B_t: with
-    g^(t-1) = 0 planted there, it fails, and with it the step."""
+    g^(t-1) = 0 planted there, it fails, and with it the step.  R' is then
+    not known to be nonzero, so it carries no locality; a chain built on
+    such steps walks its stages' powers, reports the failure and does not
+    raise."""
     real = constructions.B_tensor_power
 
     def planted(*args, **kwargs):
@@ -254,14 +267,21 @@ def test_planted_B_t_failure_fails_the_embedding_claim(monkeypatch, dual_numbers
     assert claims == {"R' finite dimensional": True, "embedding injective": False,
                       "dr dies": True}
     assert not step.report.passed
+    assert "local_with_nilpotent_generators" not in vars(step.algebra)
+    result = gabber_sequence(2, start=dual_numbers)
+    claims = {c.label: c.passed for c in result.report.claims}
+    assert claims["stage 0: kill Z: embedding injective"] is False
+    assert claims["stage 1 local"] is True
+    assert not result.report.passed
 
 
 @pytest.mark.parametrize("instance", ["ladder2", "ladder3", "ladder4", "ladder5",
                                       "b5_f", "dual_z", "z5_chain"])
 def test_killing_claims_agree_with_the_direct_tests(instance, b5, dual_numbers, monkeypatch):
     """The step reads injectivity off the B_t report and locality off R; the
-    exact rank of the embedding and the nilpotency of every generator of R'
-    must agree."""
+    exact rank of the embedding and the nilpotency of every generator of R',
+    walked here rather than read from the locality R' carries, must
+    agree."""
     steps = []
     if instance.startswith("ladder"):
         ring = PolyRing(QQ, ("Z",))
@@ -286,8 +306,10 @@ def test_killing_claims_agree_with_the_direct_tests(instance, b5, dual_numbers, 
     for step in steps:
         claims = {c.label: c.passed for c in step.report.claims}
         assert claims["embedding injective"] == is_injective(step.embedding)
-        assert claims["R' finite dimensional"] == is_local_with_nilpotent_generators(
-            step.algebra)
+        Rp, ring = step.algebra, step.algebra.ring
+        walked = Rp.dimension > 0 and all(
+            nilpotency_index(Rp, ring.variable(name)) is not None for name in ring.names)
+        assert claims["R' finite dimensional"] == walked
         assert step.report.passed
 
 

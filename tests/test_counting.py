@@ -14,7 +14,6 @@ from unramified import linalg
 from unramified.algebras import (
     Presentation,
     compose,
-    identity_map,
     is_injective,
     make_map,
     make_quotient,
@@ -227,8 +226,8 @@ def test_injectivity_matches_the_dense_rank_on_small_maps(dual_numbers):
     inner = make_map(dual_numbers, T, {"Z": T.ring.variable("Z#1")})
     square = make_map(dual_numbers, T, {"Z": T.ring.variable("Z#1") * T.ring.variable("Z#2")})
     vanish = make_map(dual_numbers, T, {"Z": T.ring.zero()})
-    maps = [identity_map(dual_numbers), crush, inner, identity_map(T),
-            compose(identity_map(T), inner), square, vanish]
+    maps = [oracles.identity_map(dual_numbers), crush, inner, oracles.identity_map(T),
+            compose(oracles.identity_map(T), inner), square, vanish]
     verdicts = [is_injective(phi) for phi in maps]
     assert verdicts == [_dense_injective(phi) for phi in maps]
     assert verdicts == [True, False, True, True, True, True, False]

@@ -55,7 +55,7 @@ def test_dual_numbers_module(dual_numbers):
     module = kaehler(dual_numbers)
     assert not module.is_d_zero(Z)
     z_dz = raw_differential(Z).poly_mul(Z)
-    assert module.contains(z_dz)
+    assert module.reduce(z_dz).is_zero()
     assert module.dimension() == 1
     assert not is_omega_zero(dual_numbers)
     # an element of another ring, with as many variables and with more
@@ -145,8 +145,7 @@ def test_induced_maps():
     assert is_zero_induced_map(step)
 
     free = make_quotient(Presentation(PolyRing(QQ, ("X",)), ()))
-    from unramified.algebras import identity_map
-    assert not is_zero_induced_map(identity_map(free))
+    assert not is_zero_induced_map(oracles.identity_map(free))
 
 
 def test_derivation_kernel_character_zero():

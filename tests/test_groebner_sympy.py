@@ -20,11 +20,8 @@ from unramified.algebras import (  # noqa: E402
     tensor_quotient,
 )
 from unramified.fields import QQ, prime_field  # noqa: E402
-from unramified.groebner import (  # noqa: E402
-    buchberger,
-    module_member,
-    satisfies_buchberger_criterion,
-)
+from oracles import satisfies_buchberger_criterion  # noqa: E402
+from unramified.groebner import buchberger, normal_form  # noqa: E402
 from unramified.polynomials import ModuleVector, PolyRing  # noqa: E402
 
 NAMES = ("X", "Y", "Z")
@@ -175,6 +172,12 @@ def modules(draw):
     return p, nvars, vectors
 
 
+def module_member(v, gb) -> bool:
+    return normal_form(v, gb).is_zero()
+
+
+# The source of a derandomized @given test seeds its examples, so the body
+# below stays as written and calls the two checks above by these names.
 @SETTINGS
 @given(modules(), st.integers(1, 2))
 def test_module_basis_is_groebner_and_contains_inputs(case, split):

@@ -156,18 +156,40 @@ def names_defined_twice(modules: dict) -> list:
                   for name, found in defined.items() if len(found) > 1)
 
 
-def callers(modules: dict, name: str) -> list:
-    """The modules that call `name`, as a name or as an attribute, or hand
-    it to a call as an argument, as to `functools.partial`.  `modules` maps
-    module names to parsed trees."""
-    def names(node) -> bool:
-        return ((isinstance(node, ast.Name) and node.id == name)
-                or (isinstance(node, ast.Attribute) and node.attr == name))
+def _calls(node, name: str) -> bool:
+    """Whether the node is a call of `name`, as a name or as an attribute,
+    or a call that is handed `name` as an argument, as `functools.partial`
+    is."""
+    def names(arg) -> bool:
+        return ((isinstance(arg, ast.Name) and arg.id == name)
+                or (isinstance(arg, ast.Attribute) and arg.attr == name))
 
+    return isinstance(node, ast.Call) and (names(node.func) or any(map(names, node.args)))
+
+
+def callers(modules: dict, name: str) -> list:
+    """The modules that call `name` (see `_calls`).  `modules` maps module
+    names to parsed trees."""
     return sorted(module for module, tree in modules.items()
-                  if any(isinstance(node, ast.Call)
-                         and (names(node.func) or any(names(a) for a in node.args))
-                         for node in ast.walk(tree)))
+                  if any(_calls(node, name) for node in ast.walk(tree)))
+
+
+def uncalled_exports(modules: dict) -> list:
+    """Every module-level function that `__init__` exports and that no
+    module calls (see `_calls`) outside the function's own definition.
+    `modules` maps module names to parsed trees."""
+    exported = {alias.asname or alias.name
+                for node in modules["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uncalled = []
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                own = set(map(id, ast.walk(node)))
+                if not any(id(call) not in own and _calls(call, node.name)
+                           for other in modules.values() for call in ast.walk(other)):
+                    uncalled.append(node.name)
+    return sorted(uncalled)
 
 
 def test_unused_imports_helper_sees_only_unread_names():
@@ -324,12 +346,40 @@ def test_callers_helper():
     assert callers(modules, "build") == ["a", "b", "c"]
 
 
-def test_one_module_builds_algebras_and_three_run_buchberger():
+def test_one_module_builds_algebras_and_two_run_buchberger():
     """Every algebra comes from a constructor of `algebras`, which hands
     `QuotientAlgebra` the function that builds its basis on first use; a
-    Groebner basis is computed only for an algebra, a Kaehler module, or a
-    membership test."""
+    Groebner basis is computed only for an algebra or a Kaehler module."""
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     assert callers(modules, "QuotientAlgebra") == ["algebras"]
-    assert callers(modules, "buchberger") == ["algebras", "differentials", "groebner"]
+    assert callers(modules, "buchberger") == ["algebras", "differentials"]
+
+
+def test_uncalled_exports_helper():
+    modules = {
+        "__init__": ast.parse("from .a import used, recursive, handed, idle\n"),
+        "a": ast.parse("def used(): pass\n"
+                       "def recursive(n): return recursive(n - 1)\n"
+                       "def handed(): pass\n"
+                       "def idle(): pass\n"
+                       "def caller(): return used(), map(handed, [])\n"),
+    }
+    assert uncalled_exports(modules) == ["idle", "recursive"]
+
+
+# Exported functions that no module of the package calls, each with its reason.
+UNCALLED_EXPORTS = {
+    "is_injective": "named in perfbench/spans.py TRACED, which must resolve",
+    "parse_scalar": "the documented inverse of fields.format_scalar",
+}
+
+
+def test_no_test_only_public_function_comes_back():
+    """An exported function must be called by the package outside its own
+    definition; one that only tests call belongs in the tests.  The
+    exceptions are listed above, and each must still be one."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert uncalled_exports(modules) == sorted(UNCALLED_EXPORTS)
+    assert '"is_injective"' in (PERFBENCH / "spans.py").read_text()

@@ -11,7 +11,6 @@ from unramified import algebras, constructions, differentials
 from unramified.algebras import (
     Presentation,
     artinian_local_model,
-    is_local_with_nilpotent_generators,
     jordan_type,
     make_quotient,
     nilpotency_index,
@@ -312,7 +311,7 @@ def test_killing_step_walks_the_powers_of_r_once(monkeypatch):
     index; a non-nilpotent r is still refused."""
     R = _truncated(("Z",), (4,))
     Z = R.ring.variable("Z")
-    assert is_local_with_nilpotent_generators(R)  # the locality test asks once, here
+    assert R.local_with_nilpotent_generators  # the locality test asks once, here
 
     def refuse(*args):
         raise AssertionError("the step asked for the nilpotency index")
@@ -413,3 +412,4 @@ def test_planted_wrong_jordan_type_fails_the_dimension_claim(planted, dual_numbe
     assert claims == {"R' finite dimensional": False, "embedding injective": True,
                       "dr dies": True}
     assert not step.report.passed
+    assert "local_with_nilpotent_generators" not in vars(step.algebra)
