@@ -32,7 +32,6 @@ from .differentials import (
     VeroneseReport,
     certifies_d_zero,
     derivation_kernel_in_degree,
-    induced_map_on_omega,
     is_omega_zero,
     is_zero_induced_map,
     kaehler,

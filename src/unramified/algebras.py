@@ -126,7 +126,8 @@ class QuotientAlgebra:
         return self.reduce(f).is_zero()
 
     def __repr__(self):
-        dim = self.dimension
+        # reading an unknown dimension would build the basis, so it shows as ?
+        dim = vars(self).get("dimension", "?")
         size = "inf" if dim is None else str(dim)
         return f"<quotient of {self.ring} by {len(self.presentation.relations)} relations, dim {size}>"
 
@@ -153,16 +154,17 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
 
     Both numbers are read from one standard basis of I + m^L, with
     L = DEFAULT_POWER_CAP + 1, in the local degree order
-    (`groebner.local_leading_monomials`): the dimension is the number of
-    standard monomials of its leading monomials, and those of total degree
-    j count the tangent cone's Hilbert function HF(j).  By Nakayama's lemma dim P/(I + m^N) is the sum
-    of HF(j) over j < N, so N is the first degree without a standard
-    monomial.  The reduced basis of I + m^N is built only when something
-    reads it.  The model is local with nilpotent generators, and says so
-    without a test: each X_i^N is a relation, and 1 is standard because the
-    generators lie in m.  Raises NotMPrimaryError when every degree up to
-    the truncation limit DEFAULT_POWER_CAP has a standard monomial: I is not
-    m-primary, or N exceeds the limit.
+    (`groebner.local_leading_monomials`): its standard monomials of total
+    degree j count the tangent cone's Hilbert function HF(j).  N is the
+    first degree without one, and by Nakayama's lemma dim P/(I + m^N) is
+    the sum of HF(j) over j < N, so one walk over the degrees gives both.
+    The reduced basis of I + m^N is built only when something reads it.
+    The model is local with nilpotent generators, and says so without a
+    test: each X_i^N is a relation, and 1 is standard because the
+    generators lie in m.  Its presentation is plain: local mode only tells
+    the parser to build this model.  Raises NotMPrimaryError when every
+    degree up to the truncation limit DEFAULT_POWER_CAP has a standard
+    monomial: I is not m-primary, or N exceeds the limit.
     """
     gens = list(generators)
     for g in gens:
@@ -172,15 +174,20 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
             raise ValueError("generators must lie in the maximal ideal")
     leads = groebner.local_leading_monomials(gens, DEFAULT_POWER_CAP + 1)
     ones = (1,) * ring.nvars
-    exponent = next((n for n in range(1, DEFAULT_POWER_CAP + 1)
-                     if not _standard_monomials(ones, leads, n, n)), None)
-    if exponent is None:
+    hilbert = []                 # HF(0), HF(1), ... while nonzero
+    for j in range(DEFAULT_POWER_CAP + 1):
+        size = len(_standard_monomials(ones, leads, j, j))
+        if not size:
+            break
+        hilbert.append(size)
+    else:
         raise NotMPrimaryError(
             f"P/(I + m^N) did not stabilize by the truncation limit m^{DEFAULT_POWER_CAP}")
+    exponent = len(hilbert)
     relations = tuple(gens) + tuple(_power_generators(ring, exponent))
-    model = QuotientAlgebra(Presentation(ring, relations, MODE_LOCAL),
+    model = QuotientAlgebra(Presentation(ring, relations),
                             partial(buchberger, relations or [ring.zero()]),
-                            dimension=groebner._count_standard(ring.nvars, leads))
+                            dimension=sum(hilbert))
     model.stabilization_exponent = exponent
     model.local_with_nilpotent_generators = True
     return model
@@ -199,8 +206,6 @@ def quotient_by(algebra: QuotientAlgebra, elements, *,
     relations = algebra.presentation.relations + tuple(extra)
     mode = algebra.presentation.mode
     if mode == MODE_GRADED and not all(is_homogeneous(e) for e in extra):
-        mode = MODE_PLAIN
-    if mode == MODE_LOCAL:
         mode = MODE_PLAIN
     return QuotientAlgebra(
         Presentation(algebra.ring, relations, mode),

@@ -157,14 +157,6 @@ def is_omega_zero(algebra: QuotientAlgebra) -> bool:
     return kaehler(algebra).is_zero()
 
 
-def induced_map_on_omega(phi: AlgebraMap) -> list:
-    """Images of the source generators dX_i in the target differential
-    module: dX_i maps to d(phi(X_i)), reduced in the target."""
-    target = kaehler(phi.target)
-    return [target.d_image(phi.apply(phi.source.ring.variable(name)))
-            for name in phi.source.ring.names]
-
-
 def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bool:
     """Whether the induced map on differential modules is zero.  The source
     module is generated by the dX_i, so it suffices that every d(phi(X_i))

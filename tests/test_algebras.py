@@ -12,6 +12,7 @@ import oracles
 from unramified import algebras, groebner, linalg
 from unramified.algebras import (
     MODE_GRADED,
+    MODE_PLAIN,
     AlgebraMap,
     Presentation,
     artinian_local_model,
@@ -60,6 +61,9 @@ def test_artinian_monomial_ideal():
     model = artinian_local_model(R, [X ** 2, Y ** 3])
     assert model.dimension == 6
     assert model.stabilization_exponent == 4
+    # local mode asks the parser for a model; the model itself is plain
+    assert model.presentation.mode == MODE_PLAIN
+    assert quotient_by(model, [X]).presentation.mode == MODE_PLAIN
 
 
 def test_artinian_b5_matches_truncation_oracle(b5):
@@ -319,6 +323,18 @@ def test_a_tensor_product_builds_the_union_when_first_read():
         expected = make_quotient(tensor_many(factors)[0])
         assert product.groebner.generators == expected.groebner.generators
         assert product.dimension == expected.dimension
+
+
+def test_repr_of_an_unbuilt_algebra_computes_nothing():
+    """repr shows the dimension only once it is known: reading it would
+    build the basis, spend budget, and could raise inside repr."""
+    factor = make_quotient(Presentation(RZ, (Z ** 3,)))
+    product, _ = tensor_quotient([factor, factor])
+    with step_budget(0):
+        assert repr(product).endswith("by 2 relations, dim ?>")
+    assert "groebner" not in vars(product) and "dimension" not in vars(product)
+    assert product.dimension == 9
+    assert repr(product).endswith("dim 9>")
 
 
 def test_a_plain_quotient_spends_from_the_budget_in_force_at_first_read():

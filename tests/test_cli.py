@@ -285,6 +285,8 @@ SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
     (["verify", "gabber", "--steps", "1", "--start", "z5.alg"], "gabber_z5_steps1.json", 0),
     (["veronese", "--file", "weighted_curve_f5.alg", "--max-deg", "12"],
      "veronese_weighted_curve_f5_12.json", 0),
+    (["verify", "gabber", "--steps", "2", "--start", "dual_numbers.alg",
+      "--cap", "30000000000"], "gabber_dual_steps2_cap3e10.json", 0),
 ])
 def test_golden_outputs(argv, name, code, capsys, monkeypatch):
     """JSON output and exit code of README verbs, byte for byte; `--base`

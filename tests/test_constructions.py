@@ -31,7 +31,6 @@ from unramified.constructions import (
     verify_preparatory,
 )
 from unramified.differentials import is_omega_zero
-from unramified.errors import CapExceededError
 from unramified.fields import QQ, prime_field
 from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import PolyRing, format_polynomial
@@ -81,8 +80,6 @@ def test_tensor_power(b5):
 
     with pytest.raises(ValueError):
         B_tensor_power(B, 1)
-    with pytest.raises(CapExceededError):
-        B_tensor_power(B, 3, cap=100)
 
 
 def test_killing_step_b5(b5):

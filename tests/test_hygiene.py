@@ -383,3 +383,58 @@ def test_no_test_only_public_function_comes_back():
                for path in sorted(SOURCE.glob("*.py"))}
     assert uncalled_exports(modules) == sorted(UNCALLED_EXPORTS)
     assert '"is_injective"' in (PERFBENCH / "spans.py").read_text()
+
+
+def private_reads(modules: dict) -> list:
+    """`reader: module._name` for every single-underscore name that a module
+    of the package reads from another package module, by `from .module
+    import _name` or as `module._name` after `from . import module`.
+    `modules` maps module names to parsed trees."""
+    reads = set()
+    for reader, tree in modules.items():
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    reads.update((reader, node.module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings):
+                reads.add((reader, node.value.id, node.attr))
+    return sorted(f"{reader}: {module}.{name}" for reader, module, name in reads
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_private_reads_helper():
+    modules = {
+        "a": ast.parse("def _own(): pass\ndef public(): pass\n"),
+        "b": ast.parse("from .a import _own, public\n"),
+        "c": ast.parse("from . import a\nfrom os import _exit\na._own()\na.public()\n"
+                       "a.__name__\n"),
+    }
+    assert private_reads(modules) == ["b: a._own", "c: a._own"]
+
+
+# Private names that one package module reads from another, each with its
+# reason.
+PRIVATE_READS = {
+    "differentials: polynomials._accumulate":
+        "the one zero-dropping sum of sparse terms, for the Leibniz walk",
+    "groebner: polynomials._accumulate":
+        "the one zero-dropping sum of sparse terms, for S-pairs and reduction",
+    "algebras: polynomials._standard_monomials":
+        "the one staircase walk, for the local model's Hilbert function",
+    "groebner: polynomials._standard_monomials":
+        "the one staircase walk, for staircases and degree slices",
+}
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A private name is read only in its own module, apart from the listed
+    shared helpers; a second way to ask a question (such as a count of
+    standard monomials beside the walk that lists them) stays out."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert private_reads(modules) == sorted(PRIVATE_READS)

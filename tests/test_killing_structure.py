@@ -36,9 +36,10 @@ from unramified.errors import BudgetExceededError
 from unramified.fields import QQ, prime_field
 from unramified.groebner import buchberger, dimension, step_budget
 from unramified.parsing import build_algebra, parse_presentation
-from unramified.polynomials import PolyRing, cast
+from unramified.polynomials import PolyRing, cast, format_polynomial
 
 SAMPLES = pathlib.Path(__file__).parent.parent / "samples"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _truncated(names, exponents):
@@ -57,7 +58,7 @@ def _explicit_basis(R, r):
     the union of the bases of R and B_t, extended by r (x) 1 - 1 (x) g."""
     r = R.reduce(r)
     B, _ = gabber_B(KILLING_N)
-    tensor = B_tensor_power(B, nilpotency_index(R, r), cap=10 ** 6)
+    tensor = B_tensor_power(B, nilpotency_index(R, r))
     big, renames = tensor_quotient([R, tensor.algebra])
     relation = cast(r, big.ring, renames[0])
     for gi in tensor.factor_elements:
@@ -382,6 +383,33 @@ def test_a_held_certificate_skips_without_a_module(monkeypatch):
     assert held.report.status == STATUS_CAP
 
 
+def test_a_held_certificate_is_checked_once_in_R(monkeypatch):
+    """A held certificate is matched once, against R's own generators and in
+    R's ring, before any step; killing a generator first does not move
+    that check into a later stage.  On k[W, Z]/(Z^2, W - Z^2) Z is killed
+    first, and then W, whose certificate dW = d(W - Z^2) + d(Z^2) is in
+    hand, is skipped without a differential module."""
+    ring = PolyRing(QQ, ("W", "Z"))
+    W, Z = ring.variable("W"), ring.variable("Z")
+    R = make_quotient(Presentation(ring, (Z ** 2, W - Z ** 2)))
+    one = ring.one()
+    certificate = DZeroCertificate(W, ((one, W - Z ** 2, None), (one, Z ** 2, None)))
+    checked = []
+    real = constructions.certifies_d_zero
+
+    def spy(algebra, c, f):
+        checked.append((algebra, c))
+        return real(algebra, c, f)
+
+    monkeypatch.setattr(constructions, "certifies_d_zero", spy)
+    built = _count_kaehler_builds(monkeypatch)
+    result = kill_all_differentials(R, known=[certificate])
+    assert result.killed == ["Z", "W"]
+    assert result.report.passed and built == []
+    step_certificate = result.certificates["Z"]
+    assert [(a, c) for a, c in checked if c is not step_certificate] == [(R, certificate)]
+
+
 def test_the_chain_forwards_its_certificates(dual_numbers, monkeypatch):
     """Each stage of a chain starts with the certificates the previous one
     ended with, in its own ring."""
@@ -413,3 +441,24 @@ def test_planted_wrong_jordan_type_fails_the_dimension_claim(planted, dual_numbe
                       "dr dies": True}
     assert not step.report.passed
     assert "local_with_nilpotent_generators" not in vars(step.algebra)
+
+
+def test_the_paper_chain_finishes_under_a_cap_it_fits(monkeypatch, capsys):
+    """`verify gabber --steps 1` from B(5) at a cap above its last stage
+    exits 0 at dimension 25 058 161 862, byte for byte as its golden.  On
+    the way, X#1 has the recorded Jordan type on the stage of dimension
+    539 483, the oracle value for a structural count of that type."""
+    types = []
+    real = constructions.jordan_type
+
+    def spy(algebra, f):
+        found = real(algebra, f)
+        types.append((algebra.dimension, format_polynomial(f), found))
+        return found
+
+    monkeypatch.setattr(constructions, "jordan_type", spy)
+    assert main(["verify", "gabber", "--steps", "1", "--cap", "30000000000",
+                 "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "gabber_steps1_cap3e10.json").read_text()
+    assert (539483, "X#1",
+            {1: 9145, 2: 42669, 3: 46, 4: 100859, 5: 8284, 6: 1}) in types
