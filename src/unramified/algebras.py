@@ -56,16 +56,14 @@ class QuotientAlgebra:
     `build`, a function of no arguments, so that a construction whose claims
     need no normal form in the algebra never builds it.  The dimension is counted
     from the leading monomials on first use and cached, as is the locality
-    test; a construction that has proved the dimension may hand it over
-    instead.  The staircase, a monomial basis, is enumerated only when a
-    basis is asked for, and cached too.  Instances are immutable after
-    construction (apart from those one-time caches) and safe to share."""
+    test; a construction that has proved either fact assigns it instead.
+    The staircase, a monomial basis, is enumerated only when a basis is
+    asked for, and cached too.  Instances are immutable after construction
+    (apart from those one-time caches) and safe to share."""
 
-    def __init__(self, presentation: Presentation, build, *, dimension=None):
+    def __init__(self, presentation: Presentation, build):
         self.presentation = presentation
         self._build = build
-        if dimension is not None:
-            self.dimension = dimension
         # the N of the local model P/(I + m^N); set by artinian_local_model
         self.stabilization_exponent = None
 
@@ -158,7 +156,8 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
     degree j count the tangent cone's Hilbert function HF(j).  N is the
     first degree without one, and by Nakayama's lemma dim P/(I + m^N) is
     the sum of HF(j) over j < N, so one walk over the degrees gives both.
-    The reduced basis of I + m^N is built only when something reads it.
+    The reduced basis of I + m^N is built only when something reads it;
+    the dimension, N and locality are assigned to the model as proven.
     The model is local with nilpotent generators, and says so without a
     test: each X_i^N is a relation, and 1 is standard because the
     generators lie in m.  Its presentation is plain: local mode only tells
@@ -186,19 +185,18 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
     exponent = len(hilbert)
     relations = tuple(gens) + tuple(_power_generators(ring, exponent))
     model = QuotientAlgebra(Presentation(ring, relations),
-                            partial(buchberger, relations or [ring.zero()]),
-                            dimension=sum(hilbert))
+                            partial(buchberger, relations or [ring.zero()]))
+    model.dimension = sum(hilbert)
     model.stabilization_exponent = exponent
     model.local_with_nilpotent_generators = True
     return model
 
 
-def quotient_by(algebra: QuotientAlgebra, elements, *,
-                dimension=None) -> QuotientAlgebra:
+def quotient_by(algebra: QuotientAlgebra, elements) -> QuotientAlgebra:
     """Quotient an algebra by further elements of its ambient ring.  The
     algebra's reduced basis is extended by the new elements, not rebuilt,
-    and only when the quotient's basis is first used.  `dimension` is the
-    quotient's dimension when the caller has proved it."""
+    and only when the quotient's basis is first used.  A caller that has
+    proved the quotient's dimension assigns it to the result."""
     extra = [e for e in elements if not e.is_zero()]
     for e in extra:
         if e.ring != algebra.ring:
@@ -209,8 +207,7 @@ def quotient_by(algebra: QuotientAlgebra, elements, *,
         mode = MODE_PLAIN
     return QuotientAlgebra(
         Presentation(algebra.ring, relations, mode),
-        lambda: buchberger(extra or [algebra.ring.zero()], start=algebra.groebner),
-        dimension=dimension)
+        lambda: buchberger(extra or [algebra.ring.zero()], start=algebra.groebner))
 
 
 def tensor_many(algebras: list) -> tuple:

@@ -11,25 +11,24 @@ to stdout otherwise and diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from functools import partial
 from pathlib import Path
 
-from . import constructions
 from .algebras import make_map
 from .constructions import (
     DIMENSION_CAP,
     STATUS_CAP,
     VerificationReport,
+    canonical_json,
     charp_tower,
     check_theorem_local_case,
     euler_identity_check,
     gabber_sequence,
-    killing_step,
     standard_local_corpus,
     twisted_example,
+    verify_killing,
     verify_preparatory,
 )
 from .differentials import (
@@ -39,7 +38,6 @@ from .differentials import (
     veronese_containment_check,
 )
 from .errors import BudgetExceededError, CapExceededError, NotMPrimaryError, ParseError
-from .fields import QQ
 from .groebner import DEFAULT_BUDGET, step_budget
 from .parsing import (
     build_algebra,
@@ -49,16 +47,12 @@ from .parsing import (
     parse_polynomial,
     parse_presentation,
 )
-from .polynomials import PolyRing, Polynomial, format_polynomial, format_vector
+from .polynomials import Polynomial, format_polynomial, format_vector
 
 EXIT_PASS = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _cmd_report(build, args) -> int:
@@ -85,7 +79,7 @@ def _cmd_report(build, args) -> int:
 
 def _emit_payload(payload: dict, args, passed: bool = True) -> int:
     if args.json:
-        print(_canonical_json(payload))
+        print(canonical_json(payload))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -192,11 +186,7 @@ def _cmd_parse_check(args) -> int:
 
 def _map_omega(args) -> VerificationReport:
     spec = parse_map_file(Path(args.map).read_text())
-    source = build_algebra(spec.source)
-    target = build_algebra(spec.target)
-    images = {name: parse_polynomial(expr, target.ring)
-              for name, expr in spec.images.items()}
-    phi = make_map(source, target, images)
+    phi = make_map(build_algebra(spec.source), build_algebra(spec.target), spec.images)
     report = VerificationReport("map_omega", {"map": str(args.map)})
     report.add("induced map zero",
                "every generator differential maps to zero in the target",
@@ -234,23 +224,7 @@ def _verify_euler(args) -> VerificationReport:
 
 
 def _verify_killing(args) -> VerificationReport:
-    """The two standard killing-step instances: B(5) with r = f, and the dual
-    numbers with r = z (including the full zero-induced-map check)."""
-    report = VerificationReport("killing", {"field": "QQ"})
-    B, f = constructions.gabber_B(5, QQ)
-    step = killing_step(B, f, cap=args.cap)
-    report.fold("B(5), r=f", step.report.claims)
-    from .algebras import Presentation, make_quotient
-    ring = PolyRing(QQ, ("Z",))
-    Z = ring.variable("Z")
-    dual = make_quotient(Presentation(ring, (Z ** 2,)))
-    step2 = killing_step(dual, Z, cap=args.cap)
-    report.fold("dual numbers, r=z", step2.report.claims)
-    report.add("dual numbers, r=z: zero induced map",
-               "the embedding kills the whole differential module of the source",
-               is_zero_induced_map(step2.embedding, {"Z": step2.certificate}),
-               {"target_dimension": step2.algebra.dimension})
-    return report
+    return verify_killing(cap=args.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,13 @@ class VerificationReport:
         }
 
     def to_json(self, elapsed_ms: float | None = None) -> str:
-        return json.dumps(self.to_json_dict(elapsed_ms), indent=2, sort_keys=True)
+        return canonical_json(self.to_json_dict(elapsed_ms))
+
+
+def canonical_json(payload) -> str:
+    """The one JSON form of every report and payload: sorted keys, indent 2,
+    so repeated runs are byte-identical."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +299,14 @@ def _killing_certificate(r: Polynomial, relation: Polynomial,
     return DZeroCertificate(r, tuple(terms))
 
 
-def _tensor_sum_type(jordan: dict, copies: int, characteristic: int) -> dict:
+def _tensor_sum_type(jordan: dict, copies: int) -> dict:
     """The Jordan type (block size -> number of blocks) of g_1 + ... + g_copies
     on a tensor product of `copies` spaces, g_i acting in factor i by a
     nilpotent of Jordan type `jordan`.  It is built factor by factor with the
     Clebsch-Gordan rule
         J_a (x) 1 + 1 (x) J_b = J_(a+b-1) + J_(a+b-3) + ... + J_(|a-b|+1),
-    which holds in characteristic zero only; a positive characteristic is
-    refused."""
-    if characteristic != 0:
-        raise ValueError("the Clebsch-Gordan rule needs characteristic zero")
+    which holds in characteristic zero only: its one caller, killing_step,
+    refuses a positive characteristic first."""
     total = {1: 1}  # the zero map on the ground field
     for _ in range(copies):
         combined: dict = {}
@@ -339,13 +343,13 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
       it before any tensor is built, and only here: R has a block of size
       t, a free summand A (A is self-injective), so dim R' >= dim B_t and
       no tensor the step builds can exceed the cap.
-    - R' is finite dimensional by that count, provided the type of g
-      fills B_t and has largest block t, which the claim checks.  It is
-      local because every generator of R (tested once, on R) and of B_t
-      (B is the local model P/(I + m^N)) is nilpotent, and R' is not zero
-      because R embeds in it.  When this claim and the embedding's pass,
-      R' carries that locality, and no later test walks its generators'
-      powers.
+    - R' is finite dimensional by that count, which it is assigned as its
+      dimension, provided the type of g fills B_t and has largest block t,
+      which the claim checks.  It is local because every generator of R
+      (tested once, on R) and of B_t (B is the local model P/(I + m^N)) is
+      nilpotent, and R' is not zero because R embeds in it.  When this
+      claim and the embedding's pass, R' carries that locality, and no
+      later test walks its generators' powers.
     - The embedding maps each variable to its renamed copy; every relation
       of R, renamed, is a presentation relation of R', so it is well
       defined.  It is injective when the B_t report passes: the embedding
@@ -367,7 +371,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     r_type = jordan_type(R, r_reduced)
     t = max(r_type)
     B, f = gabber_B(KILLING_N, R.field)
-    g_type = _tensor_sum_type(jordan_type(B, f), t - 1, R.field.characteristic)
+    g_type = _tensor_sum_type(jordan_type(B, f), t - 1)
     dimension = sum(m * n * min(a, b) for a, m in r_type.items()
                     for b, n in g_type.items())
     if dimension > cap:
@@ -381,7 +385,8 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     relation = r_emb
     for part in parts:
         relation = relation - part
-    Rp = quotient_by(big, [relation], dimension=dimension)
+    Rp = quotient_by(big, [relation])
+    Rp.dimension = dimension
     iota = renaming_map(R, Rp, renames[0])
     certificate = _killing_certificate(r_emb, relation, parts)
     report = VerificationReport(
@@ -391,7 +396,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     local = report.add(
         "R' finite dimensional",
         "R' = R (x) B_t / (r (x) 1 - 1 (x) g) is a finite dimensional local algebra",
-        Rp.is_finite and R.local_with_nilpotent_generators and max(g_type) == t
+        R.local_with_nilpotent_generators and max(g_type) == t
         and sum(b * n for b, n in g_type.items()) == Bt.dimension,
         {"dimension": Rp.dimension})
     embedded = report.add("embedding injective",
@@ -404,6 +409,24 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                "the image of r in R' has zero differential: d(iota(r)) = 0",
                certifies_d_zero(Rp, certificate, r_emb))
     return KillingStepResult(Rp, iota, report, certificate, renames[0])
+
+
+def verify_killing(*, cap: int = DIMENSION_CAP) -> VerificationReport:
+    """The two standard killing-step instances: B(5) with r = f, and the dual
+    numbers with r = z (including the full zero-induced-map check)."""
+    report = VerificationReport("killing", {"field": "QQ"})
+    B, f = gabber_B(5, QQ)
+    report.fold("B(5), r=f", killing_step(B, f, cap=cap).report.claims)
+    ring = PolyRing(QQ, ("Z",))
+    Z = ring.variable("Z")
+    dual = make_quotient(Presentation(ring, (Z ** 2,)))
+    step = killing_step(dual, Z, cap=cap)
+    report.fold("dual numbers, r=z", step.report.claims)
+    report.add("dual numbers, r=z: zero induced map",
+               "the embedding kills the whole differential module of the source",
+               is_zero_induced_map(step.embedding, {"Z": step.certificate}),
+               {"target_dimension": step.algebra.dimension})
+    return report
 
 
 @dataclass

@@ -30,7 +30,6 @@ from .polynomials import (
     _accumulate,
     cast,
     partial_derivative,
-    substitute,
 )
 
 
@@ -171,7 +170,7 @@ def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bo
     certificates = certificates or {}
     target = phi.target
     for name in phi.source.ring.names:
-        image = substitute(phi.source.ring.variable(name), phi.images, target.ring)
+        image = phi.images[name]
         certificate = certificates.get(name)
         if certificate is not None and certifies_d_zero(target, certificate, image):
             continue

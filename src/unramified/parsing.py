@@ -322,7 +322,7 @@ def build_algebra(presentation: Presentation) -> QuotientAlgebra:
 class MapFile:
     source: Presentation
     target: Presentation
-    images: dict  # source variable name -> expression text
+    images: dict  # source variable name -> polynomial of the target ring
 
 
 def parse_map_file(text: str) -> MapFile:
@@ -336,8 +336,9 @@ def parse_map_file(text: str) -> MapFile:
         X = X^2
         ...
 
-    Each presentation section is parsed with the other lines blanked, so
-    its errors cite lines of the whole file.
+    Each presentation section is parsed with the other lines blanked, and
+    each image in the target's ring at its place in its line, so every
+    error cites a line and column of the whole file.
     """
     lines = text.splitlines()
     sections: dict = {}
@@ -371,12 +372,12 @@ def parse_map_file(text: str) -> MapFile:
     target = parse_presentation(in_place("target"))
     images: dict = {}
     for lineno, raw in sections["map"]:
-        line = _strip_comment(raw).strip()
-        name, sep, expr = line.partition("=")
+        head, sep, expr = _strip_comment(raw).partition("=")
         if not sep:
             raise ParseError("map lines look like NAME = expression", lineno)
-        name = name.strip()
+        name = head.strip()
         if name in images:
             raise ParseError(f"duplicate image for {name!r}", lineno)
-        images[name] = expr.strip()
+        # the expression starts in the file column after the "="
+        images[name] = parse_polynomial(expr, target.ring, lineno, len(head) + 2)
     return MapFile(source, target, images)

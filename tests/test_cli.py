@@ -181,6 +181,18 @@ X = X
     assert payload["pass"] is False
 
 
+def test_map_omega_bad_image_cites_its_file_line(tmp_path, capsys):
+    """A bad [map] image is a parse error at its own line and column of the
+    map file, not at line 1 of the image text."""
+    path = tmp_path / "bad_image.map"
+    path.write_text("[source]\nfield QQ\nring Y:1\n[target]\nfield QQ\nring Y:1\n"
+                    "[map]\nY = Y^2 + Q\n")
+    assert main(["map-omega", "--map", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 8, column 11: unknown variable 'Q'\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("field QQ\nring X:1\nrel X + @\n")

@@ -192,6 +192,37 @@ def uncalled_exports(modules: dict) -> list:
     return sorted(uncalled)
 
 
+def keyword_only_parameters(modules: dict):
+    """(qualified name, callee, parameter) for every keyword-only parameter
+    of a function of the package, methods and nested functions included.
+    The callee is the name a call uses: a class for its `__init__`.
+    `modules` maps module names to parsed trees."""
+    for module, tree in modules.items():
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(node))
+            callee = cls if node.name == "__init__" and cls else node.name
+            qualified = callee if cls in (None, callee) else f"{cls}.{node.name}"
+            for arg in node.args.kwonlyargs:
+                yield f"{module}.{qualified}", callee, arg.arg
+
+
+def unpassed_options(modules: dict) -> list:
+    """`qualified name: parameter` for every keyword-only parameter (see
+    `keyword_only_parameters`) that no call of its callee in the package
+    (see `_calls`) passes by name.  `modules` maps module names to parsed
+    trees."""
+    calls = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    return sorted(f"{qualified}: {name}"
+                  for qualified, callee, name in keyword_only_parameters(modules)
+                  if not any(_calls(call, callee) and name in {k.arg for k in call.keywords}
+                             for call in calls))
+
+
 def test_unused_imports_helper_sees_only_unread_names():
     tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n")
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
@@ -366,6 +397,33 @@ def test_uncalled_exports_helper():
                        "def caller(): return used(), map(handed, [])\n"),
     }
     assert uncalled_exports(modules) == ["idle", "recursive"]
+
+
+def test_unpassed_options_helper():
+    modules = {
+        "a": ast.parse("def f(x, *, used=1, idle=2): pass\n"
+                       "class C:\n"
+                       "    def __init__(self, *, size=0): pass\n"
+                       "    def run(self, *, fast=False): pass\n"
+                       "def g(*args, handed=1): pass\n"),
+        "b": ast.parse("from functools import partial\nfrom .a import C, f, g\n"
+                       "f(1, used=2)\nC(size=3).run()\npartial(g, handed=2)\n"
+                       "run(fast=True)\n"),
+    }
+    assert sorted(qualified for qualified, _, _ in keyword_only_parameters(modules)) == [
+        "a.C", "a.C.run", "a.f", "a.f", "a.g"]
+    assert unpassed_options(modules) == ["a.f: idle"]
+    del modules["b"].body[-1]
+    assert unpassed_options(modules) == ["a.C.run: fast", "a.f: idle"]
+
+
+def test_every_option_has_a_caller():
+    """A keyword-only parameter is an option, and some call in the package
+    passes it by name: an option that no caller sets is one more
+    configuration for tests and benchmarks to cover, for nobody."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert unpassed_options(modules) == []
 
 
 # Exported functions that no module of the package calls, each with its reason.

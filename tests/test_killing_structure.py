@@ -4,6 +4,7 @@ R' builds its Groebner basis only on first use.  The explicit construction,
 the quotient of R (x) B_t by r (x) 1 - 1 (x) g, stays the oracle."""
 
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -51,6 +52,21 @@ def _truncated(names, exponents):
 def _built(algebra) -> bool:
     """Whether the algebra's Groebner basis has been built."""
     return "groebner" in vars(algebra)
+
+
+def _count_buchberger_runs(monkeypatch) -> Counter:
+    """Buchberger runs by the number of variables of their ring, counted at
+    the two bindings that build bases, those of `algebras` and
+    `differentials`."""
+    runs = Counter()
+
+    def counting(generators, **kwargs):
+        runs[generators[0].ring.nvars] += 1
+        return buchberger(generators, **kwargs)
+
+    monkeypatch.setattr(algebras, "buchberger", counting)
+    monkeypatch.setattr(differentials, "buchberger", counting)
+    return runs
 
 
 def _explicit_basis(R, r):
@@ -111,7 +127,7 @@ def test_proved_dimension_equals_the_explicit_count(instance, b5, dual_numbers,
 
 def test_lazy_and_eager_bases_agree(b5):
     """A quotient builds the same reduced basis on first use as an algebra
-    given it at once, and a handed dimension stands in for the count."""
+    given it at once, and an assigned dimension stands in for the count."""
     B, f = b5
     lazy = quotient_by(B, [f])
     assert not _built(lazy)
@@ -119,7 +135,8 @@ def test_lazy_and_eager_bases_agree(b5):
     assert lazy.dimension == eager.dimension == 10
     assert _built(lazy)
     assert lazy.groebner.generators == eager.groebner.generators
-    proved = quotient_by(B, [f], dimension=10)
+    proved = quotient_by(B, [f])
+    proved.dimension = 10
     assert proved.dimension == 10 and proved.is_finite and not _built(proved)
 
 
@@ -133,15 +150,10 @@ def test_clebsch_gordan_type_equals_the_quotient_type(t, b5):
     g = tensor.algebra.ring.zero()
     for gi in tensor.factor_elements:
         g = g + gi
-    cg = _tensor_sum_type(jordan_type(B, f), t - 1, 0)
+    cg = _tensor_sum_type(jordan_type(B, f), t - 1)
     assert jordan_type(tensor.algebra, g) == cg
     assert max(cg) == t
     assert sum(size * count for size, count in cg.items()) == tensor.algebra.dimension
-
-
-def test_clebsch_gordan_refuses_positive_characteristic():
-    with pytest.raises(ValueError, match="characteristic zero"):
-        _tensor_sum_type({1: 9, 2: 1}, 2, 7)
 
 
 def test_jordan_type_guards(dual_numbers):
@@ -201,6 +213,16 @@ def test_the_ladder_step_leaves_the_product_basis_unbuilt(monkeypatch):
     assert step.algebra.groebner.generators == _explicit_basis(
         R, R.ring.variable("Z")).generators
     assert _built(big)
+
+
+def test_the_ladder_rung_runs_buchberger_only_on_small_rings(monkeypatch):
+    """killing_step on k[Z]/(Z^5), the last `ladder` rung, builds the bases
+    of R and of its quotients by Z's powers (1 variable), of B and B/(f)
+    (2 variables) and of B_5 (8 variables), and none on the 9 of R'."""
+    runs = _count_buchberger_runs(monkeypatch)
+    R = _truncated(("Z",), (5,))
+    assert killing_step(R, R.ring.variable("Z")).report.passed
+    assert runs == {1: 5, 2: 2, 8: 1}
 
 
 def test_killing_step_refuses_positive_characteristic_first():
@@ -284,21 +306,39 @@ def test_x2_y3_chain_builds_no_kaehler_module(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("exponents, final", [((2, 3), 1331), ((2, 2), 121)])
+# exponents of k[X, Y]/(X^a, Y^b) -> (dimension, Jordan type of X#1) on the
+# stage after Y is killed, both read from that stage's explicit basis; a
+# structural count of the type over quotients of R must reproduce them
+MIDDLE_STAGES = {(2, 3): (242, {2: 121}), (2, 2): (22, {2: 11}),
+                 (3, 3): (363, {3: 121})}
+
+
+@pytest.mark.parametrize("exponents, final", [((2, 3), 1331), ((2, 2), 121),
+                                              ((3, 3), 14641)])
 def test_a_chain_is_carried_by_one_renaming(exponents, final, monkeypatch):
     """Kill-all over two generators carries the chain as one renaming: no
     map is composed or applied, the composite sends each generator to its
     renamed variable in the final algebra, and that algebra never builds
-    its basis."""
+    its basis.  The type of X#1 on the middle stage is the recorded one."""
     def refuse(*args):
         raise AssertionError("the chain reduced an image")
 
+    types = []
+    real = constructions.jordan_type
+
+    def spy(algebra, f):
+        types.append((algebra.dimension, format_polynomial(f), real(algebra, f)))
+        return types[-1][2]
+
     monkeypatch.setattr(constructions, "compose", refuse)
     monkeypatch.setattr(algebras.AlgebraMap, "apply", refuse)
+    monkeypatch.setattr(constructions, "jordan_type", spy)
     R = _truncated(("X", "Y"), exponents)
     result = kill_all_differentials(R)
     assert result.report.passed and result.killed == ["Y", "X"]
     assert result.algebra.dimension == final
+    dim, x_type = MIDDLE_STAGES[exponents]
+    assert (dim, "X#1", x_type) in types
     ring = result.algebra.ring
     assert result.embedding.source is R and result.embedding.target is result.algebra
     assert result.embedding.images == {"X": ring.variable("X#1#1"),
@@ -447,7 +487,10 @@ def test_the_paper_chain_finishes_under_a_cap_it_fits(monkeypatch, capsys):
     """`verify gabber --steps 1` from B(5) at a cap above its last stage
     exits 0 at dimension 25 058 161 862, byte for byte as its golden.  On
     the way, X#1 has the recorded Jordan type on the stage of dimension
-    539 483, the oracle value for a structural count of that type."""
+    539 483, the oracle value for a structural count of that type.
+    Buchberger runs by ring: 10 on B's 2 variables, one per step on the 10
+    of B_6, and 7 on the 12 of the stage of dimension 539 483: the explicit
+    walk that a structural count of X#1's type would remove."""
     types = []
     real = constructions.jordan_type
 
@@ -457,8 +500,10 @@ def test_the_paper_chain_finishes_under_a_cap_it_fits(monkeypatch, capsys):
         return found
 
     monkeypatch.setattr(constructions, "jordan_type", spy)
+    runs = _count_buchberger_runs(monkeypatch)
     assert main(["verify", "gabber", "--steps", "1", "--cap", "30000000000",
                  "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "gabber_steps1_cap3e10.json").read_text()
     assert (539483, "X#1",
             {1: 9145, 2: 42669, 3: 46, 4: 100859, 5: 8284, 6: 1}) in types
+    assert runs == {2: 10, 10: 2, 12: 7}

@@ -158,7 +158,7 @@ rel Y^4
 [map]
 Y = Y^2
 """)
-    assert spec.images == {"Y": "Y^2"}
+    assert spec.images == {"Y": spec.target.ring.variable("Y") ** 2}
     with pytest.raises(ParseError):
         parse_map_file("[source]\nfield QQ\n[map]\nY = Y")
     with pytest.raises(ParseError):
@@ -185,3 +185,9 @@ def test_map_file_errors_cite_file_lines():
         parse_map_file(text.replace("rel Y^3 +", "  rel  $Y"))
     with pytest.raises(ParseError, match=r"^line 3, ") as info:
         parse_map_file(text.replace("ring Y:1\nrel Y^2", "ring Y:0\nrel Y^2"))
+    # an image is parsed in the target's ring, at its place in the file
+    fixed = text.replace("rel Y^3 +", "rel Y^3")
+    with pytest.raises(ParseError, match=r"^line 11, column 9: unknown variable 'Q'"):
+        parse_map_file(fixed.replace("Y = Y\n", "Y = Y + Q\n"))
+    with pytest.raises(ParseError, match=r"^line 11, column 12: "):
+        parse_map_file(fixed.replace("Y = Y\n", "  Y =  Y + @  # note\n"))
