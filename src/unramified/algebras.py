@@ -57,6 +57,9 @@ class QuotientAlgebra:
     need no normal form in the algebra never builds it.  The dimension is counted
     from the leading monomials on first use and cached, as is the locality
     test; a construction that has proved either fact assigns it instead.
+    A killing step's R' keeps the structure the step proved
+    (`killing_origin`), from which a later step reads Jordan types on R'
+    without building its basis.
     The staircase, a monomial basis, is enumerated only when a basis is
     asked for, and cached too.  Instances are immutable after construction
     (apart from those one-time caches) and safe to share."""
@@ -66,6 +69,9 @@ class QuotientAlgebra:
         self._build = build
         # the N of the local model P/(I + m^N); set by artinian_local_model
         self.stabilization_exponent = None
+        # (P, s, renaming of P's variables, type of g on B_t) when this is the
+        # R' = P (x)_A B_t of a killing step that proved it; set by killing_step
+        self.killing_origin = None
 
     @cached_property
     def groebner(self) -> GroebnerBasis:

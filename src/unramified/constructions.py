@@ -318,6 +318,27 @@ def _tensor_sum_type(jordan: dict, copies: int) -> dict:
     return total
 
 
+def _stage_type(R: QuotientAlgebra, r: Polynomial) -> dict:
+    """The Jordan type of r on R.  When R is a killing step's R' = P (x)_A B_t,
+    which killed s in P, and r is the copy of a variable y of P, it is read
+    on quotients of P: as a P-module R is the sum over b of (P/s^b P)^(n_b),
+    with n_b the number of blocks of size b of g on B_t, so
+        type(r on R) = sum over b of n_b * type(y on P/s^b P).
+    This is the depth-one case.  Any other r, such as a copy variable of
+    B_t, or an R that no step made, is walked explicitly (`jordan_type`)."""
+    if R.killing_origin is not None:
+        P, s, rename, g_type = R.killing_origin
+        for y, name in rename.items():
+            if r == R.ring.variable(name):
+                total: dict = {}
+                for b, n in g_type.items():
+                    part = jordan_type(quotient_by(P, [s ** b]), P.ring.variable(y))
+                    for size, m in part.items():
+                        total[size] = total.get(size, 0) + n * m
+                return total
+    return jordan_type(R, r)
+
+
 def _refuse_positive_characteristic(field: FieldDescriptor):
     """The killing step needs characteristic zero; the step and every chain
     of steps call this before any work."""
@@ -338,18 +359,22 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     - The dimension is exact: Jordan blocks of sizes a and b give
       A/u^a (x)_A A/u^b = A/u^min(a,b), so dim R' is the sum of min(a, b)
       over pairs of blocks of r on R and of g on B_t.  The type of r is read
-      off quotients of R, that of g from the type of f on B by the
-      Clebsch-Gordan rule (`_tensor_sum_type`).  The cap is checked against
-      it before any tensor is built, and only here: R has a block of size
-      t, a free summand A (A is self-injective), so dim R' >= dim B_t and
-      no tensor the step builds can exceed the cap.
+      off quotients of R, or of R's parent when R is itself a step's R' and
+      r the copy of a parent variable (`_stage_type`); r is nonzero exactly
+      when its largest block t is at least 2.  The type of g comes from the
+      type of f on B by the Clebsch-Gordan rule (`_tensor_sum_type`).  The
+      cap is checked against it before any tensor is built, and only here:
+      R has a block of size t, a free summand A (A is self-injective), so
+      dim R' >= dim B_t and no tensor the step builds can exceed the cap.
     - R' is finite dimensional by that count, which it is assigned as its
       dimension, provided the type of g fills B_t and has largest block t,
       which the claim checks.  It is local because every generator of R
       (tested once, on R) and of B_t (B is the local model P/(I + m^N)) is
       nilpotent, and R' is not zero because R embeds in it.  When this
       claim and the embedding's pass, R' carries that locality, and no
-      later test walks its generators' powers.
+      later test walks its generators' powers; it also carries
+      `killing_origin` = (R, r, the renaming, the type of g), from which a
+      later step reads types on R' (`_stage_type`).
     - The embedding maps each variable to its renamed copy; every relation
       of R, renamed, is a presentation relation of R', so it is well
       defined.  It is injective when the B_t report passes: the embedding
@@ -358,18 +383,17 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     - The image of r has zero differential by an explicit identity
       (`_killing_certificate`), not a Groebner basis of the differential
       module; the result carries that certificate.  The relation added is
-      r - (g_1 + ... + g_(t-1)) unreduced, which the identity needs; R' is
-      the same algebra as with r - NF(g).
+      r - (g_1 + ... + g_(t-1)) with r as given and g unreduced, which the
+      identity needs; any representatives of r and g give the same R'.
     No staircase larger than R's is enumerated.  A field of positive
     characteristic is refused before any work: the Clebsch-Gordan rule
     holds in characteristic zero only.
     """
     _refuse_positive_characteristic(R.field)
-    r_reduced = R.reduce(r)
-    if r_reduced.is_zero():
+    r_type = _stage_type(R, r)
+    t = max(r_type, default=1)
+    if t < 2:
         raise ValueError("r must be nonzero in R")
-    r_type = jordan_type(R, r_reduced)
-    t = max(r_type)
     B, f = gabber_B(KILLING_N, R.field)
     g_type = _tensor_sum_type(jordan_type(B, f), t - 1)
     dimension = sum(m * n * min(a, b) for a, m in r_type.items()
@@ -380,7 +404,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     tensor = B_tensor_power(B, t)
     Bt = tensor.algebra
     big, renames = tensor_quotient([R, Bt])
-    r_emb = cast(r_reduced, big.ring, renames[0])
+    r_emb = cast(r, big.ring, renames[0])
     parts = [cast(gi, big.ring, renames[1]) for gi in tensor.factor_elements]
     relation = r_emb
     for part in parts:
@@ -391,7 +415,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     certificate = _killing_certificate(r_emb, relation, parts)
     report = VerificationReport(
         "killing_step",
-        {"n": KILLING_N, "t": t, "r": format_polynomial(r_reduced),
+        {"n": KILLING_N, "t": t, "r": format_polynomial(r),
          "field": str(R.field)})
     local = report.add(
         "R' finite dimensional",
@@ -405,6 +429,7 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                           {"dim_R": R.dimension})
     if local and embedded:
         Rp.local_with_nilpotent_generators = True
+        Rp.killing_origin = (R, r, renames[0], g_type)
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
                certifies_d_zero(Rp, certificate, r_emb))

@@ -338,10 +338,13 @@ def parse_map_file(text: str) -> MapFile:
 
     Each presentation section is parsed with the other lines blanked, and
     each image in the target's ring at its place in its line, so every
-    error cites a line and column of the whole file.
+    error cites a line and column of the whole file.  Each source variable
+    has exactly one image: a name that is not one is an error at its line,
+    and a variable without an image one at the [map] header.
     """
     lines = text.splitlines()
     sections: dict = {}
+    headers: dict = {}          # section name -> line of its header
     current: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
@@ -354,6 +357,7 @@ def parse_map_file(text: str) -> MapFile:
             if current in sections:
                 raise ParseError(f"duplicate section {current!r}", lineno)
             sections[current] = []
+            headers[current] = lineno
             continue
         if current is None:
             raise ParseError("content before the first section", lineno)
@@ -378,6 +382,12 @@ def parse_map_file(text: str) -> MapFile:
         name = head.strip()
         if name in images:
             raise ParseError(f"duplicate image for {name!r}", lineno)
+        if name not in source.ring.names:
+            raise ParseError(f"{name!r} is not a source variable", lineno,
+                             len(head) - len(head.lstrip()) + 1)
         # the expression starts in the file column after the "="
         images[name] = parse_polynomial(expr, target.ring, lineno, len(head) + 2)
+    for name in source.ring.names:
+        if name not in images:
+            raise ParseError(f"source variable {name!r} has no image", headers["map"])
     return MapFile(source, target, images)

@@ -193,6 +193,18 @@ def test_map_omega_bad_image_cites_its_file_line(tmp_path, capsys):
     assert captured.err == "parse error: line 8, column 11: unknown variable 'Q'\n"
 
 
+def test_map_omega_unknown_name_cites_its_file_line(tmp_path, capsys):
+    """An image for a name that is not a source variable is a parse error
+    that names it at its line of the map file."""
+    path = tmp_path / "bad_name.map"
+    path.write_text("[source]\nfield QQ\nring Y:1\n[target]\nfield QQ\nring Y:1\n"
+                    "[map]\nW = Y\n")
+    assert main(["map-omega", "--map", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 8, column 1: 'W' is not a source variable\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("field QQ\nring X:1\nrel X + @\n")

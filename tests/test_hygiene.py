@@ -103,26 +103,56 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def assigned_attributes(node):
+    """(name, attribute, line) for every assignment `name.attribute = ...`
+    in the subtree."""
+    for sub in ast.walk(node):
+        targets = (sub.targets if isinstance(sub, ast.Assign)
+                   else [sub.target] if isinstance(sub, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                yield target.value.id, target.attr, target.lineno
+
+
+def class_fields(node: ast.ClassDef):
+    """Every field of the class if it is a dataclass, and every attribute
+    that its `__init__` assigns on `self`."""
+    dataclass = _is_dataclass(node)
+    for item in node.body:
+        if (dataclass and isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            yield item.target.id
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            yield from (attr for name, attr, _ in assigned_attributes(item)
+                        if name == "self")
+
+
 def public_fields(tree: ast.Module):
-    """(class, attribute) for every field of a public dataclass and every
-    attribute that the `__init__` of a public class assigns on `self`."""
+    """(class, attribute) for every field of a public class (see
+    `class_fields`)."""
     for node in tree.body:
-        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-            continue
-        dataclass = _is_dataclass(node)
-        for item in node.body:
-            if (dataclass and isinstance(item, ast.AnnAssign)
-                    and isinstance(item.target, ast.Name)):
-                yield node.name, item.target.id
-            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                for sub in ast.walk(item):
-                    targets = (sub.targets if isinstance(sub, ast.Assign)
-                               else [sub.target] if isinstance(sub, ast.AnnAssign) else [])
-                    for target in targets:
-                        if (isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"):
-                            yield node.name, target.attr
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((node.name, attr) for attr in class_fields(node))
+
+
+def undeclared_assignments(modules: dict) -> list:
+    """`module:line: name.attribute` for every assignment to an attribute of
+    a name other than `self` that no class of `modules` declares: a field
+    (see `class_fields`) or a `cached_property`.  Dunders are exempt.
+    `modules` maps module names to parsed trees."""
+    declared = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                declared.update(class_fields(node))
+                declared.update(
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and any(isinstance(d, ast.Name) and d.id == "cached_property"
+                            for d in item.decorator_list))
+    return sorted(f"{module}:{line}: {name}.{attr}" for module, tree in modules.items()
+                  for name, attr, line in assigned_attributes(tree)
+                  if name != "self" and not attr.startswith("__") and attr not in declared)
 
 
 def unread_fields(modules: dict, readers: list) -> list:
@@ -353,6 +383,44 @@ def test_unread_fields_helper():
     assert sorted(public_fields(defining)) == [
         ("Engine", "rows"), ("Engine", "spare"), ("Result", "unread"), ("Result", "used")]
     assert unread_fields({"a": defining}, [reader]) == ["a.Engine.spare", "a.Result.unread"]
+
+
+def test_undeclared_assignments_helper():
+    modules = {
+        "a": ast.parse("from dataclasses import dataclass\n"
+                       "from functools import cached_property\n"
+                       "@dataclass\n"
+                       "class Report:\n"
+                       "    status: str = 'ok'\n"
+                       "class _Row:\n"
+                       "    def __init__(self):\n"
+                       "        self.terms = {}\n"
+                       "class Algebra:\n"
+                       "    def __init__(self):\n"
+                       "        self.origin = None\n"
+                       "    @cached_property\n"
+                       "    def dimension(self): return 0\n"
+                       "    def later(self):\n"
+                       "        self.spare = 1\n"),
+        "b": ast.parse("def prove(report, row, algebra):\n"
+                       "    report.status = 'cap'\n"
+                       "    row.terms = {}\n"
+                       "    algebra.dimension = algebra.origin = 3\n"
+                       "    algebra.orgin = None\n"
+                       "    algebra.spare = 2\n"
+                       "    prove.__name__ = 'check'\n"),
+    }
+    assert undeclared_assignments(modules) == ["b:5: algebra.orgin", "b:6: algebra.spare"]
+
+
+def test_every_assigned_attribute_is_declared():
+    """A fact that one module proves and assigns on another's object, such
+    as an algebra's dimension, is an attribute its class declares: a
+    misspelt one would be stored for nobody, and the fact would silently be
+    computed again."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert undeclared_assignments(modules) == []
 
 
 def test_every_public_field_is_read():

@@ -4,6 +4,7 @@ R' builds its Groebner basis only on first use.  The explicit construction,
 the quotient of R (x) B_t by r (x) 1 - 1 (x) g, stays the oracle."""
 
 import pathlib
+import random
 from collections import Counter
 
 import pytest
@@ -306,9 +307,23 @@ def test_x2_y3_chain_builds_no_kaehler_module(monkeypatch):
     assert built == []
 
 
+def _spy_stage_types(monkeypatch) -> list:
+    """(algebra, r as text, type) of every Jordan type a killing step asks
+    for, in order."""
+    types = []
+    real = constructions._stage_type
+
+    def spy(algebra, r):
+        types.append((algebra, format_polynomial(r), real(algebra, r)))
+        return types[-1][2]
+
+    monkeypatch.setattr(constructions, "_stage_type", spy)
+    return types
+
+
 # exponents of k[X, Y]/(X^a, Y^b) -> (dimension, Jordan type of X#1) on the
-# stage after Y is killed, both read from that stage's explicit basis; a
-# structural count of the type over quotients of R must reproduce them
+# stage after Y is killed, both read from that stage's explicit basis; the
+# structural count of the type over quotients of R reproduces them
 MIDDLE_STAGES = {(2, 3): (242, {2: 121}), (2, 2): (22, {2: 11}),
                  (3, 3): (363, {3: 121})}
 
@@ -319,31 +334,105 @@ def test_a_chain_is_carried_by_one_renaming(exponents, final, monkeypatch):
     """Kill-all over two generators carries the chain as one renaming: no
     map is composed or applied, the composite sends each generator to its
     renamed variable in the final algebra, and that algebra never builds
-    its basis.  The type of X#1 on the middle stage is the recorded one."""
+    its basis.  The type of X#1 on the middle stage is read on quotients of
+    R, so that stage never builds its basis either; the type is the
+    recorded one, and the explicit walk on the stage agrees."""
     def refuse(*args):
         raise AssertionError("the chain reduced an image")
 
-    types = []
-    real = constructions.jordan_type
-
-    def spy(algebra, f):
-        types.append((algebra.dimension, format_polynomial(f), real(algebra, f)))
-        return types[-1][2]
-
     monkeypatch.setattr(constructions, "compose", refuse)
     monkeypatch.setattr(algebras.AlgebraMap, "apply", refuse)
-    monkeypatch.setattr(constructions, "jordan_type", spy)
+    types = _spy_stage_types(monkeypatch)
     R = _truncated(("X", "Y"), exponents)
     result = kill_all_differentials(R)
     assert result.report.passed and result.killed == ["Y", "X"]
     assert result.algebra.dimension == final
+    (start, y, _), (middle, x, x_found) = types
+    assert (start, y, x) == (R, "Y", "X#1")
     dim, x_type = MIDDLE_STAGES[exponents]
-    assert (dim, "X#1", x_type) in types
+    assert (middle.dimension, x_found) == (dim, x_type)
+    assert not _built(middle)
+    assert jordan_type(middle, middle.ring.variable("X#1")) == x_type
     ring = result.algebra.ring
     assert result.embedding.source is R and result.embedding.target is result.algebra
     assert result.embedding.images == {"X": ring.variable("X#1#1"),
                                        "Y": ring.variable("Y#1#1")}
     assert not _built(result.algebra)
+
+
+def _random_monomial(rng, xs, low, high):
+    m = xs[0].ring.one()
+    for _ in range(rng.randint(low, high)):
+        m = m * rng.choice(xs)
+    return m
+
+
+def _random_killing_input(rng):
+    """(R, r): R local over QQ in 1 to 3 variables, by pure powers X_i^a
+    with a in 2..4 and up to two binomials in m^2, of dimension at most 40,
+    and r nonzero in m.  B_t has dimension 11^(t-1), so r is drawn until
+    its nilpotency index t is at most 4, and R' stays small enough to build
+    explicitly."""
+    while True:
+        ring = PolyRing(QQ, ("X", "Y", "W")[:rng.randint(1, 3)])
+        xs = [ring.variable(v) for v in ring.names]
+        relations = [x ** rng.randint(2, 4) for x in xs]
+        for _ in range(rng.randint(0, 2)):
+            binomial = (rng.randint(1, 3) * _random_monomial(rng, xs, 2, 3)
+                        - rng.randint(1, 3) * _random_monomial(rng, xs, 2, 3))
+            if not binomial.is_zero():
+                relations.append(binomial)
+        R = make_quotient(Presentation(ring, tuple(relations)))
+        if R.dimension <= 40:
+            break
+    while True:
+        r = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            r = r + rng.randint(-3, 3) * _random_monomial(rng, xs, 1, 2)
+        if not R.is_zero_element(r) and nilpotency_index(R, r) <= 4:
+            return R, r
+
+
+def _types_of_copies(step) -> tuple:
+    """The type of the copy of each variable of R on R', read structurally
+    and then by the explicit walk on R', which builds its basis."""
+    Rp = step.algebra
+    copies = [Rp.ring.variable(new) for new in step.rename.values()]
+    structural = [constructions._stage_type(Rp, y) for y in copies]
+    assert not _built(Rp)
+    return structural, [jordan_type(Rp, y) for y in copies]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_depth_one_formula_matches_the_explicit_walk(seed):
+    """On 20 seeded killing steps per seed, the type of every copied
+    variable on R', read on quotients of R, equals the explicit walk on
+    R', and the proved dimension is the count of R''s reduced basis."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        R, r = _random_killing_input(rng)
+        step = killing_step(R, r)
+        assert step.report.passed
+        assert step.algebra.killing_origin[:3] == (R, r, step.rename)
+        structural, explicit = _types_of_copies(step)
+        assert structural == explicit, (R.presentation.relations, r)
+        assert dimension(step.algebra.groebner) == step.algebra.dimension
+
+
+def test_killing_r_plus_a_relation_is_killing_r():
+    """r is taken as given: r + X^3 on k[X, Y]/(X^3, Y^2 - XY) gives the
+    same dimension, types and reduced basis of R' as r, and is reported as
+    given."""
+    ring = PolyRing(QQ, ("X", "Y"))
+    X, Y = ring.variable("X"), ring.variable("Y")
+    R = make_quotient(Presentation(ring, (X ** 3, Y ** 2 - X * Y)))
+    r = X + Y
+    plain, padded = killing_step(R, r), killing_step(R, r + X ** 3)
+    assert plain.report.passed and padded.report.passed
+    assert padded.report.params["r"] == format_polynomial(r + X ** 3) != format_polynomial(r)
+    assert padded.algebra.dimension == plain.algebra.dimension
+    assert _types_of_copies(padded) == _types_of_copies(plain)
+    assert padded.algebra.groebner.generators == plain.algebra.groebner.generators
 
 
 def test_killing_step_walks_the_powers_of_r_once(monkeypatch):
@@ -481,29 +570,32 @@ def test_planted_wrong_jordan_type_fails_the_dimension_claim(planted, dual_numbe
                       "dr dies": True}
     assert not step.report.passed
     assert "local_with_nilpotent_generators" not in vars(step.algebra)
+    # R' hands on no structure, so a next step walks its types explicitly
+    assert step.algebra.killing_origin is None
+    walked = []
+    monkeypatch.setattr(constructions, "jordan_type",
+                        lambda algebra, f: walked.append(algebra) or {2: 1})
+    constructions._stage_type(step.algebra, step.algebra.ring.variable(step.rename["Z"]))
+    assert walked == [step.algebra]
 
 
 def test_the_paper_chain_finishes_under_a_cap_it_fits(monkeypatch, capsys):
     """`verify gabber --steps 1` from B(5) at a cap above its last stage
     exits 0 at dimension 25 058 161 862, byte for byte as its golden.  On
     the way, X#1 has the recorded Jordan type on the stage of dimension
-    539 483, the oracle value for a structural count of that type.
-    Buchberger runs by ring: 10 on B's 2 variables, one per step on the 10
-    of B_6, and 7 on the 12 of the stage of dimension 539 483: the explicit
-    walk that a structural count of X#1's type would remove."""
-    types = []
-    real = constructions.jordan_type
-
-    def spy(algebra, f):
-        found = real(algebra, f)
-        types.append((algebra.dimension, format_polynomial(f), found))
-        return found
-
-    monkeypatch.setattr(constructions, "jordan_type", spy)
+    539 483, the value an explicit walk of that stage found, here read on
+    quotients of B.  Buchberger runs by ring: 39 on B's 2 variables (B once
+    per `gabber_B`, its quotients by the powers of Y and f, and the B/(Y^b)
+    with their quotients by the powers of X), one per step on the 10 of
+    B_6, and none on the 12 of the stage of dimension 539 483, which never
+    builds its basis."""
+    types = _spy_stage_types(monkeypatch)
     runs = _count_buchberger_runs(monkeypatch)
     assert main(["verify", "gabber", "--steps", "1", "--cap", "30000000000",
                  "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "gabber_steps1_cap3e10.json").read_text()
-    assert (539483, "X#1",
-            {1: 9145, 2: 42669, 3: 46, 4: 100859, 5: 8284, 6: 1}) in types
-    assert runs == {2: 10, 10: 2, 12: 7}
+    (_, y, _), (middle, x, x_type) = types
+    assert (y, x, middle.dimension) == ("Y", "X#1", 539483)
+    assert x_type == {1: 9145, 2: 42669, 3: 46, 4: 100859, 5: 8284, 6: 1}
+    assert not _built(middle)
+    assert runs == {2: 39, 10: 2}

@@ -191,3 +191,9 @@ def test_map_file_errors_cite_file_lines():
         parse_map_file(fixed.replace("Y = Y\n", "Y = Y + Q\n"))
     with pytest.raises(ParseError, match=r"^line 11, column 12: "):
         parse_map_file(fixed.replace("Y = Y\n", "  Y =  Y + @  # note\n"))
+    # an image names a source variable, at its place in its line, and every
+    # source variable has one, else the [map] header is cited
+    with pytest.raises(ParseError, match=r"^line 11, column 3: 'W' is not a source variable"):
+        parse_map_file(fixed.replace("Y = Y\n", "  W = Y\n"))
+    with pytest.raises(ParseError, match=r"^line 10, column 1: source variable 'X' has no image"):
+        parse_map_file(fixed.replace("ring Y:1\nrel Y^2", "ring X:1 Y:1\nrel Y^2"))
