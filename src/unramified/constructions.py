@@ -16,7 +16,6 @@ import json
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from . import linalg
 from .algebras import (
     AlgebraMap,
     Presentation,
@@ -33,6 +32,7 @@ from .algebras import (
 )
 from .differentials import (
     DZeroCertificate,
+    _outside_m_squared,
     certifies_d_zero,
     is_omega_zero,
     is_zero_induced_map,
@@ -324,15 +324,20 @@ def _stage_type(R: QuotientAlgebra, r: Polynomial) -> dict:
     on quotients of P: as a P-module R is the sum over b of (P/s^b P)^(n_b),
     with n_b the number of blocks of size b of g on B_t, so
         type(r on R) = sum over b of n_b * type(y on P/s^b P).
-    This is the depth-one case.  Any other r, such as a copy variable of
-    B_t, or an R that no step made, is walked explicitly (`jordan_type`)."""
+    The largest b is t, the nilpotency index of s (R carries
+    `killing_origin` only when the step's locality claim checked that), and
+    s^t = 0 in P, so that type is read on P itself.  This is the depth-one
+    case.  Any other r, such as a copy variable of B_t, or an R that no
+    step made, is walked explicitly (`jordan_type`)."""
     if R.killing_origin is not None:
         P, s, rename, g_type = R.killing_origin
         for y, name in rename.items():
             if r == R.ring.variable(name):
                 total: dict = {}
+                t = max(g_type)
                 for b, n in g_type.items():
-                    part = jordan_type(quotient_by(P, [s ** b]), P.ring.variable(y))
+                    part = jordan_type(P if b == t else quotient_by(P, [s ** b]),
+                                       P.ring.variable(y))
                     for size, m in part.items():
                         total[size] = total.get(size, 0) + n * m
                 return total
@@ -461,27 +466,6 @@ class KillAllResult:
     report: VerificationReport
     killed: list                 # the ring generators processed, in order
     certificates: dict           # generator of R -> certificate in the final ring
-
-
-def _outside_m_squared(algebra: QuotientAlgebra, r: Polynomial) -> bool:
-    """Whether r lies outside m^2 in a local algebra P/I with residue field
-    the coefficient field: its linear part is outside the span of the
-    linear parts of the presentation relations, which span the linear parts
-    of I.  Then dr != 0, because Omega (x) k = m/m^2 (Matsumura, Commutative
-    Ring Theory, Thm 25.2).  Decided without a Groebner basis."""
-    ring = algebra.ring
-    field = algebra.field
-
-    def linear_part(p: Polynomial) -> list:
-        row = [field.zero()] * ring.nvars
-        for m, c in p.terms.items():
-            if sum(m) == 1:
-                row[m.index(1)] = c
-        return row
-
-    rows = [linear_part(g) for g in algebra.presentation.relations]
-    return (linalg.rank(rows + [linear_part(r)], ring.nvars, field)
-            > linalg.rank(rows, ring.nvars, field))
 
 
 def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,

@@ -150,9 +150,46 @@ def certifies_d_zero(algebra: QuotientAlgebra, certificate: DZeroCertificate,
     return total == raw_differential(certificate.element)
 
 
+def _linear_rank(algebra: QuotientAlgebra, extra=()) -> int:
+    """The rank of the linear parts, the coefficients of X_1, ..., X_s, of
+    the presentation relations and of the `extra` polynomials."""
+    ring = algebra.ring
+    rows = []
+    for p in (*algebra.presentation.relations, *extra):
+        row = [ring.field.zero()] * ring.nvars
+        for m, c in p.terms.items():
+            if sum(m) == 1:
+                row[m.index(1)] = c
+        rows.append(row)
+    return linalg.rank(rows, ring.nvars, ring.field)
+
+
+def _outside_m_squared(algebra: QuotientAlgebra, r: Polynomial) -> bool:
+    """Whether r lies outside m^2 in a local algebra P/I with residue field
+    the coefficient field: its linear part is outside the span of the
+    linear parts of the presentation relations, which span the linear parts
+    of I.  Then dr != 0, because Omega (x) k = m/m^2 (Matsumura, Commutative
+    Ring Theory, Thm 25.2).  Decided without a Groebner basis."""
+    return _linear_rank(algebra, [r]) > _linear_rank(algebra)
+
+
 def is_omega_zero(algebra: QuotientAlgebra) -> bool:
     """Whether the algebra is formally unramified over the coefficient field:
-    its module of differentials is zero."""
+    its module of differentials is zero.
+
+    A nonzero derivation R -> k answers False without the module, because
+    Der_k(R, k) = Hom_R(Omega_R, k) (Matsumura, Commutative Ring Theory,
+    Section 25).  When no presentation relation G has a constant term,
+    evaluation at the origin makes k an R-module, and for a functional
+    lambda on k^s that kills the linear parts of all relations,
+    D(f) = lambda(linear part of f) is such a derivation: the linear part
+    of a*b is a(0) lin(b) + b(0) lin(a), and D(a*G) = a(0) lambda(lin G) = 0.
+    A nonzero lambda exists exactly when the linear parts have rank below
+    s.  Otherwise, with a constant term, full rank or no variables, the
+    differential module decides, so True always comes from the module."""
+    if (all(g.constant_coefficient().is_zero() for g in algebra.presentation.relations)
+            and _linear_rank(algebra) < algebra.ring.nvars):
+        return False
     return kaehler(algebra).is_zero()
 
 

@@ -3,6 +3,7 @@ graded kernel of the universal derivation, and its Leibniz/representative
 properties."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,11 @@ from unramified import linalg
 from unramified.algebras import (
     MODE_GRADED,
     Presentation,
+    artinian_local_model,
     make_map,
     make_quotient,
 )
+from unramified.constructions import check_theorem_local_case, standard_local_corpus
 from unramified.differentials import (
     _walked_kernels,
     derivation_kernel_in_degree,
@@ -388,3 +391,124 @@ def test_single_degree_is_reduced_from_scratch(name):
     with step_budget(10 ** 6) as budget:
         derivation_kernel_in_degree(algebra, max_degree)
     assert 10 ** 6 - budget.remaining == STEPS[name][2]
+
+
+# ---------------------------------------------------------------------------
+# Omega != 0 by a derivation to the residue field
+# ---------------------------------------------------------------------------
+
+def _residue_derivation_exists(algebra) -> bool:
+    """Oracle for the derivation test of `is_omega_zero`: no presentation
+    relation has a constant term, and the linear parts of the relations
+    have rank below the number of variables, by the plain elimination of
+    `oracles.fraction_rank` on the coefficients' payloads."""
+    ring = algebra.ring
+    relations = algebra.presentation.relations
+    if any(ring.monomial_one in g.terms for g in relations):
+        return False
+    units = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
+    rows = [[g.terms[u].payload if u in g.terms else 0 for u in units] for g in relations]
+    return oracles.fraction_rank(rows, ring.field.characteristic) < ring.nvars
+
+
+def _random_presentation(rng: random.Random, field, local: bool):
+    """A seeded algebra in one to three variables.  Each variable X_i has a
+    relation X_i^a + h_i: every term of h_i above degree a for a local
+    model, which makes the ideal primary to the maximal ideal, and below
+    degree a, constant terms included, for a plain quotient, which stays
+    finite but need not be local.  Up to three more relations mix terms of
+    degrees 1 and 2."""
+    nvars = rng.randrange(1, 4)
+    ring = PolyRing(field, ("X", "Y", "Z")[:nvars])
+
+    def term(degree: int) -> Polynomial:
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[rng.randrange(nvars)] += 1
+        c = field.from_int(rng.randrange(1, field.characteristic or 7))
+        return Polynomial(ring, {tuple(exps): c})
+
+    relations = []
+    for i, name in enumerate(ring.names):
+        a = rng.randrange(2, 4)
+        degrees = range(a + 1, a + 3) if local else range(0 if rng.random() < 0.3 else 1, a)
+        h = sum((term(rng.choice(degrees)) for _ in range(rng.randrange(0, 3))), ring.zero())
+        relations.append(ring.variable(name) ** a + h)
+    for _ in range(rng.randrange(0, 4)):
+        extra = sum((term(rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))),
+                    ring.zero())
+        if not extra.is_zero():
+            relations.append(extra)
+    if local:
+        return artinian_local_model(ring, relations)
+    return make_quotient(Presentation(ring, tuple(relations)))
+
+
+def _assert_the_derivation_agrees_with_the_module(algebras) -> Counter:
+    """A residue derivation implies a nonzero differential module, and
+    `is_omega_zero` answers as the module does.  Counts the algebras with
+    and without a derivation, so that a caller can see both kinds drawn."""
+    seen = Counter()
+    for algebra in algebras:
+        derivation = _residue_derivation_exists(algebra)
+        seen[derivation] += 1
+        omega_zero = kaehler(algebra).is_zero()
+        if derivation:
+            assert not omega_zero
+        assert is_omega_zero(algebra) == omega_zero
+    return seen
+
+
+def test_the_residue_derivation_agrees_with_the_module_on_the_corpus():
+    seen = _assert_the_derivation_agrees_with_the_module(
+        algebra for _, algebra in standard_local_corpus(200, seed=0))
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(2), prime_field(3), prime_field(5),
+                                   prime_field(7)], ids=str)
+@pytest.mark.parametrize("local", [True, False], ids=["local", "plain"])
+def test_the_residue_derivation_agrees_with_the_module_on_random_presentations(field, local):
+    rng = random.Random(f"residue derivation {field} {local}")
+    seen = _assert_the_derivation_agrees_with_the_module(
+        _random_presentation(rng, field, local) for _ in range(20))
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("relation", ["X^2 - 1", "X^2 - X", None],
+                         ids=["constant term", "full rank", "no variables"])
+def test_the_module_decides_without_a_residue_derivation(relation, kaehler_builds):
+    """Over QQ, k[X]/(X^2 - 1) has a relation with a constant term,
+    k[X]/(X^2 - X) has linear parts of full rank, and the ground field has
+    no variables; none has a residue derivation, each is a product of
+    copies of QQ with Omega = 0, and the module answers."""
+    text = "field QQ\nring\n" if relation is None else f"field QQ\nring X:1\nrel {relation}\n"
+    algebra = build_algebra(parse_presentation(text))
+    assert not _residue_derivation_exists(algebra)
+    assert is_omega_zero(algebra)
+    assert kaehler_builds == [algebra]
+
+
+FRONTIER = ("field QQ\nring X:1 Y:1 Z:1\nrel X^3 - 2*X*Z^3 + Y^5\n"
+            "rel Y^3 + X^2*Y*Z + 3*X*Y^2*Z\nrel Z^2 + 2*X*Y^2 - Y*Z^2\nmode local\n")
+
+
+def test_the_local_case_builds_a_module_only_where_omega_is_zero(kaehler_builds):
+    """`check_theorem_local_case` builds no differential module for an entry
+    with a generator outside m^2, such as the dual numbers or the
+    three-variable local algebra of dimension 18 whose relations have no
+    linear part, and exactly one for the collapsed line, whose Omega is
+    zero."""
+    corpus = dict(standard_local_corpus(0))
+    frontier = build_algebra(parse_presentation(FRONTIER))
+    assert frontier.dimension == 18
+    for entry in (("dual numbers", corpus["dual numbers"]), ("frontier", frontier)):
+        report = check_theorem_local_case([entry])
+        assert report.passed and [c.label for c in report.claims] == [
+            f"{entry[0]}: non-reduced ramifies"]
+    assert kaehler_builds == []
+    collapsed = corpus["collapsed line"]
+    report = check_theorem_local_case([("collapsed line", collapsed)])
+    assert report.passed and [c.label for c in report.claims] == [
+        "collapsed line: unramified is a field"]
+    assert kaehler_builds == [collapsed]

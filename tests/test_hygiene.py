@@ -550,6 +550,8 @@ PRIVATE_READS = {
         "the one zero-dropping sum of sparse terms, for the Leibniz walk",
     "groebner: polynomials._accumulate":
         "the one zero-dropping sum of sparse terms, for S-pairs and reduction",
+    "constructions: differentials._outside_m_squared":
+        "the one linear-part rank test, for the killing chain's skip test",
     "algebras: polynomials._standard_monomials":
         "the one staircase walk, for the local model's Hilbert function",
     "groebner: polynomials._standard_monomials":
