@@ -69,8 +69,9 @@ class QuotientAlgebra:
         self._build = build
         # the N of the local model P/(I + m^N); set by artinian_local_model
         self.stabilization_exponent = None
-        # (P, s, renaming of P's variables, type of g on B_t) when this is the
-        # R' = P (x)_A B_t of a killing step that proved it; set by killing_step
+        # (renaming of P's variables, pairs (n_b, P/s^b P)) when this is the
+        # R' = P (x)_A B_t, the sum of the (P/s^b P)^(n_b), of a killing step
+        # that proved it; set by killing_step
         self.killing_origin = None
 
     @cached_property

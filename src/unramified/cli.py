@@ -86,10 +86,8 @@ def _emit_payload(payload: dict, args, passed: bool = True) -> int:
     return EXIT_PASS if passed else EXIT_CLAIM_FAILED
 
 
-def _load_algebra(args):
-    text = Path(args.file).read_text()
-    presentation = parse_presentation(text)
-    return build_algebra(presentation)
+def _load_algebra(path: str):
+    return build_algebra(parse_presentation(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,7 @@ def _load_algebra(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_omega(args) -> int:
-    algebra = _load_algebra(args)
+    algebra = _load_algebra(args.file)
     module = kaehler(algebra)
     payload = {
         "command": "omega",
@@ -111,7 +109,7 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_d_zero(args) -> int:
-    algebra = _load_algebra(args)
+    algebra = _load_algebra(args.file)
     element = parse_polynomial(args.element, algebra.ring)
     module = kaehler(algebra)
     image = module.d_image(element)
@@ -125,7 +123,7 @@ def _cmd_d_zero(args) -> int:
 
 
 def _cmd_kernel_degree(args) -> int:
-    algebra = _load_algebra(args)
+    algebra = _load_algebra(args.file)
     basis = derivation_kernel_in_degree(algebra, args.deg)
     payload = {
         "command": "kernel-degree",
@@ -137,7 +135,7 @@ def _cmd_kernel_degree(args) -> int:
 
 
 def _cmd_veronese(args) -> int:
-    algebra = _load_algebra(args)
+    algebra = _load_algebra(args.file)
     report = veronese_containment_check(algebra, args.max_deg)
     payload = {
         "command": "veronese",
@@ -150,7 +148,7 @@ def _cmd_veronese(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    algebra = _load_algebra(args)
+    algebra = _load_algebra(args.file)
     payload = {
         "command": "dim",
         "dimension": algebra.dimension,
@@ -200,9 +198,7 @@ def _verify_preparatory(args) -> VerificationReport:
 
 
 def _verify_gabber(args) -> VerificationReport:
-    start = None
-    if args.start:
-        start = build_algebra(parse_presentation(Path(args.start).read_text()))
+    start = _load_algebra(args.start) if args.start else None
     return gabber_sequence(args.steps, start=start, cap=args.cap).report
 
 

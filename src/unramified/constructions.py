@@ -319,26 +319,20 @@ def _tensor_sum_type(jordan: dict, copies: int) -> dict:
 
 
 def _stage_type(R: QuotientAlgebra, r: Polynomial) -> dict:
-    """The Jordan type of r on R.  When R is a killing step's R' = P (x)_A B_t,
-    which killed s in P, and r is the copy of a variable y of P, it is read
-    on quotients of P: as a P-module R is the sum over b of (P/s^b P)^(n_b),
-    with n_b the number of blocks of size b of g on B_t, so
-        type(r on R) = sum over b of n_b * type(y on P/s^b P).
-    The largest b is t, the nilpotency index of s (R carries
-    `killing_origin` only when the step's locality claim checked that), and
-    s^t = 0 in P, so that type is read on P itself.  This is the depth-one
-    case.  Any other r, such as a copy variable of B_t, or an R that no
-    step made, is walked explicitly (`jordan_type`)."""
+    """The Jordan type of r on R.  When R is a killing step's R', which
+    carries its decomposition as a module over the step's source P, and r
+    is the copy of a variable y of P, it is read on the summands: R' is the
+    sum over b of Q_b^(n_b), so
+        type(r on R') = sum over b of n_b * type(y on Q_b).
+    This is the depth-one case.  Any other r, such as a copy variable of
+    B_t, or an R that no step made, is walked explicitly (`jordan_type`)."""
     if R.killing_origin is not None:
-        P, s, rename, g_type = R.killing_origin
+        rename, summands = R.killing_origin
         for y, name in rename.items():
             if r == R.ring.variable(name):
                 total: dict = {}
-                t = max(g_type)
-                for b, n in g_type.items():
-                    part = jordan_type(P if b == t else quotient_by(P, [s ** b]),
-                                       P.ring.variable(y))
-                    for size, m in part.items():
+                for n, Q in summands:
+                    for size, m in jordan_type(Q, Q.ring.variable(y)).items():
                         total[size] = total.get(size, 0) + n * m
                 return total
     return jordan_type(R, r)
@@ -364,22 +358,26 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
     - The dimension is exact: Jordan blocks of sizes a and b give
       A/u^a (x)_A A/u^b = A/u^min(a,b), so dim R' is the sum of min(a, b)
       over pairs of blocks of r on R and of g on B_t.  The type of r is read
-      off quotients of R, or of R's parent when R is itself a step's R' and
-      r the copy of a parent variable (`_stage_type`); r is nonzero exactly
-      when its largest block t is at least 2.  The type of g comes from the
-      type of f on B by the Clebsch-Gordan rule (`_tensor_sum_type`).  The
-      cap is checked against it before any tensor is built, and only here:
-      R has a block of size t, a free summand A (A is self-injective), so
-      dim R' >= dim B_t and no tensor the step builds can exceed the cap.
+      off quotients of R, or off the summands R carries when R is itself a
+      step's R' and r the copy of a parent variable (`_stage_type`); r is
+      nonzero exactly when its largest block t is at least 2.  The type of
+      g comes from the type of f on B by the Clebsch-Gordan rule
+      (`_tensor_sum_type`).  The cap is checked against it before any
+      tensor is built, and only here: R has a block of size t, a free
+      summand A (A is self-injective), so dim R' >= dim B_t and no tensor
+      the step builds can exceed the cap.
     - R' is finite dimensional by that count, which it is assigned as its
       dimension, provided the type of g fills B_t and has largest block t,
       which the claim checks.  It is local because every generator of R
       (tested once, on R) and of B_t (B is the local model P/(I + m^N)) is
       nilpotent, and R' is not zero because R embeds in it.  When this
       claim and the embedding's pass, R' carries that locality, and no
-      later test walks its generators' powers; it also carries
-      `killing_origin` = (R, r, the renaming, the type of g), from which a
-      later step reads types on R' (`_stage_type`).
+      later test walks its generators' powers.  It also carries
+      `killing_origin` = (the renaming, the pairs (n_b, Q_b)): as an
+      R-module R' is the sum of (R/r^b R)^(n_b), n_b the number of blocks
+      of size b of g, and Q_b = R/r^b R is R itself for b = t and otherwise
+      a quotient whose basis is built once, when a later step first reads
+      a type on R' (`_stage_type`).
     - The embedding maps each variable to its renamed copy; every relation
       of R, renamed, is a presentation relation of R', so it is well
       defined.  It is injective when the B_t report passes: the embedding
@@ -434,7 +432,8 @@ def killing_step(R: QuotientAlgebra, r: Polynomial, *,
                           {"dim_R": R.dimension})
     if local and embedded:
         Rp.local_with_nilpotent_generators = True
-        Rp.killing_origin = (R, r, renames[0], g_type)
+        Rp.killing_origin = (renames[0], tuple(
+            (n, R if b == t else quotient_by(R, [r ** b])) for b, n in g_type.items()))
     report.add("dr dies",
                "the image of r in R' has zero differential: d(iota(r)) = 0",
                certifies_d_zero(Rp, certificate, r_emb))
@@ -477,19 +476,19 @@ def kill_all_differentials(R: QuotientAlgebra, *, cap: int = DIMENSION_CAP,
     differential is already zero in the current stage (a zero image
     included) is skipped.  Where a fact settles it, that is decided without
     a differential module: a certificate in hand proves d = 0, and an image
-    outside m^2 has d != 0 (`_outside_m_squared`).  `known` holds the
-    certificates R comes with, such as those a previous stage of a chain
-    ends with; each is checked once, against R's generators and in R,
-    before any step, since renaming into a later stage keeps its identity
-    and its relations.  Only the remaining generators are tested in the
-    stage's differential module.  When the dimension cap is hit, the chain
-    built so far is returned with status "cap" rather than silently
-    truncating the claims.
+    on which a derivation to k is nonzero, one outside m^2, has d != 0
+    (`_outside_m_squared`).  `known` holds the certificates R comes with,
+    such as those a previous stage of a chain ends with; each is checked
+    once, against R's generators and in R, before any step, since
+    renaming into a later stage keeps its identity and its relations.
+    Only the remaining generators are tested in the stage's differential
+    module.  When the dimension cap is hit, the chain built so far is
+    returned with status "cap" rather than silently truncating the claims.
 
     Every embedding renames variables and keeps every relation, so the
     chain is one renaming of R's variables: a generator's image is its
-    renamed variable, unreduced (d, the test outside m^2 and certificates
-    are defined on classes), and the composite embedding, built once by
+    renamed variable, unreduced (d, derivations and certificates are
+    defined on classes), and the composite embedding, built once by
     `renaming_map`, is that renaming.  The composite claim checks each
     step's certificate, renamed forward, in the final algebra; a generator
     with none, or whose certified element is not its image, is reduced or

@@ -150,45 +150,48 @@ def certifies_d_zero(algebra: QuotientAlgebra, certificate: DZeroCertificate,
     return total == raw_differential(certificate.element)
 
 
-def _linear_rank(algebra: QuotientAlgebra, extra=()) -> int:
-    """The rank of the linear parts, the coefficients of X_1, ..., X_s, of
-    the presentation relations and of the `extra` polynomials."""
+def _derivations(algebra: QuotientAlgebra) -> list:
+    """A basis of the functionals lambda on k^s that kill the linear part,
+    the coefficients of X_1, ..., X_s, of every presentation relation, or
+    none when some relation has a constant term.  Each nonzero lambda gives
+    a nonzero derivation R -> k, D(f) = lambda(linear part of f): with no
+    constant terms, evaluation at the origin makes k an R-module, the
+    linear part of a*b is a(0) lin(b) + b(0) lin(a), and
+    D(a*G) = a(0) lambda(lin G) = 0.  Since Der_k(R, k) = Hom_R(Omega_R, k)
+    (Matsumura, Commutative Ring Theory, Section 25), D(f) != 0 proves
+    df != 0, and any lambda proves Omega != 0."""
+    relations = algebra.presentation.relations
+    if any(not g.constant_coefficient().is_zero() for g in relations):
+        return []
     ring = algebra.ring
     rows = []
-    for p in (*algebra.presentation.relations, *extra):
+    for g in relations:
         row = [ring.field.zero()] * ring.nvars
-        for m, c in p.terms.items():
+        for m, c in g.terms.items():
             if sum(m) == 1:
                 row[m.index(1)] = c
         rows.append(row)
-    return linalg.rank(rows, ring.nvars, ring.field)
+    return linalg.kernel_basis(rows, ring.nvars, ring.field)
 
 
 def _outside_m_squared(algebra: QuotientAlgebra, r: Polynomial) -> bool:
-    """Whether r lies outside m^2 in a local algebra P/I with residue field
-    the coefficient field: its linear part is outside the span of the
-    linear parts of the presentation relations, which span the linear parts
-    of I.  Then dr != 0, because Omega (x) k = m/m^2 (Matsumura, Commutative
-    Ring Theory, Thm 25.2).  Decided without a Groebner basis."""
-    return _linear_rank(algebra, [r]) > _linear_rank(algebra)
+    """Whether some derivation R -> k of `_derivations` is nonzero on r,
+    which proves dr != 0 without a Groebner basis.  For r in the maximal
+    ideal of a local algebra with residue field the coefficient field, this
+    holds exactly when r lies outside m^2."""
+    lin = [(m.index(1), c) for m, c in r.terms.items() if sum(m) == 1]
+    zero = algebra.field.zero()
+    return any(not sum((lam[i] * c for i, c in lin), zero).is_zero()
+               for lam in _derivations(algebra))
 
 
 def is_omega_zero(algebra: QuotientAlgebra) -> bool:
     """Whether the algebra is formally unramified over the coefficient field:
-    its module of differentials is zero.
-
-    A nonzero derivation R -> k answers False without the module, because
-    Der_k(R, k) = Hom_R(Omega_R, k) (Matsumura, Commutative Ring Theory,
-    Section 25).  When no presentation relation G has a constant term,
-    evaluation at the origin makes k an R-module, and for a functional
-    lambda on k^s that kills the linear parts of all relations,
-    D(f) = lambda(linear part of f) is such a derivation: the linear part
-    of a*b is a(0) lin(b) + b(0) lin(a), and D(a*G) = a(0) lambda(lin G) = 0.
-    A nonzero lambda exists exactly when the linear parts have rank below
-    s.  Otherwise, with a constant term, full rank or no variables, the
+    its module of differentials is zero.  A derivation R -> k
+    (`_derivations`) answers False without the module; otherwise, with a
+    constant term, linear parts of full rank or no variables, the
     differential module decides, so True always comes from the module."""
-    if (all(g.constant_coefficient().is_zero() for g in algebra.presentation.relations)
-            and _linear_rank(algebra) < algebra.ring.nvars):
+    if _derivations(algebra):
         return False
     return kaehler(algebra).is_zero()
 

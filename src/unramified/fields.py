@@ -203,11 +203,9 @@ class FieldDescriptor:
         return FieldElement(self, _fpx_canonical(num, den, self.p))
 
     def __str__(self) -> str:
-        if self.kind == RATIONALS:
-            return "QQ"
-        if self.kind == PRIME_FIELD:
-            return f"Fp:{self.p}"
-        return f"FpX:{self.p}"
+        """The kind, then the prime after a colon, as `parse_field_spec`
+        reads it."""
+        return f"{self.kind}:{self.p}" if self.p else self.kind
 
 
 def rationals() -> FieldDescriptor:

@@ -41,9 +41,6 @@ from .fields import (
     RATIONALS,
     FieldDescriptor,
     FieldElement,
-    prime_field,
-    rational_functions,
-    rationals,
 )
 from .polynomials import (
     PolyRing,
@@ -196,24 +193,24 @@ def parse_scalar(text: str, field: FieldDescriptor) -> FieldElement:
 
 
 def parse_field_spec(text: str) -> FieldDescriptor:
-    """Field syntax: QQ, Fp:5 (or "Fp 5"), FpX:2 (or "FpX 2")."""
+    """Field syntax: the kind, then the prime for Fp and FpX: QQ, Fp:5 (or
+    "Fp 5"), FpX:2 (or "FpX 2")."""
     parts = text.replace(":", " ").split()
     if not parts:
         raise ParseError("empty field specification")
-    kind = parts[0]
-    if kind == "QQ":
-        if len(parts) != 1:
-            raise ParseError("QQ takes no parameter")
-        return rationals()
-    if kind in ("Fp", "FpX"):
-        if len(parts) != 2 or not parts[1].isdigit():
-            raise ParseError(f"{kind} needs a prime parameter, e.g. {kind}:5")
-        p = int(parts[1])
-        try:
-            return prime_field(p) if kind == "Fp" else rational_functions(p)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    raise ParseError(f"unknown field {kind!r} (expected QQ, Fp:p or FpX:p)")
+    kind, params = parts[0], parts[1:]
+    if kind not in (RATIONALS, PRIME_FIELD, RATIONAL_FUNCTIONS):
+        raise ParseError(f"unknown field {kind!r} (expected {RATIONALS}, "
+                         f"{PRIME_FIELD}:p or {RATIONAL_FUNCTIONS}:p)")
+    if kind == RATIONALS:
+        if params:
+            raise ParseError(f"{kind} takes no parameter")
+    elif len(params) != 1 or not params[0].isdigit():
+        raise ParseError(f"{kind} needs a prime parameter, e.g. {kind}:5")
+    try:
+        return FieldDescriptor(kind, int(params[0]) if params else 0)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#.*$")
@@ -291,14 +288,7 @@ def parse_presentation(text: str) -> Presentation:
 
 def format_presentation(presentation: Presentation) -> str:
     """Canonical dump; parse_presentation round-trips it."""
-    field = presentation.ring.field
-    if field.kind == RATIONALS:
-        field_line = "field QQ"
-    elif field.kind == PRIME_FIELD:
-        field_line = f"field Fp {field.p}"
-    else:
-        field_line = f"field FpX {field.p}"
-    lines = [field_line]
+    lines = ["field " + str(presentation.ring.field).replace(":", " ")]
     if presentation.ring.nvars:
         lines.append("ring " + " ".join(
             f"{n}:{w}" for n, w in zip(presentation.ring.names,

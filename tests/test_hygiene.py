@@ -1,7 +1,11 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "unramified"
@@ -551,7 +555,7 @@ PRIVATE_READS = {
     "groebner: polynomials._accumulate":
         "the one zero-dropping sum of sparse terms, for S-pairs and reduction",
     "constructions: differentials._outside_m_squared":
-        "the one linear-part rank test, for the killing chain's skip test",
+        "the one derivation test to the residue field, for the killing chain's skip test",
     "algebras: polynomials._standard_monomials":
         "the one staircase walk, for the local model's Hilbert function",
     "groebner: polynomials._standard_monomials":
@@ -566,3 +570,53 @@ def test_no_module_reads_another_modules_private_names():
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     assert private_reads(modules) == sorted(PRIVATE_READS)
+
+
+_PROFILE_IMPORT = """
+import cProfile, json, pstats
+profile = cProfile.Profile()
+profile.enable()
+import unramified.cli
+profile.disable()
+print(json.dumps(list(pstats.Stats(profile).stats)))
+"""
+
+
+def class_bodies(tree: ast.Module) -> set:
+    """(first line, name) of each class body in a module, the line being
+    that of the first decorator when there is one: the code a class
+    statement runs at import, as a profiler names it."""
+    return {(min([node.lineno] + [d.lineno for d in node.decorator_list]), node.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def test_class_bodies_helper():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass\n"
+                     "class A:\n"
+                     "    class B: pass\n"
+                     "    def f(self): pass\n")
+    assert class_bodies(tree) == {(2, "A"), (4, "B")}
+
+
+def test_importing_the_cli_runs_no_package_function():
+    """`setup_s` times interpreter start, import and parsing, so importing
+    the package does no work of its own: in a fresh interpreter, profiling
+    `import unramified.cli` sees no function of the package's files run,
+    apart from the class bodies and module bodies and the two calls that
+    make the constant `QQ`.  Code that dataclasses generate is compiled
+    from `<string>`, whose line numbers collide, so it is not counted."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-c", _PROFILE_IMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    bodies = {path.name: class_bodies(ast.parse(path.read_text()))
+              for path in SOURCE.glob("*.py")}
+    ran = set()
+    for filename, line, name in json.loads(out):
+        path = pathlib.Path(filename).resolve()
+        if path.parent != SOURCE or name == "<module>":
+            continue
+        assert path.name in bodies, filename
+        if (line, name) not in bodies[path.name]:
+            ran.add((path.stem, name))
+    assert ran == {("fields", "rationals"), ("fields", "__post_init__")}

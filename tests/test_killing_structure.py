@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from unramified import algebras, constructions, differentials
 from unramified.algebras import (
     Presentation,
@@ -391,18 +392,43 @@ def _types_of_copies(step) -> tuple:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_the_depth_one_formula_matches_the_explicit_walk(seed):
-    """On 20 seeded killing steps per seed, the type of every copied
-    variable on R', read on quotients of R, equals the explicit walk on
-    R', and the proved dimension is the count of R''s reduced basis."""
+    """On 20 seeded killing steps per seed, R' carries its decomposition
+    as the sum of the (R/r^b R)^(n_b): the step's renaming and summands
+    that are R (b = t) or R/r^b R for distinct b < t, whose dimensions sum
+    to dim R'.  The type of every copied variable on R', read on those
+    summands, equals the explicit walk on R', and the proved dimension is
+    the count of R''s reduced basis."""
     rng = random.Random(seed)
     for _ in range(20):
         R, r = _random_killing_input(rng)
         step = killing_step(R, r)
         assert step.report.passed
-        assert step.algebra.killing_origin[:3] == (R, r, step.rename)
+        rename, summands = step.algebra.killing_origin
+        assert rename == step.rename
+        t = step.report.params["t"]
+        quotients = {R.presentation.relations + (r ** b,): b for b in range(1, t)}
+        exponents = [t if Q is R else quotients[Q.presentation.relations]
+                     for _, Q in summands]
+        assert len(set(exponents)) == len(exponents)
         structural, explicit = _types_of_copies(step)
         assert structural == explicit, (R.presentation.relations, r)
+        assert sum(n * Q.dimension for n, Q in summands) == step.algebra.dimension
         assert dimension(step.algebra.groebner) == step.algebra.dimension
+
+
+def test_the_copies_of_a_step_share_its_quotients(monkeypatch):
+    """On k[X, Y, W]/(X^2, Y^2, W^2) killed at X + Y + W (t = 4), reading
+    the types of X#1, Y#1 and W#1 on R' builds each summand R/r^b R of R'
+    once, not once per copied variable: 15 Buchberger runs on the 3
+    variables, each type's own quotients by powers included."""
+    R = _truncated(("X", "Y", "W"), (2, 2, 2))
+    X, Y, W = (R.ring.variable(v) for v in R.ring.names)
+    step = killing_step(R, X + Y + W)
+    assert step.report.params["t"] == 4
+    runs = _count_buchberger_runs(monkeypatch)
+    for name in step.rename.values():
+        constructions._stage_type(step.algebra, step.algebra.ring.variable(name))
+    assert runs == {3: 15}
 
 
 def test_killing_r_plus_a_relation_is_killing_r():
@@ -465,6 +491,48 @@ def test_outside_m_squared_agrees_with_the_module(shape, dual_numbers):
     expected = {"x2_y3": ["X", "Y"], "x2_y_minus_x2": ["X", "W"], "b5_w": ["X", "Y"],
                 "dual": ["Z"]}
     assert outside == expected[shape]
+
+
+def _linear_row(f) -> list:
+    """The payloads of the coefficients of X_1, ..., X_s in f."""
+    row = [0] * f.ring.nvars
+    for m, c in f.terms.items():
+        if sum(m) == 1:
+            row[m.index(1)] = c.payload
+    return row
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_outside_m_squared_agrees_with_two_ranks(p):
+    """On 25 seeded local algebras per field (1 to 3 variables, pure powers
+    X_i^a with a in 2..3 and up to two relations with random linear parts
+    and terms in m^2), the derivation test says True for a generator x
+    exactly when adding the linear part of x raises the rank of the
+    relations' linear parts, an independent Gaussian elimination; and when
+    it says True, dx != 0 in the Kaehler module.  Both outcomes occur."""
+    field = QQ if p == 0 else prime_field(p)
+    rng = random.Random(2900 + p)
+    outcomes = Counter()
+    for _ in range(25):
+        ring = PolyRing(field, ("X", "Y", "W")[:rng.randint(1, 3)])
+        xs = [ring.variable(v) for v in ring.names]
+        relations = [x ** rng.randint(2, 3) for x in xs]
+        for _ in range(rng.randint(0, 2)):
+            g = _random_monomial(rng, xs, 2, 3)
+            for x in xs:
+                g = g + rng.randint(-2, 2) * x
+            relations.append(g)
+        A = make_quotient(Presentation(ring, tuple(relations)))
+        assert A.local_with_nilpotent_generators
+        rows = [_linear_row(g) for g in relations]
+        base = oracles.fraction_rank(rows, p)
+        for x in xs:
+            expected = oracles.fraction_rank(rows + [_linear_row(x)], p) > base
+            assert _outside_m_squared(A, x) == expected, (relations, x)
+            if expected:
+                assert not kaehler(A).is_d_zero(x)
+            outcomes[expected] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def _b5_with_f(ring):
