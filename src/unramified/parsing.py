@@ -6,7 +6,14 @@ parentheses.  Scalars follow the field: integers or integer fractions over
 the rationals and prime fields, ratios of univariate polynomials in the
 field variable over F_p(x); the field variable is just a name that is not a
 ring variable.  Division is only defined by scalar (constant) denominators.
-`format_polynomial` output always reparses to an equal polynomial.
+`format_polynomial` output always reparses to an equal polynomial.  Numbers
+are ASCII digits.
+
+A product of numbers, names and `^` powers is built as one term, a scalar
+and an exponent tuple, and becomes a Polynomial only when it is added to
+the sum or multiplied by a parenthesised factor; the term dict, insertion
+order included, is the one that evaluating every factor as a Polynomial
+gives.
 
 Presentation files are line oriented::
 
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import (
     MODE_GRADED,
@@ -46,13 +54,17 @@ from .polynomials import (
     PolyRing,
     Polynomial,
     format_polynomial,
+    mono_mul,
 )
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_#]*)|(?P<op>[-+*/^()]))")
+# Digits are ASCII: `\d` would also match other scripts' decimal digits.
+# Any other character that is not white space is `bad`, so the matches of
+# `finditer` tile the text up to trailing white space.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_#]*)"
+                       r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # "num" | "name" | "op" | "end"
     text: str
     line: int
@@ -62,33 +74,31 @@ class Token:
 def _tokenize(text: str, line: int = 1, column: int = 1) -> list:
     """Tokens of one line of text whose first character sits at `column`."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            break
-        for kind in ("num", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(Token(kind, value, line, match.start(kind) + column))
-                break
-        pos = match.end()
-    rest = text[pos:]
-    if rest.strip():
-        offset = len(rest) - len(rest.lstrip())
-        raise ParseError(f"unexpected character {rest.lstrip()[0]!r}",
-                         line, pos + offset + column)
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}",
+                             line, match.start(kind) + column)
+        tokens.append(Token(kind, match[kind], line, match.start(kind) + column))
     tokens.append(Token("end", "", line, len(text) + column))
     return tokens
 
 
 class _ExpressionParser:
-    """Recursive descent over the token list, producing a Polynomial."""
+    """Recursive descent over the token list, producing a Polynomial.
+
+    A factor without parentheses is a pending term, a pair (scalar,
+    exponent tuple): products multiply the scalars and add the exponents,
+    a `^` power raises both, and a scalar divisor scales the scalar.  The
+    object `self.one` marks a scalar that no number has touched, so `X^2*Y`
+    does no field arithmetic.  A divisor is checked as a Polynomial.
+    """
 
     def __init__(self, tokens: list, ring: PolyRing):
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.one = ring.field.one()
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -103,6 +113,19 @@ class _ExpressionParser:
         if tok.kind != "op" or tok.text != text:
             raise ParseError(f"expected {text!r}", tok.line, tok.column)
 
+    def polynomial(self, value) -> Polynomial:
+        """A factor or term as a Polynomial."""
+        if isinstance(value, Polynomial):
+            return value
+        c, m = value
+        return Polynomial(self.ring, {} if c.is_zero() else {m: c})
+
+    def negate(self, value):
+        if isinstance(value, Polynomial):
+            return -value
+        c, m = value
+        return -c, m
+
     def parse(self) -> Polynomial:
         value = self.expression()
         tok = self.peek()
@@ -111,37 +134,47 @@ class _ExpressionParser:
         return value
 
     def expression(self) -> Polynomial:
-        value = self.term()
+        value = self.polynomial(self.term())
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
+                rhs = self.polynomial(self.term())
                 value = value + rhs if tok.text == "+" else value - rhs
             else:
                 return value
 
-    def term(self) -> Polynomial:
+    def term(self):
         value = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
                 rhs = self.factor()
-                if tok.text == "*":
-                    value = value * rhs
+                if tok.text == "/":
+                    value = self.divide(value, self.polynomial(rhs), tok)
+                elif isinstance(value, Polynomial) or isinstance(rhs, Polynomial):
+                    value = self.polynomial(value) * self.polynomial(rhs)
                 else:
-                    if not rhs.is_constant():
-                        raise ParseError("can only divide by scalars",
-                                         tok.line, tok.column)
-                    c = rhs.constant_coefficient()
-                    if c.is_zero():
-                        raise ParseError("division by zero", tok.line, tok.column)
-                    value = value.scale(c.inverse())
+                    (c, m), (rc, rm) = value, rhs
+                    value = (rc if c is self.one else c if rc is self.one else c * rc,
+                             mono_mul(m, rm))
             else:
                 return value
 
-    def factor(self) -> Polynomial:
+    def divide(self, value, divisor: Polynomial, tok: Token):
+        if not divisor.is_constant():
+            raise ParseError("can only divide by scalars", tok.line, tok.column)
+        c = divisor.constant_coefficient()
+        if c.is_zero():
+            raise ParseError("division by zero", tok.line, tok.column)
+        inverse = c.inverse()
+        if isinstance(value, Polynomial):
+            return value.scale(inverse)
+        vc, m = value
+        return (inverse if vc is self.one else vc * inverse), m
+
+    def factor(self):
         value = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -150,26 +183,33 @@ class _ExpressionParser:
             if exp.kind != "num":
                 raise ParseError("exponent must be a non-negative integer",
                                  exp.line, exp.column)
-            value = value ** int(exp.text)
+            k = int(exp.text)
+            if isinstance(value, Polynomial):
+                return value ** k
+            c, m = value
+            value = (c if c is self.one else c ** k), tuple(e * k for e in m)
         return value
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         tok = self.advance()
+        ring = self.ring
         if tok.kind == "num":
-            return self.ring.from_int(int(tok.text))
+            return ring.field.from_int(int(tok.text)), ring.monomial_one
         if tok.kind == "name":
-            if tok.text in self.ring.names:
-                return self.ring.variable(tok.text)
-            field = self.ring.field
+            if tok.text in ring.names:
+                i = ring.names.index(tok.text)
+                one = ring.monomial_one
+                return self.one, one[:i] + (1,) + one[i + 1:]
+            field = ring.field
             if field.kind == RATIONAL_FUNCTIONS and tok.text == FIELD_VARIABLE:
-                return self.ring.from_scalar(field.generator())
+                return field.generator(), ring.monomial_one
             raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
             value = self.expression()
             self.expect_op(")")
             return value
         if tok.kind == "op" and tok.text == "-":
-            return -self.factor()
+            return self.negate(self.factor())
         if tok.kind == "op" and tok.text == "+":
             return self.factor()
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
@@ -205,7 +245,7 @@ def parse_field_spec(text: str) -> FieldDescriptor:
     if kind == RATIONALS:
         if params:
             raise ParseError(f"{kind} takes no parameter")
-    elif len(params) != 1 or not params[0].isdigit():
+    elif len(params) != 1 or not (params[0].isascii() and params[0].isdigit()):
         raise ParseError(f"{kind} needs a prime parameter, e.g. {kind}:5")
     try:
         return FieldDescriptor(kind, int(params[0]) if params else 0)
@@ -253,7 +293,7 @@ def parse_presentation(text: str) -> Presentation:
                     names.append(name)
                     weights.append(1)
                     continue
-                if not weight.isdigit() or int(weight) < 1:
+                if not (weight.isascii() and weight.isdigit()) or int(weight) < 1:
                     raise ParseError(f"bad weight in {chunk!r}", lineno)
                 names.append(name)
                 weights.append(int(weight))

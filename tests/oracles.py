@@ -8,15 +8,20 @@ real cross-check and not a tautology; `linear_matrix`, `matmul`,
 `reference_normal_form`, `satisfies_buchberger_criterion` and
 `reference_slice` take the package's maps, field elements and Groebner
 bases and use only their public methods, and `ascending_local_model` is
-the explicit local-model search on the package's Buchberger runs.  The
-builders at the end (`scalar`, `polynomial`, `vector`, `identity_map`)
-make package elements from plain data through its public constructors.
+the explicit local-model search on the package's Buchberger runs.
+`reference_parse_polynomial` is the expression grammar evaluated factor
+by factor with the package's public polynomial arithmetic.  The builders
+at the end (`scalar`, `polynomial`, `vector`, `identity_map`) make package
+elements from plain data through its public constructors.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
 from unramified.algebras import make_map
+from unramified.errors import ParseError
+from unramified.fields import FIELD_VARIABLE, RATIONAL_FUNCTIONS
 from unramified.groebner import buchberger, dimension
 from unramified.polynomials import ModuleVector, Polynomial
 
@@ -284,6 +289,111 @@ def reference_slice(gb, degree: int) -> list:
                 out.append((comp, m))
     out.sort(key=lambda t: ring.module_key(*t))
     return [m for _, m in out] if gb.rank is None else out
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_#]*)|(?P<op>[-+*/^()]))")
+
+
+def _reference_tokens(text: str) -> list:
+    """(kind, text, column) of each token of one line, then ("end", "", column)."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            break
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind) + 1))
+        pos = match.end()
+    rest = text[pos:]
+    if rest.strip():
+        offset = len(rest) - len(rest.lstrip())
+        raise ParseError(f"unexpected character {rest.lstrip()[0]!r}", 1, pos + offset + 1)
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
+
+
+def reference_parse_polynomial(text: str, ring) -> Polynomial:
+    """The expression grammar of `parse_polynomial` by recursive descent,
+    with every number, name and parenthesis made a Polynomial and combined
+    by the package's public `+`, `-`, `*`, `**` and `scale`: the same value,
+    the same term order and the same errors, at line 1."""
+    tokens = _reference_tokens(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def advance():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def is_op(tok, ops: str) -> bool:
+        return tok[0] == "op" and tok[1] in ops
+
+    def expression():
+        value = term()
+        while is_op(peek(), "+-"):
+            sign = advance()[1]
+            rhs = term()
+            value = value + rhs if sign == "+" else value - rhs
+        return value
+
+    def term():
+        value = factor()
+        while is_op(peek(), "*/"):
+            op = advance()
+            rhs = factor()
+            if op[1] == "*":
+                value = value * rhs
+                continue
+            if not rhs.is_constant():
+                raise ParseError("can only divide by scalars", 1, op[2])
+            c = rhs.constant_coefficient()
+            if c.is_zero():
+                raise ParseError("division by zero", 1, op[2])
+            value = value.scale(c.inverse())
+        return value
+
+    def factor():
+        value = atom()
+        if is_op(peek(), "^"):
+            advance()
+            exp = advance()
+            if exp[0] != "num":
+                raise ParseError("exponent must be a non-negative integer", 1, exp[2])
+            value = value ** int(exp[1])
+        return value
+
+    def atom():
+        kind, word, column = advance()
+        if kind == "num":
+            return ring.from_int(int(word))
+        if kind == "name":
+            if word in ring.names:
+                return ring.variable(word)
+            if ring.field.kind == RATIONAL_FUNCTIONS and word == FIELD_VARIABLE:
+                return ring.from_scalar(ring.field.generator())
+            raise ParseError(f"unknown variable {word!r}", 1, column)
+        if kind == "op" and word == "(":
+            value = expression()
+            tok = advance()
+            if not is_op(tok, ")"):
+                raise ParseError("expected ')'", 1, tok[2])
+            return value
+        if kind == "op" and word == "-":
+            return -factor()
+        if kind == "op" and word == "+":
+            return factor()
+        raise ParseError(f"unexpected {word or 'end of input'!r}", 1, column)
+
+    value = expression()
+    kind, word, column = peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {word!r}", 1, column)
+    return value
 
 
 def scalar(field, numerator: int, denominator: int = 1):

@@ -1,13 +1,23 @@
 """Expression and file parsing, with round trips over every field kind."""
 
+import importlib.util
+import pathlib
 import random
+import sys
+from collections import Counter
 
 import pytest
 
 import oracles
 from unramified.algebras import MODE_LOCAL, Presentation
 from unramified.errors import ParseError
-from unramified.fields import QQ, prime_field, rational_functions
+from unramified.fields import (
+    FIELD_VARIABLE,
+    QQ,
+    FieldElement,
+    prime_field,
+    rational_functions,
+)
 from unramified.parsing import (
     build_algebra,
     format_presentation,
@@ -17,7 +27,7 @@ from unramified.parsing import (
     parse_presentation,
     parse_scalar,
 )
-from unramified.polynomials import PolyRing, format_polynomial
+from unramified.polynomials import PolyRing, Polynomial, format_polynomial
 
 R = PolyRing(QQ, ("X", "Y"))
 
@@ -29,25 +39,6 @@ def test_basic_expressions():
     assert parse_polynomial("-X^2", R) == -(X ** 2)
     assert parse_polynomial("3/4*X", R) == X.scale(oracles.scalar(QQ, 3, 4))
     assert parse_polynomial("X/2", R) == X.scale(oracles.scalar(QQ, 1, 2))
-
-
-def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse_polynomial("X + @", R)
-    assert err.value.column == 5
-    with pytest.raises(ParseError):
-        parse_polynomial("X Y", R)  # juxtaposition is not multiplication
-    with pytest.raises(ParseError):
-        parse_polynomial("X / Y", R)  # only scalar denominators
-    with pytest.raises(ParseError):
-        parse_polynomial("W + 1", R)
-    with pytest.raises(ParseError):
-        parse_polynomial("X ^ Y", R)
-
-
-def test_division_by_zero():
-    with pytest.raises(ParseError, match="division by zero"):
-        parse_polynomial("X / 0", R)
 
 
 def _random_poly(rng, ring, max_exp=4, max_terms=5):
@@ -97,6 +88,27 @@ def test_field_specs():
         parse_field_spec("Fp:6")
     with pytest.raises(ParseError):
         parse_field_spec("GF(9)")
+
+
+def test_field_prime_must_be_ascii_digits():
+    with pytest.raises(ParseError) as info:
+        parse_presentation("# a superscript two\nfield Fp \u00b2\n")
+    assert (info.value.message, info.value.line) == ("Fp needs a prime parameter, e.g. Fp:5", 2)
+
+
+def test_ring_weight_must_be_ascii_digits():
+    with pytest.raises(ParseError) as info:
+        parse_presentation("field QQ\nring X:\u00b2\n")
+    assert (info.value.message, info.value.line) == ("bad weight in 'X:\u00b2'", 2)
+
+
+def test_exponent_must_be_ascii_digits():
+    """An Arabic-Indic three is not read as 3: it is a character the
+    grammar does not know, at its line and column."""
+    with pytest.raises(ParseError) as info:
+        parse_presentation("field QQ\nring X:1\nrel X^\u0663\n")
+    assert (info.value.message, info.value.line,
+            info.value.column) == ("unexpected character '\u0663'", 3, 7)
 
 
 def test_presentation_round_trip_and_comments():
@@ -197,3 +209,173 @@ def test_map_file_errors_cite_file_lines():
         parse_map_file(fixed.replace("Y = Y\n", "  W = Y\n"))
     with pytest.raises(ParseError, match=r"^line 10, column 1: source variable 'X' has no image"):
         parse_map_file(fixed.replace("ring Y:1\nrel Y^2", "ring X:1 Y:1\nrel Y^2"))
+
+
+# (expression, message, column of the error within the expression)
+EXPRESSION_ERRORS = [
+    ("X + @", "unexpected character '@'", 5),
+    ("X Y", "unexpected 'Y'", 3),
+    ("X +", "unexpected 'end of input'", 4),
+    ("2*(X + Y", "expected ')'", 9),
+    ("(X Y)", "expected ')'", 4),
+    ("X ^ Y", "exponent must be a non-negative integer", 5),
+    ("X^-1", "exponent must be a non-negative integer", 3),
+    ("X / Y", "can only divide by scalars", 3),
+    ("X / (Y + 1)", "can only divide by scalars", 3),
+    ("X / 0", "division by zero", 3),
+    ("X / (Y - Y)", "division by zero", 3),
+    ("W + 1", "unknown variable 'W'", 1),
+    ("X + 2*W^2", "unknown variable 'W'", 7),
+]
+
+
+@pytest.mark.parametrize("expr, message, column", EXPRESSION_ERRORS)
+def test_expression_errors_pin_message_line_and_column(expr, message, column):
+    """Each expression error names the same fault at the same place whether
+    the expression stands alone, is an indented `rel` line of a
+    presentation file, or is the image of a map file."""
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(expr, R)
+    assert (info.value.message, info.value.line, info.value.column) == (message, 1, column)
+
+    prefix = "  rel  "
+    with pytest.raises(ParseError) as info:
+        parse_presentation(f"field QQ\nring X:1 Y:1\n\n{prefix}{expr}\n")
+    assert (info.value.message, info.value.line,
+            info.value.column) == (message, 4, column + len(prefix))
+
+    prefix = "Y = "
+    text = ("[source]\nfield QQ\nring Y:1\n"
+            "[target]\nfield QQ\nring X:1 Y:1\n"
+            f"[map]\n{prefix}{expr}\n")
+    with pytest.raises(ParseError) as info:
+        parse_map_file(text)
+    assert (info.value.message, info.value.line,
+            info.value.column) == (message, 8, column + len(prefix))
+
+
+def _random_factor(rng, ring, depth):
+    """A factor of the expression grammar: an atom with an optional power."""
+    roll = rng.random()
+    names = ring.names + ((FIELD_VARIABLE,) if ring.field.kind == "FpX" else ())
+    if roll < 0.3:
+        atom = str(rng.randrange(0, 13))
+    elif roll < 0.75 or depth >= 2:
+        atom = rng.choice(names)
+    elif roll < 0.87:
+        atom = "(" + _random_expression(rng, ring, depth + 1) + ")"
+    else:
+        atom = rng.choice("-+") + _random_factor(rng, ring, depth + 1)
+    if rng.random() < 0.4:
+        atom += rng.choice(("^", " ^ ")) + str(rng.randrange(0, 5))
+    return atom
+
+
+def _random_unit(rng, ring):
+    """A positive integer that is nonzero in the field."""
+    n, p = rng.randrange(1, 9), ring.field.characteristic
+    return str(n + 1 if p and n % p == 0 else n)
+
+
+def _random_divisor(rng, ring):
+    """A scalar factor to divide by; zero in the field now and then."""
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice(("0", "(X - X)" if "X" in ring.names else "0^2"))
+    if roll < 0.6:
+        return _random_unit(rng, ring)
+    if roll < 0.8:
+        return f"{_random_unit(rng, ring)}^{rng.randrange(0, 3)}"
+    if ring.field.kind == "FpX":
+        return rng.choice(("x", "(x + 1)", f"(x^2 - x)/{_random_unit(rng, ring)}"))
+    return f"({_random_unit(rng, ring)} + 0*{rng.choice(ring.names)})"
+
+
+def _random_term(rng, ring, depth):
+    text = _random_factor(rng, ring, depth)
+    for _ in range(rng.randrange(0, 4)):
+        if rng.random() < 0.2:
+            text += rng.choice(("/", " / ")) + _random_divisor(rng, ring)
+        else:
+            text += rng.choice(("*", " * ")) + _random_factor(rng, ring, depth)
+    return text
+
+
+def _random_expression(rng, ring, depth=0):
+    """A random expression string: sums of products with parentheses, unary
+    signs, scalar powers, scalar division and zero coefficients, plus now
+    and then a term and the term that cancels it (mod p over F_p)."""
+    text = rng.choice(("", "", "-", "+")) + _random_term(rng, ring, depth)
+    for _ in range(rng.randrange(0, 4)):
+        text += rng.choice((" + ", " - ", "+", "-")) + _random_term(rng, ring, depth)
+    if rng.random() < 0.25:
+        mono = "*".join(rng.sample(ring.names, rng.randrange(1, ring.nvars + 1)))
+        c = rng.randrange(1, 9)
+        p = ring.field.characteristic
+        text += f" + {c}*{mono} " + (f"+ {p * c - c}*{mono}" if p else f"- {c}*{mono}")
+    return text
+
+
+def _outcome(parse, text, ring):
+    try:
+        value = parse(text, ring)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    return ("value", value, list(value.terms.items()))
+
+
+@pytest.mark.parametrize("ring, seed", [
+    (R, 1),
+    (PolyRing(prime_field(2), ("X", "Y")), 2),
+    (PolyRing(prime_field(5), ("X", "Y", "Z")), 3),
+    (PolyRing(prime_field(7), ("X", "Y")), 4),
+    (PolyRing(rational_functions(3), ("U", "Z")), 5),
+    (PolyRing(QQ, ("A", "B"), (2, 3)), 6),
+])
+def test_parse_agrees_with_the_factor_by_factor_reference(ring, seed):
+    """The parser and the reference evaluator give an equal polynomial with
+    the same term order, or the same error.  Term order matters: it is the
+    input order of Buchberger's algorithm and of the report bytes."""
+    rng = random.Random(seed)
+    values = 0
+    for _ in range(300):
+        text = _random_expression(rng, ring)
+        outcome = _outcome(parse_polynomial, text, ring)
+        assert outcome == _outcome(oracles.reference_parse_polynomial, text, ring), text
+        values += outcome[0] == "value"
+    assert values >= 250
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _corpus_texts(seed: int, monkeypatch) -> list:
+    """The `.alg` texts of the benchmark's `corpus` workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return [case.text for case in module.corpus_cases(seed)]
+
+
+def test_a_product_of_names_and_numbers_is_built_as_one_term(monkeypatch):
+    """A term without parentheses is built as one scalar and one exponent
+    tuple: no polynomial product or power, and a field power only where
+    the text raises a scalar."""
+    texts = [text for text in _corpus_texts(3, monkeypatch) if "(" not in text]
+    assert len(texts) >= 390
+    calls = Counter()
+    for cls, name in ((Polynomial, "__mul__"), (Polynomial, "__pow__"),
+                      (FieldElement, "__pow__")):
+        def spy(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(cls, name, spy)
+    for text in texts:
+        parse_presentation(text)
+    assert calls == Counter()
+    parse_presentation("field Fp 5\nring X:1 Y:1\nrel 2^3*X^2*Y - 3^2*Y^4 + X^3/2\n")
+    parse_presentation("field FpX 3\nring X:1\nrel x^2*X^2 - X^3\n")
+    assert calls == Counter({"FieldElement.__pow__": 3})
+    parse_presentation("field QQ\nring X:1 Y:1\nrel (X + Y)^2*X\n")
+    assert calls["Polynomial.__pow__"] == 1 and calls["Polynomial.__mul__"] > 0
