@@ -61,6 +61,7 @@ from .groebner import (
     buchberger,
     dimension,
     normal_form,
+    raw_normal_form,
     staircase,
     staircase_of_degree,
     step_budget,

@@ -228,8 +228,13 @@ def _verify_killing(args) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _int_at_least(low: int):
-    """An argparse type: an int no smaller than `low`, else a usage error."""
+    """An argparse type: an int no smaller than `low`, else a usage error.
+    The text is ASCII digits with an optional leading minus sign, as in the
+    text formats; `int()` alone would also read other scripts' digits."""
     def parse(text: str) -> int:
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(text)
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")

@@ -22,12 +22,12 @@ from operator import add
 from . import groebner, linalg
 from .algebras import MODE_GRADED, AlgebraMap, QuotientAlgebra
 from .errors import ComputationError
-from .groebner import buchberger, normal_form, staircase_of_degree
+from .fields import PRIME_FIELD
+from .groebner import buchberger, normal_form, raw_normal_form, staircase_of_degree
 from .polynomials import (
     ModuleVector,
     Polynomial,
     PolyRing,
-    _accumulate,
     cast,
     partial_derivative,
 )
@@ -219,31 +219,47 @@ def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bo
     return True
 
 
-def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict):
-    """d(mono) reduced, for a standard monomial of the given degree.  Let x_j
-    be mono's last variable with a nonzero exponent and m' = mono / x_j.
-    When `images` records the degree of m', d(x_j m') = x_j dm' + m' dX_j
-    and the relation submodule is a submodule over P, so the image is
-    NF(x_j NF(dm') + m' dX_j); a divisor of a standard monomial is
-    standard, so NF(dm') is recorded.  Otherwise d(mono) is reduced from
-    scratch."""
+def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict) -> dict:
+    """d(mono) reduced, as a dict of raw coefficients (see
+    `groebner.raw_normal_form`), for a standard monomial of the given
+    degree.  Let x_j be mono's last variable with a nonzero exponent and
+    m' = mono / x_j.  When `images` records the degree of m',
+    d(x_j m') = x_j dm' + m' dX_j and the relation submodule is a submodule
+    over P, so the image is NF(x_j NF(dm') + m' dX_j); a divisor of a
+    standard monomial is standard, so NF(dm') is recorded.  Otherwise
+    d(mono) is reduced from scratch."""
     ring = module.algebra.ring
+    field = ring.field
     j = max(i for i, e in enumerate(mono) if e)
     below = images.get(degree - ring.weights[j])
     if below is None:
-        return module.d_image(Polynomial(ring, {mono: ring.field.one()}))
+        d = raw_differential(Polynomial(ring, {mono: field.one()}))
+        return raw_normal_form({key: field.raw(c) for key, c in d.terms.items()},
+                               module.groebner)
     shift = tuple(int(i == j) for i in range(ring.nvars))
     prev = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
-    terms = {(c, tuple(map(add, m, shift))): v for (c, m), v in below[prev].terms.items()}
-    _accumulate(terms, (((j, prev), ring.field.one()),))
-    return module.reduce(ModuleVector(ring, module.rank, terms))
+    terms = {(c, tuple(map(add, m, shift))): v for (c, m), v in below[prev].items()}
+    # add m' dX_j, which a term x_j c (m' / x_j) dX_j of x_j NF(dm') may meet
+    key = (j, prev)
+    one = field.raw(field.one())
+    v = terms[key] + one if key in terms else one
+    if field.kind == PRIME_FIELD:
+        v %= field.p
+    if v:
+        terms[key] = v
+    else:
+        del terms[key]
+    return raw_normal_form(terms, module.groebner)
 
 
 def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> list:
     """Kernel basis of d on the degree slice, recording the reduced image of
     every standard monomial of the degree in images[degree].  `images` maps
-    lower degrees to such records, which `_reduced_image` reads.  Normal
-    forms are unique, so the basis does not depend on what is recorded."""
+    lower degrees to such records, which `_reduced_image` reads.  Each image
+    is a sparse column of the slice matrix, over the staircase of the
+    module in the degree, and only the kernel vectors are made polynomials.
+    Normal forms are unique, so the basis does not depend on what is
+    recorded."""
     module = kaehler(algebra)
     domain = staircase_of_degree(algebra.groebner, degree)
     images[degree] = recorded = {}
@@ -251,23 +267,18 @@ def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> li
         return []
     codomain = staircase_of_degree(module.groebner, degree)
     index = {entry: i for i, entry in enumerate(codomain)}
-    field = algebra.field
-    zero = field.zero()
-    rows = [[zero] * len(domain) for _ in codomain]
-    ring = algebra.ring
-    for j, mono in enumerate(domain):
+    columns = []
+    for mono in domain:
         recorded[mono] = image = _reduced_image(module, mono, degree, images)
-        for key, c in image.terms.items():
-            if key not in index:
-                raise ComputationError(
-                    "reduced differential left the degree slice; relations are not homogeneous")
-            rows[index[key]][j] = c
-    kernel = linalg.kernel_basis(rows, len(domain), field)
-    basis = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(domain, vec) if not c.is_zero()}
-        basis.append(Polynomial(ring, terms))
-    return basis
+        try:
+            columns.append({index[key]: c for key, c in image.items()})
+        except KeyError:
+            raise ComputationError(
+                "reduced differential left the degree slice; relations are not homogeneous"
+            ) from None
+    ring = algebra.ring
+    return [Polynomial(ring, {domain[i]: c for i, c in vec.items()})
+            for vec in linalg.sparse_kernel(columns, algebra.field)]
 
 
 def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
@@ -277,8 +288,11 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     The algebra must be in graded mode; the module Groebner basis is
     homogeneous, so normal forms of homogeneous vectors stay in the degree
     slice and the slice matrix is exact.  Every image is reduced from
-    scratch: for one degree that is cheaper than walking up from degree 1
-    by the Leibniz rule, as `veronese_containment_check` does.
+    scratch, on raw coefficients, and becomes one sparse column of that
+    matrix; `linalg.sparse_kernel` gives the kernel vectors of the reduced
+    row echelon form, and only they are made polynomials.  For one degree
+    that is cheaper than walking up from degree 1 by the Leibniz rule, as
+    `veronese_containment_check` does through the same kernel.
     """
     if algebra.presentation.mode != MODE_GRADED:
         raise ValueError("kernel computation requires a graded presentation")
@@ -293,7 +307,7 @@ def _walked_kernels(algebra: QuotientAlgebra, max_degree: int):
     ring = algebra.ring
     # degree d reads the images of degrees d - w_j, so only the last
     # max(w_j) degrees are kept; the walk starts from d(1) = 0
-    images = {0: {ring.monomial_one: ModuleVector(ring, ring.nvars, {})}}
+    images = {0: {ring.monomial_one: {}}}
     width = max(ring.weights, default=1)
     for d in range(1, max_degree + 1):
         yield _kernel_in_degree(algebra, d, images)

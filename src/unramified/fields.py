@@ -188,6 +188,16 @@ class FieldDescriptor:
         r = n % self.p
         return FieldElement(self, ((r,) if r else (), (1,)))
 
+    def raw(self, a: "FieldElement"):
+        """The raw form of an element, on which exact loops compute: the
+        payload over QQ and F_p, and the element itself over F_p(x), whose
+        payload has no arithmetic of its own."""
+        return a if self.kind == RATIONAL_FUNCTIONS else a.payload
+
+    def from_raw(self, value) -> "FieldElement":
+        """The element of a raw form (see `raw`)."""
+        return value if self.kind == RATIONAL_FUNCTIONS else FieldElement(self, value)
+
     def generator(self) -> "FieldElement":
         """The element x of a rational function field."""
         if self.kind != RATIONAL_FUNCTIONS:

@@ -117,23 +117,35 @@ def _from_terms(ring: PolyRing, rank, terms: dict):
 
 
 def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -> dict:
-    """Full normal form of a term dict against rows bucketed by lead component.
+    """Full normal form of a term dict of elements against rows bucketed by
+    lead component: the coefficients are unwrapped once, reduced by
+    `_reduce_payloads`, and only the output terms are wrapped back into
+    elements."""
+    field = ring.field
+    if field.kind == RATIONAL_FUNCTIONS:
+        return _reduce_payloads(ring, dict(terms), buckets, budget)
+    out = _reduce_payloads(ring, {key: c.payload for key, c in terms.items()},
+                           buckets, budget)
+    return {key: FieldElement(field, v) for key, v in out.items()}
 
-    The loop works on raw coefficients: the int residue over F_p (reduced
-    mod p after every operation), the Fraction over QQ, and the element
-    itself over F_p(x), whose payload has no arithmetic of its own.  Input
-    coefficients are unwrapped once, each reducer term's payload is read as
-    it is used, and only the output terms are wrapped back into elements.
-    The heap holds the negated module key (component, -weighted degree,
-    reversed exponents), so the largest term pops first.
+
+def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget) -> dict:
+    """Full normal form of a term dict of raw coefficients against rows
+    bucketed by lead component, consuming `work`.
+
+    Raw coefficients are the int residue over F_p (reduced mod p after
+    every operation), the Fraction over QQ, and the element itself over
+    F_p(x), whose payload has no arithmetic of its own; each reducer term's
+    payload is read as it is used.  The heap holds the negated module key
+    (component, -weighted degree, reversed exponents), so the largest term
+    pops first.
     """
-    if not terms:
+    if not work:
         return {}
     field = ring.field
     raw = field.kind != RATIONAL_FUNCTIONS
     p = field.p if field.kind == PRIME_FIELD else 0
     weights = ring.weights
-    work = {key: c.payload for key, c in terms.items()} if raw else dict(terms)
     out: dict = {}
     heap = [((c, -sum(map(mul, weights, m))) + m[::-1], c, m) for (c, m) in work]
     heapify(heap)
@@ -172,8 +184,6 @@ def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -
                     work[key] = v
                 else:
                     del work[key]
-    if raw:
-        return {key: FieldElement(field, v) for key, v in out.items()}
     return out
 
 
@@ -378,6 +388,17 @@ def normal_form(f, gb: GroebnerBasis):
                        _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget))
 
 
+def raw_normal_form(terms: dict, gb: GroebnerBasis) -> dict:
+    """`normal_form` on a term dict of raw coefficients, keyed as the terms
+    of a module vector, (component, monomial), with component 0 for an
+    ideal: the int residue in [0, p) over F_p, the Fraction over QQ and the
+    element itself over F_p(x).  Returns the normal form as such a dict,
+    largest term first; the input is not modified, and it must hold no
+    zero coefficient.  Reduction steps spend from the current
+    `step_budget`, as in `normal_form`."""
+    return _reduce_payloads(gb.ring, dict(terms), gb._buckets, _current_budget())
+
+
 def _component_leads(gb: GroebnerBasis) -> list:
     """The lead monomials of each component, indexed by component; an ideal
     has the single component 0."""
@@ -533,7 +554,7 @@ def local_leading_monomials(generators, truncation: int) -> list:
     a monomial by the basis leaves only terms of that degree or more, all
     lead multiples again, so in the power series ring that power of m lies
     in the ideal, and adding it changes no leading monomial.  Coefficients
-    are raw payloads, as in `_reduce_terms`, and every reduction step
+    are raw payloads, as in `_reduce_payloads`, and every reduction step
     spends from the current `step_budget`.
     """
     gens = [g for g in generators if not g.is_zero()]

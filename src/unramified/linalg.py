@@ -1,5 +1,7 @@
-"""Exact dense linear algebra over the coefficient fields: row reduction,
-rank, and kernel bases.  Rows are lists of FieldElement."""
+"""Exact linear algebra over the coefficient fields: row reduction and rank
+of dense rows, lists of FieldElement, and one kernel algorithm, on sparse
+columns of raw coefficients (see `FieldDescriptor.raw`), which the kernel
+basis of dense rows also runs."""
 
 from __future__ import annotations
 
@@ -60,18 +62,73 @@ def rank(rows: list, ncols: int, field: FieldDescriptor) -> int:
     return len(row_reduce(rows, ncols, field)[1])
 
 
-def kernel_basis(rows: list, ncols: int, field: FieldDescriptor) -> list:
-    """A basis of the right kernel {x : A x = 0}, one vector per free column,
-    ordered by free column index."""
-    rref, pivots = row_reduce(rows, ncols, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][f]
-        basis.append(vec)
-    return basis
+def _add_multiple(target: dict, c, source: dict, p: int) -> dict:
+    """target += c * source on sparse dicts of raw coefficients, mod p when p
+    is nonzero, dropping every entry that becomes zero; returns target."""
+    for k, v in source.items():
+        v = c * v
+        cur = target.get(k)
+        if cur is not None:
+            v += cur
+        if p:
+            v %= p
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+    return target
 
+
+def sparse_kernel(columns: list, field: FieldDescriptor) -> list:
+    """A basis of the right kernel of the matrix whose columns are the dicts
+    {row index: nonzero raw coefficient} of `columns`: one vector per column
+    that depends on the columns before it, in column order, each a dict
+    {column index: element} in index order.
+
+    Each column in turn is reduced against the monic pivot columns, keyed
+    by their largest row index, and its combination of the columns is
+    tracked alongside.  A column f that reduces to zero is a combination
+    sum a_c (column c) of the earlier pivot columns, and gives the kernel
+    vector e_f - sum a_c e_c: the pivot columns are independent, so that is
+    the vector of free column f that the reduced row echelon form gives,
+    x_c = -rref[r][f].  Any other column becomes the pivot of its largest
+    row index."""
+    p = field.p if field.kind == PRIME_FIELD else 0
+    one = field.raw(field.one())
+    pivots: dict = {}  # largest row index -> (monic column, its combination)
+    kernel = []
+    for f, column in enumerate(columns):
+        col = dict(column)
+        combo = {f: one}
+        while col:
+            top = max(col)
+            pivot = pivots.get(top)
+            if pivot is None:
+                inv = pow(col[top], -1, p) if p else one / col[top]
+                pivots[top] = (_add_multiple({}, inv, col, p), _add_multiple({}, inv, combo, p))
+                break
+            c = -col[top]
+            _add_multiple(col, c, pivot[0], p)
+            _add_multiple(combo, c, pivot[1], p)
+        else:
+            kernel.append({i: field.from_raw(v) for i, v in sorted(combo.items())})
+    return kernel
+
+
+def kernel_basis(rows: list, ncols: int, field: FieldDescriptor) -> list:
+    """A basis of the right kernel {x : A x = 0} of dense rows, one vector
+    of elements per free column, ordered by free column index: the
+    `sparse_kernel` of the rows' columns."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if c:
+                columns[j][i] = field.raw(c)
+    zero = field.zero()
+    basis = []
+    for vec in sparse_kernel(columns, field):
+        dense = [zero] * ncols
+        for j, c in vec.items():
+            dense[j] = c
+        basis.append(dense)
+    return basis

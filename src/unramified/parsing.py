@@ -175,7 +175,14 @@ class _ExpressionParser:
         return (inverse if vc is self.one else vc * inverse), m
 
     def factor(self):
-        value = self.atom()
+        """A unary sign and the factor it applies to, or an atom with at
+        most one `^` power: `-X^2` is -(X^2), and neither `X^2^3` nor
+        `-X^2^3` takes the second power."""
+        tok = self.advance()
+        if tok.kind == "op" and tok.text in "+-":
+            value = self.factor()
+            return self.negate(value) if tok.text == "-" else value
+        value = self.atom(tok)
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
@@ -190,8 +197,7 @@ class _ExpressionParser:
             value = (c if c is self.one else c ** k), tuple(e * k for e in m)
         return value
 
-    def atom(self):
-        tok = self.advance()
+    def atom(self, tok: Token):
         ring = self.ring
         if tok.kind == "num":
             return ring.field.from_int(int(tok.text)), ring.monomial_one
@@ -208,10 +214,6 @@ class _ExpressionParser:
             value = self.expression()
             self.expect_op(")")
             return value
-        if tok.kind == "op" and tok.text == "-":
-            return self.negate(self.factor())
-        if tok.kind == "op" and tok.text == "+":
-            return self.factor()
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
                          tok.line, tok.column)
 

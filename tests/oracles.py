@@ -358,6 +358,9 @@ def reference_parse_polynomial(text: str, ring) -> Polynomial:
         return value
 
     def factor():
+        if is_op(peek(), "+-"):
+            sign = advance()[1]
+            return -factor() if sign == "-" else factor()
         value = atom()
         if is_op(peek(), "^"):
             advance()
@@ -383,10 +386,6 @@ def reference_parse_polynomial(text: str, ring) -> Polynomial:
             if not is_op(tok, ")"):
                 raise ParseError("expected ')'", 1, tok[2])
             return value
-        if kind == "op" and word == "-":
-            return -factor()
-        if kind == "op" and word == "+":
-            return factor()
         raise ParseError(f"unexpected {word or 'end of input'!r}", 1, column)
 
     value = expression()

@@ -392,6 +392,23 @@ def test_out_of_range_limits_are_usage_errors(argv, capsys, monkeypatch):
     assert f"argument {argv[-2]}: must be at least" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "local-case", "--count", "\u0663"],
+    ["verify", "killing", "--cap", "1\u0660"],
+    ["dim", "--file", "samples/b5.alg", "--budget", "\u0665"],
+    ["verify", "euler", "--trials", "\uff13"],
+], ids=["count", "cap", "budget", "trials"])
+def test_integer_limits_are_ascii_digits(argv, capsys, monkeypatch):
+    """An integer option is read as ASCII digits, as the text formats read
+    numbers: an Arabic-Indic three, ten or five, or a fullwidth three, is a
+    usage error before any work, not the number int() makes of it."""
+    monkeypatch.chdir(SAMPLES.parent)
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: invalid int value: '{argv[-1]}'" in captured.err
+
+
 @pytest.mark.parametrize("max_deg", ["0", "-3"])
 def test_veronese_of_no_degree_is_a_usage_error(max_deg, capsys, monkeypatch):
     monkeypatch.chdir(SAMPLES.parent)

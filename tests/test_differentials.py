@@ -4,6 +4,7 @@ properties."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,8 @@ from unramified.algebras import (
 )
 from unramified.constructions import check_theorem_local_case, standard_local_corpus
 from unramified.differentials import (
+    _derivations,
+    _kernel_in_degree,
     _walked_kernels,
     derivation_kernel_in_degree,
     is_omega_zero,
@@ -341,6 +344,31 @@ def test_walked_kernels_equal_single_degrees_over_rational_functions():
     relation = U ** 4 + (U ** 2 * V).scale(field.generator()) + V ** 2
     algebra = make_quotient(Presentation(ring, (relation,), MODE_GRADED))
     _assert_walk_equals_single_degrees(algebra, 7)
+
+
+def test_walked_kernels_over_the_rationals():
+    """The walk runs over QQ, though the Veronese verdict refuses p = 0: its
+    recorded images are raw Fractions, and every kernel is empty, as the
+    Euler derivation gives deg(f) f = 0 for df = 0.  The kernels of dense
+    rows over QQ, such as the derivations to the residue field, are
+    elements whose payloads are Fractions, the raw 1 included."""
+    ring = PolyRing(QQ, ("X", "Y", "Z"))
+    X_, Y_, Z_ = map(ring.variable, ring.names)
+    cubic = make_quotient(Presentation(
+        ring, (X_ * Y_ ** 2 + Y_ ** 3 + X_ * Y_ * Z_ + 2 * Y_ ** 2 * Z_ + X_ * Z_ ** 2 + Z_ ** 3,),
+        MODE_GRADED))
+    _assert_walk_equals_single_degrees(cubic, 6)
+    images = {}
+    assert [_kernel_in_degree(cubic, d, images) for d in range(1, 5)] == [[]] * 4
+    assert all(type(c) is Fraction for d in images for image in images[d].values()
+               for c in image.values())
+    assert any(images[4].values())
+    with pytest.raises(ValueError, match="positive characteristic"):
+        veronese_containment_check(cubic, 6)
+    cusp = make_quotient(Presentation(R, (Y ** 2 - X ** 3, X * Y)))
+    derivations = _derivations(cusp)
+    assert len(derivations) == 2
+    assert all(type(c.payload) is Fraction for lam in derivations for c in lam)
 
 
 def test_walked_kernels_without_variables():

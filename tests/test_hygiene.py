@@ -550,8 +550,6 @@ def test_private_reads_helper():
 # Private names that one package module reads from another, each with its
 # reason.
 PRIVATE_READS = {
-    "differentials: polynomials._accumulate":
-        "the one zero-dropping sum of sparse terms, for the Leibniz walk",
     "groebner: polynomials._accumulate":
         "the one zero-dropping sum of sparse terms, for S-pairs and reduction",
     "constructions: differentials._outside_m_squared":

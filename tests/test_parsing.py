@@ -226,6 +226,11 @@ EXPRESSION_ERRORS = [
     ("X / (Y - Y)", "division by zero", 3),
     ("W + 1", "unknown variable 'W'", 1),
     ("X + 2*W^2", "unknown variable 'W'", 7),
+    # a power takes one exponent, after a unary sign too
+    ("X^2^3", "unexpected '^'", 4),
+    ("-X^2^3", "unexpected '^'", 5),
+    ("+X^2^3", "unexpected '^'", 5),
+    ("Y*-X^2 ^ 3", "unexpected '^'", 8),
 ]
 
 
@@ -255,7 +260,8 @@ def test_expression_errors_pin_message_line_and_column(expr, message, column):
 
 
 def _random_factor(rng, ring, depth):
-    """A factor of the expression grammar: an atom with an optional power."""
+    """A factor of the expression grammar: a unary sign and a factor, or an
+    atom with an optional power."""
     roll = rng.random()
     names = ring.names + ((FIELD_VARIABLE,) if ring.field.kind == "FpX" else ())
     if roll < 0.3:
@@ -265,7 +271,7 @@ def _random_factor(rng, ring, depth):
     elif roll < 0.87:
         atom = "(" + _random_expression(rng, ring, depth + 1) + ")"
     else:
-        atom = rng.choice("-+") + _random_factor(rng, ring, depth + 1)
+        return rng.choice("-+") + _random_factor(rng, ring, depth + 1)
     if rng.random() < 0.4:
         atom += rng.choice(("^", " ^ ")) + str(rng.randrange(0, 5))
     return atom
