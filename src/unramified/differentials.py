@@ -219,7 +219,8 @@ def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bo
     return True
 
 
-def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict) -> dict:
+def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict,
+                   standard: dict) -> dict:
     """d(mono) reduced, as a dict of raw coefficients (see
     `groebner.raw_normal_form`), for a standard monomial of the given
     degree.  Let x_j be mono's last variable with a nonzero exponent and
@@ -227,7 +228,9 @@ def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict
     d(x_j m') = x_j dm' + m' dX_j and the relation submodule is a submodule
     over P, so the image is NF(x_j NF(dm') + m' dX_j); a divisor of a
     standard monomial is standard, so NF(dm') is recorded.  Otherwise
-    d(mono) is reduced from scratch."""
+    d(mono) is reduced from scratch.  Either way the normal form is told
+    the module's `standard` entries of the degree, so the terms already
+    standard, most of x_j NF(dm'), skip its reduction loop."""
     ring = module.algebra.ring
     field = ring.field
     j = max(i for i, e in enumerate(mono) if e)
@@ -235,7 +238,7 @@ def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict
     if below is None:
         d = raw_differential(Polynomial(ring, {mono: field.one()}))
         return raw_normal_form({key: field.raw(c) for key, c in d.terms.items()},
-                               module.groebner)
+                               module.groebner, standard=standard)
     shift = tuple(int(i == j) for i in range(ring.nvars))
     prev = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
     terms = {(c, tuple(map(add, m, shift))): v for (c, m), v in below[prev].items()}
@@ -249,7 +252,7 @@ def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict
         terms[key] = v
     else:
         del terms[key]
-    return raw_normal_form(terms, module.groebner)
+    return raw_normal_form(terms, module.groebner, standard=standard)
 
 
 def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> list:
@@ -257,7 +260,8 @@ def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> li
     every standard monomial of the degree in images[degree].  `images` maps
     lower degrees to such records, which `_reduced_image` reads.  Each image
     is a sparse column of the slice matrix, over the staircase of the
-    module in the degree, and only the kernel vectors are made polynomials.
+    module in the degree, whose index also tells each normal form the terms
+    that are already standard; only the kernel vectors are made polynomials.
     Normal forms are unique, so the basis does not depend on what is
     recorded."""
     module = kaehler(algebra)
@@ -269,7 +273,7 @@ def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> li
     index = {entry: i for i, entry in enumerate(codomain)}
     columns = []
     for mono in domain:
-        recorded[mono] = image = _reduced_image(module, mono, degree, images)
+        recorded[mono] = image = _reduced_image(module, mono, degree, images, index)
         try:
             columns.append({index[key]: c for key, c in image.items()})
         except KeyError:

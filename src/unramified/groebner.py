@@ -129,7 +129,8 @@ def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -
     return {key: FieldElement(field, v) for key, v in out.items()}
 
 
-def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget) -> dict:
+def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget,
+                     standard=()) -> dict:
     """Full normal form of a term dict of raw coefficients against rows
     bucketed by lead component, consuming `work`.
 
@@ -138,7 +139,14 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget)
     F_p(x), whose payload has no arithmetic of its own; each reducer term's
     payload is read as it is used.  The heap holds the negated module key
     (component, -weighted degree, reversed exponents), so the largest term
-    pops first.
+    pops first, and the output lists the terms in that order.
+
+    A key in `standard`, which the caller vouches is divisible by no lead
+    term, never enters the heap: it stays in `work`, where later reductions
+    may still change its coefficient, and what is left of `work` at the end
+    joins the output after the popped terms.  A reduction only adds terms
+    below the one it removes, so the same terms are reduced in the same
+    order, with the same coefficients, as without `standard`.
     """
     if not work:
         return {}
@@ -147,7 +155,8 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget)
     p = field.p if field.kind == PRIME_FIELD else 0
     weights = ring.weights
     out: dict = {}
-    heap = [((c, -sum(map(mul, weights, m))) + m[::-1], c, m) for (c, m) in work]
+    keys = [key for key in work if key not in standard] if standard else work
+    heap = [((c, -sum(map(mul, weights, m))) + m[::-1], c, m) for (c, m) in keys]
     heapify(heap)
     while heap:
         _, comp, mono = heappop(heap)
@@ -175,7 +184,8 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget)
             cur = work.get(key)
             if cur is None:
                 work[key] = v % p if p else v
-                heappush(heap, ((tc, -sum(map(mul, weights, m))) + m[::-1], tc, m))
+                if key not in standard:
+                    heappush(heap, ((tc, -sum(map(mul, weights, m))) + m[::-1], tc, m))
             else:
                 v += cur
                 if p:
@@ -184,6 +194,8 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget)
                     work[key] = v
                 else:
                     del work[key]
+    if work:
+        out.update(work)
     return out
 
 
@@ -388,15 +400,24 @@ def normal_form(f, gb: GroebnerBasis):
                        _reduce_terms(gb.ring, _to_terms(f), gb._buckets, budget))
 
 
-def raw_normal_form(terms: dict, gb: GroebnerBasis) -> dict:
+def raw_normal_form(terms: dict, gb: GroebnerBasis, *, standard=()) -> dict:
     """`normal_form` on a term dict of raw coefficients, keyed as the terms
     of a module vector, (component, monomial), with component 0 for an
     ideal: the int residue in [0, p) over F_p, the Fraction over QQ and the
-    element itself over F_p(x).  Returns the normal form as such a dict,
-    largest term first; the input is not modified, and it must hold no
-    zero coefficient.  Reduction steps spend from the current
-    `step_budget`, as in `normal_form`."""
-    return _reduce_payloads(gb.ring, dict(terms), gb._buckets, _current_budget())
+    element itself over F_p(x).  Returns the normal form as such a dict;
+    the input is not modified, and it must hold no zero coefficient.
+    Reduction steps spend from the current `step_budget`, as in
+    `normal_form`.
+
+    `standard` is a container of (component, monomial) keys, such as the
+    index of a staircase slice, that the caller vouches are standard for
+    `gb`: divisible by no lead term.  Those terms skip the reduction loop,
+    which leaves the normal form and the steps spent as they are; a key
+    that is not standard would be left unreduced.  Without `standard` the
+    output lists its terms largest first; with it, the terms outside
+    `standard` come first, in that order, and the standard ones follow."""
+    return _reduce_payloads(gb.ring, dict(terms), gb._buckets, _current_budget(),
+                            standard)
 
 
 def _component_leads(gb: GroebnerBasis) -> list:

@@ -234,25 +234,40 @@ def parse_scalar(text: str, field: FieldDescriptor) -> FieldElement:
     return value.constant_coefficient()
 
 
-def parse_field_spec(text: str) -> FieldDescriptor:
+def _word_start(text: str, k: int, separators: str = r"\s") -> int:
+    """The offset in text of its k-th word (from 0), or the length of the
+    text when it has no k-th word: the place an error about it cites."""
+    starts = [match.start() for match in re.finditer(rf"[^{separators}]+", text)]
+    return starts[k] if k < len(starts) else len(text)
+
+
+def parse_field_spec(text: str, line: int = 1, column: int = 1) -> FieldDescriptor:
     """Field syntax: the kind, then the prime for Fp and FpX: QQ, Fp:5 (or
-    "Fp 5"), FpX:2 (or "FpX 2")."""
+    "Fp 5"), FpX:2 (or "FpX 2").  Errors cite the word at fault, or the end
+    of the text for a missing one; `column` is the column of the text's
+    first character in its line."""
     parts = text.replace(":", " ").split()
+
+    def error(message: str, k: int) -> ParseError:
+        return ParseError(message, line, column + _word_start(text, k, r"\s:"))
+
     if not parts:
-        raise ParseError("empty field specification")
+        raise error("empty field specification", 0)
     kind, params = parts[0], parts[1:]
     if kind not in (RATIONALS, PRIME_FIELD, RATIONAL_FUNCTIONS):
-        raise ParseError(f"unknown field {kind!r} (expected {RATIONALS}, "
-                         f"{PRIME_FIELD}:p or {RATIONAL_FUNCTIONS}:p)")
+        raise error(f"unknown field {kind!r} (expected {RATIONALS}, "
+                    f"{PRIME_FIELD}:p or {RATIONAL_FUNCTIONS}:p)", 0)
     if kind == RATIONALS:
         if params:
-            raise ParseError(f"{kind} takes no parameter")
+            raise error(f"{kind} takes no parameter", 1)
     elif len(params) != 1 or not (params[0].isascii() and params[0].isdigit()):
-        raise ParseError(f"{kind} needs a prime parameter, e.g. {kind}:5")
+        # the first word that cannot be the one prime, else the end
+        prime = params and params[0].isascii() and params[0].isdigit()
+        raise error(f"{kind} needs a prime parameter, e.g. {kind}:5", 2 if prime else 1)
     try:
         return FieldDescriptor(kind, int(params[0]) if params else 0)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except ValueError as exc:  # the prime is not one
+        raise error(str(exc), 1) from None
 
 
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#.*$")
@@ -260,6 +275,17 @@ _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#.*$")
 
 def _strip_comment(line: str) -> str:
     return _COMMENT_RE.sub("", line)
+
+
+def _first_refused(field: FieldDescriptor, names: list, weights: list) -> int:
+    """The position of the first variable of a ring line that `PolyRing`
+    refuses, given the ring of all of them is refused."""
+    for k in range(1, len(names)):
+        try:
+            PolyRing(field, tuple(names[:k]), tuple(weights[:k]))
+        except ValueError:
+            return k - 1
+    return len(names) - 1
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -277,47 +303,47 @@ def parse_presentation(text: str) -> Presentation:
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
+        # the file columns of the keyword and of the text after it
+        start = len(raw) - len(raw.lstrip()) + 1
+        column = start + len(line) - len(rest)
         if keyword == "field":
             if field is not None:
-                raise ParseError("duplicate field line", lineno)
-            try:
-                field = parse_field_spec(rest)
-            except ParseError as exc:
-                raise ParseError(exc.message, lineno) from None
+                raise ParseError("duplicate field line", lineno, start)
+            field = parse_field_spec(rest, lineno, column)
         elif keyword == "ring":
             if field is None:
-                raise ParseError("field must come before ring", lineno)
+                raise ParseError("field must come before ring", lineno, start)
             if ring is not None:
-                raise ParseError("duplicate ring line", lineno)
-            for col, chunk in enumerate(rest.split()):
+                raise ParseError("duplicate ring line", lineno, start)
+            for k, chunk in enumerate(rest.split()):
                 name, sep, weight = chunk.partition(":")
                 if not sep:
                     names.append(name)
                     weights.append(1)
                     continue
                 if not (weight.isascii() and weight.isdigit()) or int(weight) < 1:
-                    raise ParseError(f"bad weight in {chunk!r}", lineno)
+                    raise ParseError(f"bad weight in {chunk!r}", lineno,
+                                     column + _word_start(rest, k))
                 names.append(name)
                 weights.append(int(weight))
             try:
                 ring = PolyRing(field, tuple(names), tuple(weights))
             except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                k = _first_refused(field, names, weights)
+                raise ParseError(str(exc), lineno, column + _word_start(rest, k)) from None
         elif keyword == "rel":
             if ring is None:
-                raise ParseError("ring must come before rel", lineno)
-            # the file column of the expression's first character
-            column = len(raw) - len(raw.lstrip()) + len(line) - len(rest) + 1
+                raise ParseError("ring must come before rel", lineno, start)
             relations.append(parse_polynomial(rest, ring, lineno, column))
         elif keyword == "mode":
             if saw_mode:
-                raise ParseError("duplicate mode line", lineno)
+                raise ParseError("duplicate mode line", lineno, start)
             if rest not in (MODE_PLAIN, MODE_GRADED, MODE_LOCAL):
-                raise ParseError(f"unknown mode {rest!r}", lineno)
+                raise ParseError(f"unknown mode {rest!r}", lineno, column)
             mode = rest
             saw_mode = True
         else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno)
+            raise ParseError(f"unknown directive {keyword!r}", lineno, start)
     if field is None:
         raise ParseError("missing field line")
     if ring is None:
@@ -376,23 +402,27 @@ def parse_map_file(text: str) -> MapFile:
     """
     lines = text.splitlines()
     sections: dict = {}
-    headers: dict = {}          # section name -> line of its header
+    headers: dict = {}          # section name -> line and column of its header
     current: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
+        start = len(raw) - len(raw.lstrip()) + 1
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
+            inside = line[1:-1]
+            current = inside.strip()
+            # the column of the name between the brackets
+            column = start + 1 + len(inside) - len(inside.lstrip())
             if current not in ("source", "target", "map"):
-                raise ParseError(f"unknown section {current!r}", lineno)
+                raise ParseError(f"unknown section {current!r}", lineno, column)
             if current in sections:
-                raise ParseError(f"duplicate section {current!r}", lineno)
+                raise ParseError(f"duplicate section {current!r}", lineno, column)
             sections[current] = []
-            headers[current] = lineno
+            headers[current] = (lineno, start)
             continue
         if current is None:
-            raise ParseError("content before the first section", lineno)
+            raise ParseError("content before the first section", lineno, start)
         sections[current].append((lineno, raw))
     for needed in ("source", "target", "map"):
         if needed not in sections:
@@ -409,17 +439,17 @@ def parse_map_file(text: str) -> MapFile:
     images: dict = {}
     for lineno, raw in sections["map"]:
         head, sep, expr = _strip_comment(raw).partition("=")
+        start = len(head) - len(head.lstrip()) + 1
         if not sep:
-            raise ParseError("map lines look like NAME = expression", lineno)
+            raise ParseError("map lines look like NAME = expression", lineno, start)
         name = head.strip()
         if name in images:
-            raise ParseError(f"duplicate image for {name!r}", lineno)
+            raise ParseError(f"duplicate image for {name!r}", lineno, start)
         if name not in source.ring.names:
-            raise ParseError(f"{name!r} is not a source variable", lineno,
-                             len(head) - len(head.lstrip()) + 1)
+            raise ParseError(f"{name!r} is not a source variable", lineno, start)
         # the expression starts in the file column after the "="
         images[name] = parse_polynomial(expr, target.ring, lineno, len(head) + 2)
     for name in source.ring.names:
         if name not in images:
-            raise ParseError(f"source variable {name!r} has no image", headers["map"])
+            raise ParseError(f"source variable {name!r} has no image", *headers["map"])
     return MapFile(source, target, images)

@@ -212,6 +212,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_a_bad_weight_cites_its_column(tmp_path, capsys):
+    bad = tmp_path / "bad_weight.alg"
+    bad.write_text("field QQ\nring X:1 Y:\u00b2\n")
+    assert main(["parse-check", "--file", str(bad)]) == 2
+    assert capsys.readouterr().err == "parse error: line 2, column 10: bad weight in 'Y:\u00b2'\n"
+
+
 def test_budget_exit_code(b5_file, capsys):
     assert main(["dim", "--file", b5_file, "--budget", "3"]) == 3
     assert "stopped" in capsys.readouterr().err

@@ -30,13 +30,14 @@ from unramified.differentials import (
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field, rational_functions
-from unramified.groebner import step_budget
+from unramified.groebner import buchberger, raw_normal_form, staircase_of_degree, step_budget
 from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import (
     ModuleVector,
     PolyRing,
     Polynomial,
     format_polynomial,
+    monomials_of_weighted_degree,
     partial_derivative,
 )
 
@@ -258,7 +259,6 @@ def _assert_walk_equals_single_degrees(algebra, max_degree):
 
 
 def test_degree_times_kernel_element_vanishes_randomized():
-    from unramified.polynomials import monomials_of_weighted_degree
     rng = random.Random(31)
     for _ in range(12):
         p = rng.choice((2, 3))
@@ -337,13 +337,16 @@ def test_walked_kernels_equal_single_degrees_on_graded_forms(name):
     _assert_walk_equals_single_degrees(*_graded_form(name))
 
 
-def test_walked_kernels_equal_single_degrees_over_rational_functions():
+def _rational_function_form():
     field = rational_functions(5)
     ring = PolyRing(field, ("U", "V"), (1, 2))
     U, V = ring.variable("U"), ring.variable("V")
     relation = U ** 4 + (U ** 2 * V).scale(field.generator()) + V ** 2
-    algebra = make_quotient(Presentation(ring, (relation,), MODE_GRADED))
-    _assert_walk_equals_single_degrees(algebra, 7)
+    return make_quotient(Presentation(ring, (relation,), MODE_GRADED)), 7
+
+
+def test_walked_kernels_equal_single_degrees_over_rational_functions():
+    _assert_walk_equals_single_degrees(*_rational_function_form())
 
 
 def test_walked_kernels_over_the_rationals():
@@ -403,11 +406,13 @@ STEPS = {"plane cubic": (17167, 2820, 2820), "weighted curve": (411, 45, 62),
 
 @pytest.mark.parametrize("name", list(STEPS))
 def test_walk_spends_fewer_reduction_steps(name):
+    """The walk spends exactly its recorded steps: the standard terms that
+    skip the normal-form loop are never reduced by it either."""
     algebra, max_degree = _graded_form(name)
     algebra.groebner, kaehler(algebra)  # built outside the counted block
     with step_budget(10 ** 6) as budget:
         assert veronese_containment_check(algebra, max_degree).passed
-    assert 10 ** 6 - budget.remaining <= STEPS[name][1]
+    assert 10 ** 6 - budget.remaining == STEPS[name][1]
 
 
 @pytest.mark.parametrize("name", list(STEPS))
@@ -419,6 +424,94 @@ def test_single_degree_is_reduced_from_scratch(name):
     with step_budget(10 ** 6) as budget:
         derivation_kernel_in_degree(algebra, max_degree)
     assert 10 ** 6 - budget.remaining == STEPS[name][2]
+
+
+# ---------------------------------------------------------------------------
+# Normal forms told which terms are standard
+# ---------------------------------------------------------------------------
+
+def _spent_normal_form(terms, gb, **standard):
+    """raw_normal_form and the steps it spent, checking that the input is
+    left as it was."""
+    before = dict(terms)
+    with step_budget(10 ** 6) as budget:
+        out = raw_normal_form(terms, gb, **standard)
+    assert terms == before
+    return out, 10 ** 6 - budget.remaining
+
+
+def _random_raw(rng, field):
+    """A nonzero raw coefficient (see `FieldDescriptor.raw`)."""
+    while True:
+        c, den = field.from_int(rng.randrange(-9, 10)), field.from_int(rng.randrange(1, 10))
+        if den.is_zero():
+            continue
+        c = c * den.inverse()
+        if field.kind == "FpX":
+            c = c * field.generator() + field.from_int(rng.randrange(5))
+        if not c.is_zero():
+            return field.raw(c)
+
+
+def _rational_cubic():
+    text = "\n".join(["field QQ", "ring X:1 Y:1 Z:1",
+                      f"rel {GRADED_FORMS['plane cubic'][2][0]}", "mode graded"])
+    return build_algebra(parse_presentation(text + "\n")), 8
+
+
+STANDARD_FORMS = {**{name: lambda name=name: _graded_form(name) for name in GRADED_FORMS},
+                  "plane cubic over QQ": _rational_cubic,
+                  "weighted curve over F_5(x)": _rational_function_form}
+
+
+@pytest.mark.parametrize("seed, name", list(enumerate(STANDARD_FORMS, 71)))
+def test_standard_terms_leave_the_normal_form_and_its_steps_alone(seed, name):
+    """Seeded oracle: on term dicts of one degree slice of the free module,
+    the Kaehler module's normal form told the slice's staircase index gives
+    the same dict and spends the same steps as the plain normal form; an
+    input of standard terms alone comes back as it is, for no step."""
+    algebra, max_degree = STANDARD_FORMS[name]()
+    ring, field = algebra.ring, algebra.field
+    gb = kaehler(algebra).groebner
+    rng = random.Random(seed)
+    spent = 0
+    for degree in rng.sample(range(1, max_degree + 1), min(6, max_degree)):
+        free = [(c, m) for c, w in enumerate(ring.weights) if degree >= w
+                for m in monomials_of_weighted_degree(ring, degree - w)]
+        index = {entry: i for i, entry in enumerate(staircase_of_degree(gb, degree))}
+        assert set(index) <= set(free)
+        standard_only = {key: _random_raw(rng, field) for key in index}
+        assert _spent_normal_form(standard_only, gb, standard=index) == (standard_only, 0)
+        assert _spent_normal_form(standard_only, gb) == (standard_only, 0)
+        cases = [{}] + [{key: _random_raw(rng, field)
+                         for key in rng.sample(free, rng.randrange(1, min(len(free), 12) + 1))}
+                        for _ in range(8)]
+        for terms in cases:
+            plain, steps = _spent_normal_form(terms, gb)
+            assert _spent_normal_form(terms, gb, standard=index) == (plain, steps)
+            assert set(plain) <= set(index)
+            spent += steps
+    assert spent
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5), rational_functions(5)],
+                         ids=str)
+def test_a_standard_term_cancelled_and_made_again(field):
+    """Modulo X^2 + XY + Y^2, reducing X^3 adds -X^2Y - XY^2, which cancels
+    the input's standard XY^2, and reducing the new X^2Y adds XY^2 + Y^3,
+    which makes XY^2 again: X^3 + XY^2 = XY^2 + Y^3 in the quotient, in
+    two steps, whether or not the loop is told XY^2 and Y^3 are
+    standard."""
+    ring = PolyRing(field, ("X", "Y"))
+    X_, Y_ = ring.variable("X"), ring.variable("Y")
+    gb = buchberger([X_ ** 2 + X_ * Y_ + Y_ ** 2])
+    one = field.raw(field.one())
+    terms = {(0, (3, 0)): one, (0, (1, 2)): one}
+    expected = {(0, (1, 2)): one, (0, (0, 3)): one}
+    assert _spent_normal_form(terms, gb) == (expected, 2)
+    index = {(0, m): i for i, m in enumerate(staircase_of_degree(gb, 3))}
+    assert set(index) == {(0, (1, 2)), (0, (0, 3))}
+    assert _spent_normal_form(terms, gb, standard=index) == (expected, 2)
 
 
 # ---------------------------------------------------------------------------

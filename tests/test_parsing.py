@@ -211,6 +211,67 @@ def test_map_file_errors_cite_file_lines():
         parse_map_file(fixed.replace("ring Y:1\nrel Y^2", "ring X:1 Y:1\nrel Y^2"))
 
 
+# (presentation text, message, line, column): a line-level error cites the
+# file column of its token, indentation included, or the end of the line
+# for a missing one
+PRESENTATION_ERRORS = [
+    ("field QQ\nring X:1 Y:\u00b2\n", "bad weight in 'Y:\u00b2'", 2, 10),
+    ("field QQ\n  ring X:1   Y:0 Z\n", "bad weight in 'Y:0'", 2, 14),
+    ("field QQ\nring X Y:2 X\n", "variable names must be unique", 2, 12),
+    ("field FpX 3\nring X x:2\n",
+     "variable 'x' collides with the coefficient field generator", 2, 8),
+    ("field QQ\n  field QQ\n", "duplicate field line", 2, 3),
+    ("field\n", "empty field specification", 1, 6),
+    ("field  GF 9\n", "unknown field 'GF' (expected QQ, Fp:p or FpX:p)", 1, 8),
+    ("field QQ 3\n", "QQ takes no parameter", 1, 10),
+    ("field Fp   # no prime\n", "Fp needs a prime parameter, e.g. Fp:5", 1, 9),
+    ("field Fp:x\n", "Fp needs a prime parameter, e.g. Fp:5", 1, 10),
+    ("field FpX \u00b2\n", "FpX needs a prime parameter, e.g. FpX:5", 1, 11),
+    ("field Fp 5 7\n", "Fp needs a prime parameter, e.g. Fp:5", 1, 12),
+    ("field Fp:6\n", "6 is not prime", 1, 10),
+    ("ring X\n", "field must come before ring", 1, 1),
+    ("field QQ\nring X\n ring Y\n", "duplicate ring line", 3, 2),
+    ("field QQ\n\n\trel X\n", "ring must come before rel", 3, 2),
+    ("field QQ\nmode   exotic  # note\n", "unknown mode 'exotic'", 2, 8),
+    ("field QQ\nmode plain\nmode graded\n", "duplicate mode line", 3, 1),
+    ("field QQ\n   relation X\n", "unknown directive 'relation'", 2, 4),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", PRESENTATION_ERRORS)
+def test_presentation_line_errors_pin_message_line_and_column(text, message, line, column):
+    """Each line-level error of a presentation file cites the column of its
+    token, also when the presentation is a section of a map file."""
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+    with pytest.raises(ParseError) as info:
+        parse_map_file(f"[source]\n{text}[target]\nfield QQ\n[map]\n")
+    assert (info.value.message, info.value.line, info.value.column) == (message, line + 1, column)
+
+
+_MAP = "[source]\nfield QQ\nring X Y\n[target]\nfield QQ\nring Y\n"
+
+# (map file text, message, line, column)
+MAP_ERRORS = [
+    ("field QQ\n", "content before the first section", 1, 1),
+    ("\n  field QQ\n[source]\n", "content before the first section", 2, 3),
+    ("[source]\nfield QQ\n  [ nowhere ]\n", "unknown section 'nowhere'", 3, 5),
+    ("[source]\nfield QQ\n [source]\n", "duplicate section 'source'", 3, 3),
+    (_MAP + "[map]\n  X  Y\n", "map lines look like NAME = expression", 8, 3),
+    (_MAP + "[map]\nX = Y\nY = Y\n   X = 0\n", "duplicate image for 'X'", 10, 4),
+    (_MAP + "[map]\n W = Y\n", "'W' is not a source variable", 8, 2),
+    (_MAP + "\t[map]\nX = Y\n", "source variable 'Y' has no image", 7, 2),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MAP_ERRORS)
+def test_map_file_line_errors_pin_message_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_map_file(text)
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+
+
 # (expression, message, column of the error within the expression)
 EXPRESSION_ERRORS = [
     ("X + @", "unexpected character '@'", 5),
