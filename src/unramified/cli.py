@@ -227,19 +227,28 @@ def _verify_killing(args) -> VerificationReport:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _ascii_int(text: str) -> int:
+    """The argparse type of every integer option: ASCII digits with an
+    optional leading minus sign, as in the text formats; `int()` alone would
+    also read other scripts' digits and underscores."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _int_at_least(low: int):
-    """An argparse type: an int no smaller than `low`, else a usage error.
-    The text is ASCII digits with an optional leading minus sign, as in the
-    text formats; `int()` alone would also read other scripts' digits."""
+    """An argparse type: an `_ascii_int` no smaller than `low`, else a usage
+    error."""
     def parse(text: str) -> int:
-        digits = text[1:] if text.startswith("-") else text
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(text)
-        value = int(text)
+        value = _ascii_int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = "int"
     return parse
 
 
@@ -280,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-degree",
                        help="kernel of the universal derivation in one degree")
     common(p)
-    p.add_argument("--deg", type=int, required=True)
+    p.add_argument("--deg", type=_ascii_int, required=True)
     p.set_defaults(func=_cmd_kernel_degree)
 
     p = sub.add_parser("veronese",
                        help="check the kernel lives in degrees divisible by p")
     common(p)
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_ascii_int, required=True)
     p.set_defaults(func=_cmd_veronese)
 
     p = sub.add_parser("dim", help="dimension and basis of a presented algebra")
@@ -306,20 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification")
     flags = {
-        "--n": dict(type=int, default=5, help="exponent parameter"),
+        "--n": dict(type=_ascii_int, default=5, help="exponent parameter"),
         "--field": dict(default="QQ", help="QQ, Fp:p or FpX:p"),
         "--allow-char-p": dict(action="store_true",
                                help="allow positive characteristic where the "
                                     "construction is stated over characteristic zero"),
         "--cap": dict(type=_int_at_least(0), default=DIMENSION_CAP,
                       help="dimension cap for iterated constructions"),
-        "--steps": dict(type=int, default=1),
+        "--steps": dict(type=_ascii_int, default=1),
         "--start": dict(help="presentation file seeding the chain"),
-        "--p": dict(type=int, default=2, help="prime for towers"),
-        "--n-max": dict(type=int, default=3),
+        "--p": dict(type=_ascii_int, default=2, help="prime for towers"),
+        "--n-max": dict(type=_ascii_int, default=3),
         "--trials": dict(type=_int_at_least(1), default=50),
         "--count": dict(type=_int_at_least(1), default=20),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=_ascii_int, default=0),
     }
     verbs = p.add_subparsers(dest="what", required=True)
     # each verb is offered only the flags it reads

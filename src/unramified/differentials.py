@@ -22,7 +22,7 @@ from operator import add
 from . import groebner, linalg
 from .algebras import MODE_GRADED, AlgebraMap, QuotientAlgebra
 from .errors import ComputationError
-from .fields import PRIME_FIELD
+from .fields import add_multiple
 from .groebner import buchberger, normal_form, raw_normal_form, staircase_of_degree
 from .polynomials import (
     ModuleVector,
@@ -159,19 +159,20 @@ def _derivations(algebra: QuotientAlgebra) -> list:
     linear part of a*b is a(0) lin(b) + b(0) lin(a), and
     D(a*G) = a(0) lambda(lin G) = 0.  Since Der_k(R, k) = Hom_R(Omega_R, k)
     (Matsumura, Commutative Ring Theory, Section 25), D(f) != 0 proves
-    df != 0, and any lambda proves Omega != 0."""
+    df != 0, and any lambda proves Omega != 0.  Each lambda is a dict
+    {variable index: nonzero element}, the `sparse_kernel` of the columns
+    of the linear parts, one column per variable."""
     relations = algebra.presentation.relations
     if any(not g.constant_coefficient().is_zero() for g in relations):
         return []
     ring = algebra.ring
-    rows = []
-    for g in relations:
-        row = [ring.field.zero()] * ring.nvars
+    raw = ring.field.raw
+    columns = [{} for _ in range(ring.nvars)]
+    for i, g in enumerate(relations):
         for m, c in g.terms.items():
             if sum(m) == 1:
-                row[m.index(1)] = c
-        rows.append(row)
-    return linalg.kernel_basis(rows, ring.nvars, ring.field)
+                columns[m.index(1)][i] = raw(c)
+    return linalg.sparse_kernel(columns, ring.field)
 
 
 def _outside_m_squared(algebra: QuotientAlgebra, r: Polynomial) -> bool:
@@ -181,7 +182,7 @@ def _outside_m_squared(algebra: QuotientAlgebra, r: Polynomial) -> bool:
     holds exactly when r lies outside m^2."""
     lin = [(m.index(1), c) for m, c in r.terms.items() if sum(m) == 1]
     zero = algebra.field.zero()
-    return any(not sum((lam[i] * c for i, c in lin), zero).is_zero()
+    return any(not sum((lam[i] * c for i, c in lin if i in lam), zero).is_zero()
                for lam in _derivations(algebra))
 
 
@@ -243,15 +244,8 @@ def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict
     prev = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
     terms = {(c, tuple(map(add, m, shift))): v for (c, m), v in below[prev].items()}
     # add m' dX_j, which a term x_j c (m' / x_j) dX_j of x_j NF(dm') may meet
-    key = (j, prev)
     one = field.raw(field.one())
-    v = terms[key] + one if key in terms else one
-    if field.kind == PRIME_FIELD:
-        v %= field.p
-    if v:
-        terms[key] = v
-    else:
-        del terms[key]
+    add_multiple(terms, one, {(j, prev): one}, field.modulus)
     return raw_normal_form(terms, module.groebner, standard=standard)
 
 

@@ -191,12 +191,26 @@ class FieldDescriptor:
     def raw(self, a: "FieldElement"):
         """The raw form of an element, on which exact loops compute: the
         payload over QQ and F_p, and the element itself over F_p(x), whose
-        payload has no arithmetic of its own."""
+        payload has no arithmetic of its own.
+
+        Raw values of one field are combined with +, - and *, each result
+        taken `% modulus` when the modulus is nonzero, and inverted by
+        `raw_inverse`; a raw value is zero exactly when it is falsy."""
         return a if self.kind == RATIONAL_FUNCTIONS else a.payload
 
     def from_raw(self, value) -> "FieldElement":
         """The element of a raw form (see `raw`)."""
         return value if self.kind == RATIONAL_FUNCTIONS else FieldElement(self, value)
+
+    @property
+    def modulus(self) -> int:
+        """p over F_p, whose raw values are int residues, and 0 otherwise
+        (see `raw`)."""
+        return self.p if self.kind == PRIME_FIELD else 0
+
+    def raw_inverse(self, value):
+        """The inverse of a nonzero raw value, as a raw value."""
+        return pow(value, -1, self.p) if self.kind == PRIME_FIELD else 1 / value
 
     def generator(self) -> "FieldElement":
         """The element x of a rational function field."""
@@ -233,6 +247,23 @@ def rational_functions(p: int) -> FieldDescriptor:
 QQ = rationals()
 
 
+def add_multiple(target: dict, c, source: dict, p: int) -> dict:
+    """target += c * source on sparse dicts of raw coefficients, mod p when p
+    is nonzero, dropping every entry that becomes zero; returns target."""
+    for k, v in source.items():
+        v = c * v
+        cur = target.get(k)
+        if cur is not None:
+            v += cur
+        if p:
+            v %= p
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+    return target
+
+
 class FieldElement:
     """An immutable scalar in one of the three field kinds.
 
@@ -267,11 +298,6 @@ class FieldElement:
         if self.field.kind == RATIONAL_FUNCTIONS:
             return not self.payload[0]
         return self.payload == 0
-
-    def is_one(self) -> bool:
-        if self.field.kind == RATIONAL_FUNCTIONS:
-            return self.payload == ((1,), (1,))
-        return self.payload == 1
 
     def __bool__(self) -> bool:
         return not self.is_zero()

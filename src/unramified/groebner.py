@@ -28,16 +28,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import add, mul
 
 from .errors import BudgetExceededError
-from .fields import PRIME_FIELD, RATIONAL_FUNCTIONS, FieldElement
+from .fields import add_multiple
 from .polynomials import (
     ModuleVector,
     PolyRing,
     Polynomial,
-    _accumulate,
     _standard_monomials,
     mono_div,
     mono_divides,
@@ -83,9 +83,10 @@ def step_budget(limit: int):
 
 
 class _Row:
-    """One monic basis element in internal term-dict form.  `lt` is the
-    leading (component, monomial) pair and `degree` the total degree of its
-    monomial; the pair criteria work on them."""
+    """One monic basis element as a term dict of raw coefficients (see
+    `_to_terms`).  `lt` is the leading (component, monomial) pair and
+    `degree` the total degree of its monomial; the pair criteria work on
+    them."""
 
     __slots__ = ("terms", "lt", "key", "degree")
 
@@ -93,9 +94,9 @@ class _Row:
         mk = ring.module_key
         lt = max(terms, key=lambda t: mk(*t))
         lc = terms[lt]
-        if not lc.is_one():
-            inv = lc.inverse()
-            terms = {k: v * inv for k, v in terms.items()}
+        if lc != 1:
+            field = ring.field
+            terms = add_multiple({}, field.raw_inverse(lc), terms, field.modulus)
         self.terms = terms
         self.lt = lt
         self.key = mk(*lt)
@@ -103,41 +104,31 @@ class _Row:
 
 
 def _to_terms(obj) -> dict:
+    """The terms of a polynomial or module vector as a new dict
+    {(component, monomial): raw coefficient} (see `FieldDescriptor.raw`),
+    with component 0 for a polynomial: the form the engine computes on."""
+    raw = obj.ring.field.raw
     if isinstance(obj, Polynomial):
-        return {(0, m): c for m, c in obj.terms.items()}
-    return dict(obj.terms)
+        return {(0, m): raw(c) for m, c in obj.terms.items()}
+    return {key: raw(c) for key, c in obj.terms.items()}
 
 
 def _from_terms(ring: PolyRing, rank, terms: dict):
     """The inverse of `_to_terms`: a polynomial when `rank` is None (an
     ideal), else a module vector of that rank."""
+    from_raw = ring.field.from_raw
     if rank is None:
-        return Polynomial(ring, {m: c for (_, m), c in terms.items()})
-    return ModuleVector(ring, rank, terms)
+        return Polynomial(ring, {m: from_raw(c) for (_, m), c in terms.items()})
+    return ModuleVector(ring, rank, {key: from_raw(c) for key, c in terms.items()})
 
 
-def _reduce_terms(ring: PolyRing, terms: dict, buckets: dict, budget: _Budget) -> dict:
-    """Full normal form of a term dict of elements against rows bucketed by
-    lead component: the coefficients are unwrapped once, reduced by
-    `_reduce_payloads`, and only the output terms are wrapped back into
-    elements."""
-    field = ring.field
-    if field.kind == RATIONAL_FUNCTIONS:
-        return _reduce_payloads(ring, dict(terms), buckets, budget)
-    out = _reduce_payloads(ring, {key: c.payload for key, c in terms.items()},
-                           buckets, budget)
-    return {key: FieldElement(field, v) for key, v in out.items()}
-
-
-def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget,
-                     standard=()) -> dict:
+def _reduce_terms(ring: PolyRing, work: dict, buckets: dict, budget: _Budget,
+                  standard=()) -> dict:
     """Full normal form of a term dict of raw coefficients against rows
     bucketed by lead component, consuming `work`.
 
-    Raw coefficients are the int residue over F_p (reduced mod p after
-    every operation), the Fraction over QQ, and the element itself over
-    F_p(x), whose payload has no arithmetic of its own; each reducer term's
-    payload is read as it is used.  The heap holds the negated module key
+    Every operation on a coefficient is followed by `% p` over F_p (see
+    `FieldDescriptor.raw`).  The heap holds the negated module key
     (component, -weighted degree, reversed exponents), so the largest term
     pops first, and the output lists the terms in that order.
 
@@ -150,9 +141,7 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget,
     """
     if not work:
         return {}
-    field = ring.field
-    raw = field.kind != RATIONAL_FUNCTIONS
-    p = field.p if field.kind == PRIME_FIELD else 0
+    p = ring.field.modulus
     weights = ring.weights
     out: dict = {}
     keys = [key for key in work if key not in standard] if standard else work
@@ -180,7 +169,7 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget,
         for (tc, tm), tv in reducer.terms.items():
             m = tuple(map(add, tm, quotient))
             key = (tc, m)
-            v = neg * (tv.payload if raw else tv)
+            v = neg * tv
             cur = work.get(key)
             if cur is None:
                 work[key] = v % p if p else v
@@ -199,13 +188,15 @@ def _reduce_payloads(ring: PolyRing, work: dict, buckets: dict, budget: _Budget,
     return out
 
 
-def _spair(a: _Row, b: _Row) -> dict:
+def _spair(field, a: _Row, b: _Row) -> dict:
+    """The S-vector (lcm / lt a) a - (lcm / lt b) b of two monic rows."""
     lcm = mono_lcm(a.lt[1], b.lt[1])
     ua = mono_div(lcm, a.lt[1])
     ub = mono_div(lcm, b.lt[1])
     out = {(tc, mono_mul(tm, ua)): tv for (tc, tm), tv in a.terms.items()}
-    return _accumulate(
-        out, (((tc, mono_mul(tm, ub)), -tv) for (tc, tm), tv in b.terms.items()))
+    return add_multiple(out, field.raw(-field.one()),
+                        {(tc, mono_mul(tm, ub)): tv for (tc, tm), tv in b.terms.items()},
+                        field.modulus)
 
 
 @dataclass(frozen=True)
@@ -228,7 +219,8 @@ class Staircase:
 
 class GroebnerBasis:
     """A reduced Groebner basis.  `rank` is None for an ideal, or the free
-    module rank for a submodule basis."""
+    module rank for a submodule basis.  The engine reads the rows; the
+    polynomials or module vectors of `generators` are made on first use."""
 
     def __init__(self, ring: PolyRing, rank, rows: list):
         self.ring = ring
@@ -237,7 +229,10 @@ class GroebnerBasis:
         self._buckets: dict = {}
         for row in rows:
             self._buckets.setdefault(row.lt[0], []).append(row)
-        self.generators = tuple(_from_terms(ring, rank, row.terms) for row in rows)
+
+    @cached_property
+    def generators(self) -> tuple:
+        return tuple(_from_terms(self.ring, self.rank, row.terms) for row in self._rows)
 
     def __len__(self):
         return len(self._rows)
@@ -361,7 +356,7 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
         _, i, j = heappop(pairs)
         if live.pop((i, j), None) is None:
             continue  # deleted by criterion B
-        s = _spair(rows[i], rows[j])
+        s = _spair(ring.field, rows[i], rows[j])
         if not s:
             continue
         r = _reduce_terms(ring, s, buckets, budget)
@@ -416,8 +411,7 @@ def raw_normal_form(terms: dict, gb: GroebnerBasis, *, standard=()) -> dict:
     that is not standard would be left unreduced.  Without `standard` the
     output lists its terms largest first; with it, the terms outside
     `standard` come first, in that order, and the standard ones follow."""
-    return _reduce_payloads(gb.ring, dict(terms), gb._buckets, _current_budget(),
-                            standard)
+    return _reduce_terms(gb.ring, dict(terms), gb._buckets, _current_budget(), standard)
 
 
 def _component_leads(gb: GroebnerBasis) -> list:
@@ -575,7 +569,7 @@ def local_leading_monomials(generators, truncation: int) -> list:
     a monomial by the basis leaves only terms of that degree or more, all
     lead multiples again, so in the power series ring that power of m lies
     in the ideal, and adding it changes no leading monomial.  Coefficients
-    are raw payloads, as in `_reduce_payloads`, and every reduction step
+    are raw, as in `_reduce_terms`, and every reduction step
     spends from the current `step_budget`.
     """
     gens = [g for g in generators if not g.is_zero()]
@@ -583,9 +577,8 @@ def local_leading_monomials(generators, truncation: int) -> list:
         return []
     nvars = gens[0].ring.nvars
     field = gens[0].ring.field
-    raw = field.kind != RATIONAL_FUNCTIONS
-    p = field.p if field.kind == PRIME_FIELD else 0
-    one = 1 if raw else field.one()
+    p = field.modulus
+    one = field.raw(field.one())
     budget = _current_budget()
     bound = truncation
     basis: list = []  # (leading monomial, monic terms)
@@ -600,7 +593,7 @@ def local_leading_monomials(generators, truncation: int) -> list:
         h: dict = {}
         heap: list = []
 
-        def add_multiple(c, shift: tuple, terms: dict):
+        def add_shifted(c, shift: tuple, terms: dict):
             for m, v in terms.items():
                 key = tuple(map(add, m, shift))
                 if sum(key) >= bound:
@@ -619,7 +612,7 @@ def local_leading_monomials(generators, truncation: int) -> list:
                     del h[key]
 
         for summand in summands:
-            add_multiple(*summand)
+            add_shifted(*summand)
         while heap:
             lead = heappop(heap)[1]
             if lead not in h:
@@ -628,18 +621,17 @@ def local_leading_monomials(generators, truncation: int) -> list:
             if reducer is None:
                 return h
             budget.spend()
-            add_multiple(-h[lead], mono_div(lead, reducer[0]), reducer[1])
+            add_shifted(-h[lead], mono_div(lead, reducer[0]), reducer[1])
         return h
 
     def join(h: dict):
         nonlocal bound
         new = min(h, key=_local_rank)
-        inv = pow(h[new], p - 2, p) if p else one / h[new]
         for i, (lead, _) in enumerate(basis):
             lcm = mono_lcm(lead, new)
             if sum(lcm) < sum(lead) + sum(new):
                 heappush(pairs, (sum(lcm), i, len(basis)))
-        basis.append((new, {m: v * inv % p if p else v * inv for m, v in h.items()}))
+        basis.append((new, add_multiple({}, field.raw_inverse(h[new]), h, p)))
         pure = [min((m[v] for m, _ in basis if sum(m) == m[v]), default=None)
                 for v in range(nvars)]
         if None not in pure:
@@ -647,8 +639,7 @@ def local_leading_monomials(generators, truncation: int) -> list:
 
     origin = (0,) * nvars
     for g in gens:
-        h = reduce([(one, origin, {m: c.payload for m, c in g.terms.items()}
-                     if raw else g.terms)])
+        h = reduce([(one, origin, {m: field.raw(c) for m, c in g.terms.items()})])
         if h:
             join(h)
     while pairs:

@@ -295,6 +295,7 @@ def parse_presentation(text: str) -> Presentation:
     names: list = []
     weights: list = []
     relations: list = []
+    places: list = []  # (line, column) of each relation's text
     mode = MODE_PLAIN
     saw_mode = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -335,6 +336,7 @@ def parse_presentation(text: str) -> Presentation:
             if ring is None:
                 raise ParseError("ring must come before rel", lineno, start)
             relations.append(parse_polynomial(rest, ring, lineno, column))
+            places.append((lineno, column))
         elif keyword == "mode":
             if saw_mode:
                 raise ParseError("duplicate mode line", lineno, start)
@@ -351,6 +353,12 @@ def parse_presentation(text: str) -> Presentation:
     try:
         return Presentation(ring, tuple(relations), mode)
     except ValueError as exc:
+        # Presentation judges each relation alone: cite the first it refuses
+        for rel, place in zip(relations, places):
+            try:
+                Presentation(ring, (rel,), mode)
+            except ValueError:
+                raise ParseError(str(exc), *place) from None
         raise ParseError(str(exc)) from None
 
 

@@ -12,7 +12,8 @@ the explicit local-model search on the package's Buchberger runs.
 `reference_parse_polynomial` is the expression grammar evaluated factor
 by factor with the package's public polynomial arithmetic.  The builders
 at the end (`scalar`, `polynomial`, `vector`, `identity_map`) make package
-elements from plain data through its public constructors.
+elements from plain data through its public constructors, and
+`kernel_basis` reads the package's `sparse_kernel` on dense rows.
 """
 
 import re
@@ -23,6 +24,7 @@ from unramified.algebras import make_map
 from unramified.errors import ParseError
 from unramified.fields import FIELD_VARIABLE, RATIONAL_FUNCTIONS
 from unramified.groebner import buchberger, dimension
+from unramified.linalg import sparse_kernel
 from unramified.polynomials import ModuleVector, Polynomial
 
 
@@ -168,6 +170,25 @@ def matmul(a: list, b: list, zero) -> list:
             acc = [x + v * y for x, y in zip(acc, b[k])]
         out.append(acc)
     return out
+
+
+def kernel_basis(rows: list, ncols: int, field) -> list:
+    """A basis of the right kernel {x : A x = 0} of dense rows of elements,
+    one dense vector of elements per free column, ordered by free column
+    index: the `sparse_kernel` of the rows' columns."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if c:
+                columns[j][i] = field.raw(c)
+    zero = field.zero()
+    basis = []
+    for vec in sparse_kernel(columns, field):
+        dense = [zero] * ncols
+        for j, c in vec.items():
+            dense[j] = c
+        basis.append(dense)
+    return basis
 
 
 def linear_matrix(phi) -> list:

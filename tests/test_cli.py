@@ -416,6 +416,47 @@ def test_integer_limits_are_ascii_digits(argv, capsys, monkeypatch):
     assert f"argument {argv[-2]}: invalid int value: '{argv[-1]}'" in captured.err
 
 
+# (argv, exit code, text on stderr): every integer option reads ASCII digits
+# only, and an ASCII value outside what the library accepts keeps the
+# library's own message
+INTEGER_OPTIONS = [
+    (["kernel-degree", "--file", "samples/cross_term_f2.alg", "--deg", "\u0663"], 2,
+     "argument --deg: invalid int value: '\u0663'"),
+    (["kernel-degree", "--file", "samples/cross_term_f2.alg", "--deg", "1_0"], 2,
+     "argument --deg: invalid int value: '1_0'"),
+    (["veronese", "--file", "samples/cross_term_f2.alg", "--max-deg", "\uff13"], 2,
+     "argument --max-deg: invalid int value: '\uff13'"),
+    (["verify", "preparatory", "--n", "\u0665"], 2, "argument --n: invalid int value"),
+    (["verify", "gabber", "--steps", "\u0661"], 2, "argument --steps: invalid int value"),
+    (["verify", "charp-tower", "--p", "\u0663"], 2, "argument --p: invalid int value"),
+    (["verify", "charp-tower", "--n-max", "1_0"], 2, "argument --n-max: invalid int value"),
+    (["verify", "twisted", "--seed", "\u0663"], 2, "argument --seed: invalid int value"),
+    (["verify", "euler", "--trials", "\u0663"], 2, "argument --trials: invalid int value"),
+    (["kernel-degree", "--file", "samples/cross_term_f2.alg", "--deg", "0"], 2,
+     "degree must be positive"),
+    (["kernel-degree", "--file", "samples/cross_term_f2.alg", "--deg", "-2"], 2,
+     "degree must be positive"),
+    (["verify", "gabber", "--steps", "0"], 2, "at least one step is required"),
+    (["verify", "charp-tower", "--p", "4"], 2, "4 is not prime"),
+    (["verify", "charp-tower", "--n-max", "0"], 2, "n_max must be at least 1"),
+    (["verify", "preparatory", "--n", "-5"], 2, "the construction requires n >= 5"),
+    (["verify", "euler", "--trials", "1", "--seed", "-1"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", INTEGER_OPTIONS)
+def test_integer_options_read_ascii_digits(argv, code, message, capsys, monkeypatch):
+    """Each integer option reads its text one way: an Arabic-Indic or
+    fullwidth digit or an underscore is a usage error before any work, not
+    the number int() makes of it, and no range is added to the library's."""
+    monkeypatch.chdir(SAMPLES.parent)
+    assert main(argv + ["--json"]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    if code:
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("max_deg", ["0", "-3"])
 def test_veronese_of_no_degree_is_a_usage_error(max_deg, capsys, monkeypatch):
     monkeypatch.chdir(SAMPLES.parent)

@@ -352,9 +352,9 @@ def test_walked_kernels_equal_single_degrees_over_rational_functions():
 def test_walked_kernels_over_the_rationals():
     """The walk runs over QQ, though the Veronese verdict refuses p = 0: its
     recorded images are raw Fractions, and every kernel is empty, as the
-    Euler derivation gives deg(f) f = 0 for df = 0.  The kernels of dense
-    rows over QQ, such as the derivations to the residue field, are
-    elements whose payloads are Fractions, the raw 1 included."""
+    Euler derivation gives deg(f) f = 0 for df = 0.  The derivations to
+    the residue field, sparse kernel vectors over QQ, hold elements whose
+    payloads are Fractions, the raw 1 included."""
     ring = PolyRing(QQ, ("X", "Y", "Z"))
     X_, Y_, Z_ = map(ring.variable, ring.names)
     cubic = make_quotient(Presentation(
@@ -371,7 +371,7 @@ def test_walked_kernels_over_the_rationals():
     cusp = make_quotient(Presentation(R, (Y ** 2 - X ** 3, X * Y)))
     derivations = _derivations(cusp)
     assert len(derivations) == 2
-    assert all(type(c.payload) is Fraction for lam in derivations for c in lam)
+    assert all(type(c.payload) is Fraction for lam in derivations for c in lam.values())
 
 
 def test_walked_kernels_without_variables():

@@ -9,6 +9,7 @@ import oracles
 from unramified.fields import (
     QQ,
     FieldDescriptor,
+    add_multiple,
     formal_derivative,
     format_scalar,
     prime_field,
@@ -19,6 +20,7 @@ from unramified.parsing import parse_scalar
 F5 = prime_field(5)
 F2X = rational_functions(2)
 F3X = rational_functions(3)
+F5X = rational_functions(5)
 
 FIELDS = [QQ, F5, F2X]
 
@@ -137,3 +139,37 @@ def test_parse_scalar_function_field():
 def test_scalar_round_trip(data):
     field, (a,) = data
     assert parse_scalar(format_scalar(a), field) == a
+
+
+# (field, modulus, nonzero elements): the raw form is the Fraction over QQ,
+# the int residue over F_5 and the element itself over F_5(x)
+RAW_CASES = [
+    (QQ, 0, [oracles.scalar(QQ, 3, 4), oracles.scalar(QQ, -2), QQ.one()]),
+    (F5, 5, [F5.from_int(2), F5.from_int(4), F5.one()]),
+    (F5X, 0, [F5X.from_ratio((1, 1), (0, 1)), F5X.generator() ** 2, F5X.one()]),
+]
+
+
+@pytest.mark.parametrize("field, modulus, values", RAW_CASES,
+                         ids=[str(field) for field, _, _ in RAW_CASES])
+def test_raw_helpers(field, modulus, values):
+    """The raw form round-trips, `raw_inverse` inverts it once reduced by
+    the modulus, and `add_multiple` adds a multiple of a sparse dict into
+    another in place: it reduces mod p, drops the keys that cancel and
+    returns its target."""
+    assert field.modulus == modulus
+    raw = field.raw
+    for a in values:
+        assert field.from_raw(raw(a)) == a
+        product = field.raw_inverse(raw(a)) * raw(a)
+        if modulus:
+            product %= modulus
+        assert field.from_raw(product) == field.one()
+    x, y, _ = values
+    target = {"kept": raw(x), "cancelled": raw(-3 * y)}
+    out = add_multiple(target, raw(field.from_int(3)), {"cancelled": raw(y), "new": raw(x)},
+                       modulus)
+    assert out is target
+    assert out == {"kept": raw(x), "new": raw(3 * x)}
+    if modulus:
+        assert all(0 <= v < modulus for v in out.values())

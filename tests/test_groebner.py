@@ -22,6 +22,7 @@ from unramified.groebner import (
     buchberger,
     dimension,
     normal_form,
+    raw_normal_form,
     staircase,
     staircase_of_degree,
     step_budget,
@@ -245,6 +246,31 @@ def test_katsura3_spends_the_recorded_steps():
 def test_mixed_input_rejected():
     with pytest.raises(ValueError):
         buchberger([X, oracles.vector(R, [X, Y])])
+
+
+@pytest.mark.parametrize("field, module", [(QQ, False), (prime_field(5), True)],
+                         ids=["QQ ideal", "F_5 module"])
+def test_generators_are_made_only_when_read(field, module):
+    """The engine computes on the rows' raw coefficients: normal forms,
+    dimensions and staircases leave `generators` unmade, and reading it
+    gives monic elements."""
+    ring = PolyRing(field, ("X", "Y"))
+    x, y = ring.variable("X"), ring.variable("Y")
+    gens = [3 * x ** 2 - y, 2 * y ** 2 - x]
+    if module:
+        gens = [oracles.vector(ring, [g, 2 * x]) for g in gens] + [
+            oracles.vector(ring, [ring.zero(), 3 * y ** 2])]
+    gb = buchberger(gens)
+    probe = oracles.vector(ring, [x ** 3, y]) if module else x ** 3 + y
+    normal_form(probe, gb)
+    raw_normal_form({(0, (3, 0)): ring.field.raw(ring.field.from_int(2))}, gb)
+    dimension(gb)
+    staircase(gb)
+    assert "generators" not in vars(gb)
+    assert len(gb.generators) == len(gb) > 1
+    for g in gb.generators:
+        lead = max(g.terms, key=(lambda t: ring.module_key(*t)) if module else ring.monomial_key)
+        assert g.terms[lead] == field.one()
 
 
 def test_criterion_detects_non_basis():

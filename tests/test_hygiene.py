@@ -550,8 +550,6 @@ def test_private_reads_helper():
 # Private names that one package module reads from another, each with its
 # reason.
 PRIVATE_READS = {
-    "groebner: polynomials._accumulate":
-        "the one zero-dropping sum of sparse terms, for S-pairs and reduction",
     "constructions: differentials._outside_m_squared":
         "the one derivation test to the residue field, for the killing chain's skip test",
     "algebras: polynomials._standard_monomials":
@@ -568,6 +566,59 @@ def test_no_module_reads_another_modules_private_names():
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     assert private_reads(modules) == sorted(PRIVATE_READS)
+
+
+def raw_form_readers(modules: dict) -> list:
+    """The modules that know how a field kind stores its values: they read
+    a field-kind constant (`RATIONALS`, `PRIME_FIELD`, `RATIONAL_FUNCTIONS`)
+    or an element's `.payload`, or call `FieldElement(...)`.  `modules` maps
+    module names to parsed trees."""
+    kinds = {"RATIONALS", "PRIME_FIELD", "RATIONAL_FUNCTIONS"}
+    readers = set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id in kinds)
+                    or (isinstance(node, ast.alias) and node.name in kinds)
+                    or (isinstance(node, ast.Attribute) and node.attr in kinds | {"payload"})
+                    or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "FieldElement")):
+                readers.add(module)
+    return sorted(readers)
+
+
+def test_raw_form_readers_helper():
+    modules = {
+        "a": ast.parse("from .fields import PRIME_FIELD\n"),
+        "b": ast.parse("def f(c): return c.payload\n"),
+        "c": ast.parse("def f(field, v): return FieldElement(field, v)\n"),
+        "d": ast.parse("from . import fields\nkind = fields.RATIONALS\n"),
+        "e": ast.parse("def f(field, c): return field.raw(c), field.modulus, c.is_zero()\n"),
+    }
+    assert raw_form_readers(modules) == ["a", "b", "c", "d"]
+
+
+# Package modules that know how each field kind stores its values, each with
+# its reason; every other module computes on raw values through the
+# `FieldDescriptor` methods `raw`, `from_raw`, `modulus` and `raw_inverse`.
+RAW_FORM_READERS = {
+    "fields": "defines the field kinds, their payloads and the raw form",
+    "polynomials": "formats F_p(x) coefficients, and refuses a ring variable named "
+                   "like the generator of F_p(x)",
+    "parsing": "reads the field specification, and the generator x of F_p(x) in "
+               "expressions",
+    "constructions": "the local-case check asks whether the base field is perfect",
+}
+
+
+def test_one_module_decides_the_raw_form():
+    """How an exact loop computes on a raw coefficient (an int mod p, a
+    Fraction or an F_p(x) element) is decided in `fields` alone: the
+    Groebner engine, the linear algebra and the differentials read no field
+    kind and no payload, so a second way to compute on one does not come
+    back."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert raw_form_readers(modules) == sorted(RAW_FORM_READERS)
 
 
 _PROFILE_IMPORT = """

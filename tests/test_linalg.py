@@ -36,7 +36,7 @@ def test_row_reduce_leaves_its_input_alone(field):
 
 def test_kernel_basis():
     rows = M(QQ, [[1, 0, -1], [0, 1, 2]])
-    basis = linalg.kernel_basis(rows, 3, QQ)
+    basis = oracles.kernel_basis(rows, 3, QQ)
     assert len(basis) == 1
     vec = basis[0]
     assert [str(v) for v in vec] == ["1", "-2", "1"]
@@ -50,14 +50,14 @@ def test_kernel_basis():
 def test_kernel_over_prime_field():
     F3 = prime_field(3)
     rows = M(F3, [[1, 2], [2, 4]])
-    basis = linalg.kernel_basis(rows, 2, F3)
+    basis = oracles.kernel_basis(rows, 2, F3)
     assert len(basis) == 1
 
 
 def test_empty_edge_cases():
     assert linalg.rank([], 3, QQ) == 0
-    assert len(linalg.kernel_basis([], 2, QQ)) == 2
-    assert linalg.kernel_basis([], 0, QQ) == []
+    assert len(oracles.kernel_basis([], 2, QQ)) == 2
+    assert oracles.kernel_basis([], 0, QQ) == []
 
 
 def test_matmul():
@@ -146,7 +146,7 @@ def test_sparse_kernel_is_the_reduced_echelon_kernel(field):
             if field == QQ:
                 assert all(type(v.payload) is Fraction for v in vec.values())
         dense = [[vec.get(j, field.zero()) for j in range(ncols)] for vec in kernel]
-        assert linalg.kernel_basis(rows, ncols, field) == dense
+        assert oracles.kernel_basis(rows, ncols, field) == dense
         shapes.add((len(rows), ncols, len(kernel)))
     # the empty and full-rank cases were among them
     assert (5, 5, 0) in shapes and (0, 3, 3) in shapes and (0, 0, 0) in shapes

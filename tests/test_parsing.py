@@ -235,6 +235,8 @@ PRESENTATION_ERRORS = [
     ("field QQ\nmode   exotic  # note\n", "unknown mode 'exotic'", 2, 8),
     ("field QQ\nmode plain\nmode graded\n", "duplicate mode line", 3, 1),
     ("field QQ\n   relation X\n", "unknown directive 'relation'", 2, 4),
+    ("field QQ\nring X\nrel X^2 + X\nmode graded\n",
+     "relation X^2 + X is not homogeneous for the ring weights", 3, 5),
 ]
 
 
