@@ -62,6 +62,7 @@ from .groebner import (
     dimension,
     normal_form,
     raw_normal_form,
+    rising_slices,
     staircase,
     staircase_of_degree,
     step_budget,

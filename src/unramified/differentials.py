@@ -17,13 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from . import groebner, linalg
 from .algebras import MODE_GRADED, AlgebraMap, QuotientAlgebra
 from .errors import ComputationError
 from .fields import add_multiple
-from .groebner import buchberger, normal_form, raw_normal_form, staircase_of_degree
+from .groebner import (
+    buchberger,
+    normal_form,
+    raw_normal_form,
+    rising_slices,
+    staircase_of_degree,
+)
 from .polynomials import (
     ModuleVector,
     Polynomial,
@@ -220,60 +225,21 @@ def is_zero_induced_map(phi: AlgebraMap, certificates: dict | None = None) -> bo
     return True
 
 
-def _reduced_image(module: KaehlerModule, mono: tuple, degree: int, images: dict,
-                   standard: dict) -> dict:
-    """d(mono) reduced, as a dict of raw coefficients (see
-    `groebner.raw_normal_form`), for a standard monomial of the given
-    degree.  Let x_j be mono's last variable with a nonzero exponent and
-    m' = mono / x_j.  When `images` records the degree of m',
-    d(x_j m') = x_j dm' + m' dX_j and the relation submodule is a submodule
-    over P, so the image is NF(x_j NF(dm') + m' dX_j); a divisor of a
-    standard monomial is standard, so NF(dm') is recorded.  Otherwise
-    d(mono) is reduced from scratch.  Either way the normal form is told
-    the module's `standard` entries of the degree, so the terms already
-    standard, most of x_j NF(dm'), skip its reduction loop."""
-    ring = module.algebra.ring
-    field = ring.field
-    j = max(i for i, e in enumerate(mono) if e)
-    below = images.get(degree - ring.weights[j])
-    if below is None:
-        d = raw_differential(Polynomial(ring, {mono: field.one()}))
-        return raw_normal_form({key: field.raw(c) for key, c in d.terms.items()},
-                               module.groebner, standard=standard)
-    shift = tuple(int(i == j) for i in range(ring.nvars))
-    prev = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
-    terms = {(c, tuple(map(add, m, shift))): v for (c, m), v in below[prev].items()}
-    # add m' dX_j, which a term x_j c (m' / x_j) dX_j of x_j NF(dm') may meet
-    one = field.raw(field.one())
-    add_multiple(terms, one, {(j, prev): one}, field.modulus)
-    return raw_normal_form(terms, module.groebner, standard=standard)
+def _column(image: dict, index: dict) -> dict:
+    """A reduced image as a sparse column {codomain index: raw coefficient}
+    of the slice matrix, `index` numbering the module's staircase entries of
+    the degree."""
+    try:
+        return {index[key]: c for key, c in image.items()}
+    except KeyError:
+        raise ComputationError(
+            "reduced differential left the degree slice; relations are not homogeneous"
+        ) from None
 
 
-def _kernel_in_degree(algebra: QuotientAlgebra, degree: int, images: dict) -> list:
-    """Kernel basis of d on the degree slice, recording the reduced image of
-    every standard monomial of the degree in images[degree].  `images` maps
-    lower degrees to such records, which `_reduced_image` reads.  Each image
-    is a sparse column of the slice matrix, over the staircase of the
-    module in the degree, whose index also tells each normal form the terms
-    that are already standard; only the kernel vectors are made polynomials.
-    Normal forms are unique, so the basis does not depend on what is
-    recorded."""
-    module = kaehler(algebra)
-    domain = staircase_of_degree(algebra.groebner, degree)
-    images[degree] = recorded = {}
-    if not domain:
-        return []
-    codomain = staircase_of_degree(module.groebner, degree)
-    index = {entry: i for i, entry in enumerate(codomain)}
-    columns = []
-    for mono in domain:
-        recorded[mono] = image = _reduced_image(module, mono, degree, images, index)
-        try:
-            columns.append({index[key]: c for key, c in image.items()})
-        except KeyError:
-            raise ComputationError(
-                "reduced differential left the degree slice; relations are not homogeneous"
-            ) from None
+def _slice_kernel(algebra: QuotientAlgebra, domain: list, columns: list) -> list:
+    """Kernel basis of d on a degree slice from the columns of its monomials;
+    only the kernel vectors are made polynomials."""
     ring = algebra.ring
     return [Polynomial(ring, {domain[i]: c for i, c in vec.items()})
             for vec in linalg.sparse_kernel(columns, algebra.field)]
@@ -286,30 +252,98 @@ def derivation_kernel_in_degree(algebra: QuotientAlgebra, degree: int) -> list:
     The algebra must be in graded mode; the module Groebner basis is
     homogeneous, so normal forms of homogeneous vectors stay in the degree
     slice and the slice matrix is exact.  Every image is reduced from
-    scratch, on raw coefficients, and becomes one sparse column of that
-    matrix; `linalg.sparse_kernel` gives the kernel vectors of the reduced
-    row echelon form, and only they are made polynomials.  For one degree
-    that is cheaper than walking up from degree 1 by the Leibniz rule, as
-    `veronese_containment_check` does through the same kernel.
+    scratch, on raw coefficients (see `groebner.raw_normal_form`), told the
+    module's staircase entries of the degree, which skip the reduction loop,
+    and becomes one sparse column of that matrix; `linalg.sparse_kernel`
+    gives the kernel vectors of the reduced row echelon form.  For one
+    degree that is cheaper than walking up from degree 1 by the Leibniz
+    rule, as `veronese_containment_check` does.
     """
     if algebra.presentation.mode != MODE_GRADED:
         raise ValueError("kernel computation requires a graded presentation")
     if degree < 1:
         raise ValueError("degree must be positive")
-    return _kernel_in_degree(algebra, degree, {})
+    domain = staircase_of_degree(algebra.groebner, degree)
+    if not domain:
+        return []
+    module = kaehler(algebra)
+    index = {entry: i for i, entry in enumerate(staircase_of_degree(module.groebner, degree))}
+    field = algebra.field
+    columns = []
+    for mono in domain:
+        d = raw_differential(Polynomial(algebra.ring, {mono: field.one()}))
+        image = raw_normal_form({key: field.raw(c) for key, c in d.terms.items()},
+                                module.groebner, standard=index)
+        columns.append(_column(image, index))
+    return _slice_kernel(algebra, domain, columns)
+
+
+class _Shifted(dict):
+    """{key: x_j key} for the (component, monomial) keys of the module, each
+    made on its first read."""
+
+    __slots__ = ("j",)
+
+    def __init__(self, j: int):
+        super().__init__()
+        self.j = j
+
+    def __missing__(self, key):
+        comp, m = key
+        j = self.j
+        self[key] = shifted = (comp, m[:j] + (m[j] + 1,) + m[j + 1:])
+        return shifted
 
 
 def _walked_kernels(algebra: QuotientAlgebra, max_degree: int):
     """The kernel bases of degrees 1..max_degree in turn, every image
-    reduced by the Leibniz rule from the images of the degrees below."""
+    reduced by the Leibniz rule from the images of the degrees below.
+
+    `groebner.rising_slices` lists each degree's standard monomials, each
+    x_j m' for its last variable x_j and the k-th monomial m' of degree
+    d - w_j, with its origin (j, k), and the module's staircase entries of
+    the degree.  Then d(x_j m') = x_j dm' +
+    m' dX_j, and the relation submodule is a submodule over P, so the image
+    is NF(x_j NF(dm') + m' dX_j), where NF(dm') was recorded at degree
+    d - w_j (a divisor of a standard monomial is standard).  The normal form
+    is told the module's entries of the degree, so the terms already
+    standard, most of x_j NF(dm'), skip its reduction loop.  Normal forms
+    are unique, so the kernels equal those of `derivation_kernel_in_degree`.
+    Each degree shifts the recorded keys through one memo per variable and
+    keeps the images only as long as a later degree reads them."""
     ring = algebra.ring
-    # degree d reads the images of degrees d - w_j, so only the last
-    # max(w_j) degrees are kept; the walk starts from d(1) = 0
-    images = {0: {ring.monomial_one: {}}}
+    field = ring.field
+    p = field.modulus
+    one = field.raw(field.one())
+    module = kaehler(algebra)
+    domains = rising_slices(algebra.groebner)
+    codomains = rising_slices(module.groebner)
+    next(codomains)  # degree 0, where the module has no entry
+    # degree d reads the monomials and images of degrees d - w_j, so only
+    # the last max(w_j) degrees are kept; the walk starts from d(1) = 0
+    monos, _ = next(domains)
+    kept = {0: (monos, [{} for _ in monos])}
     width = max(ring.weights, default=1)
     for d in range(1, max_degree + 1):
-        yield _kernel_in_degree(algebra, d, images)
-        images.pop(d - width, None)
+        domain, origins = next(domains)
+        codomain, _ = next(codomains)
+        images: list = []
+        kept[d] = (domain, images)
+        columns = []
+        if domain:
+            index = {entry: i for i, entry in enumerate(codomain)}
+            shifts = [_Shifted(j) for j in range(ring.nvars)]
+            for j, k in origins:
+                below, below_images = kept[d - ring.weights[j]]
+                shift = shifts[j]
+                terms = {shift[key]: v for key, v in below_images[k].items()}
+                # add m' dX_j, which a term x_j c (m' / x_j) dX_j of x_j NF(dm') may meet
+                add_multiple(terms, one, {(j, below[k]): one}, p)
+                image = raw_normal_form(terms, module.groebner, standard=index)
+                images.append(image)
+                columns.append(_column(image, index))
+        yield _slice_kernel(algebra, domain, columns)
+        kept.pop(d - width, None)
 
 
 @dataclass(frozen=True)

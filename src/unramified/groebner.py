@@ -30,7 +30,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import add, mul
+from itertools import count
+from operator import add, le, mul
 
 from .errors import BudgetExceededError
 from .fields import add_multiple
@@ -101,6 +102,13 @@ class _Row:
         self.lt = lt
         self.key = mk(*lt)
         self.degree = sum(lt[1])
+
+    def copy(self) -> _Row:
+        """A new row with the same terms, lead, key and degree; the terms
+        dict is shared, as rows only ever replace theirs."""
+        row = _Row.__new__(_Row)
+        row.terms, row.lt, row.key, row.degree = self.terms, self.lt, self.key, self.degree
+        return row
 
 
 def _to_terms(obj) -> dict:
@@ -242,13 +250,18 @@ class GroebnerBasis:
 
 
 def _prepare_input(generators, start):
+    """The ring, the rank, the generators and the seed rows of a run."""
     gens = list(generators)
-    seed = list(start)
-    if not gens and not seed:
+    basis = start if isinstance(start, GroebnerBasis) else None
+    seed = [] if basis is not None else list(start)
+    if gens or seed:
+        first = (gens or seed)[0]
+        ring = first.ring
+        rank = None if isinstance(first, Polynomial) else first.rank
+    elif basis is not None:
+        ring, rank = basis.ring, basis.rank
+    else:
         raise ValueError("at least one generator (possibly zero) is required")
-    first = (gens or seed)[0]
-    ring = first.ring
-    rank = None if isinstance(first, Polynomial) else first.rank
     for g in gens + seed:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
@@ -256,18 +269,26 @@ def _prepare_input(generators, start):
             raise ValueError("cannot mix polynomials and module vectors")
         if rank is not None and (not isinstance(g, ModuleVector) or g.rank != rank):
             raise ValueError("generators live in different modules")
-    return ring, rank, gens, seed
+    if basis is None:
+        return ring, rank, gens, [_Row(ring, t) for t in map(_to_terms, seed) if t]
+    if basis.ring != ring:
+        raise ValueError("generators live in different rings")
+    if basis.rank != rank:
+        raise ValueError("generators live in different modules")
+    # copies, because interreduction replaces the terms of the rows it keeps
+    return ring, rank, gens, [row.copy() for row in basis._rows]
 
 
 def buchberger(generators, *, start=()) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal (or submodule)
     generated by `generators` together with `start`.
 
-    `start` holds elements already known to form a Groebner basis of what
-    they generate, such as the generators of a GroebnerBasis of the same ring
-    or the union of bases in disjoint sets of variables.  They become rows as
-    they are, without reduction, and are paired only with the rows that the
-    generators add; their pairs among themselves already reduce to zero.
+    `start` is a GroebnerBasis of the same ring and rank, whose rows are
+    copied, or elements already known to form a Groebner basis of what they
+    generate, such as the union of bases in disjoint sets of variables.
+    They become rows as they are, without reduction, and are paired only
+    with the rows that the generators add; their pairs among themselves
+    already reduce to zero.
 
     Pairs are managed by the criteria of Gebauer and Moeller (the UPDATE
     procedure of Becker and Weispfenning).  When a row h joins:
@@ -299,8 +320,7 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
     pairs: list = []  # heap of (lcm module key, i, j)
     live: dict = {}  # (i, j) -> (component, lcm exponents) of undeleted pairs
 
-    def add(terms: dict) -> int:
-        row = _Row(ring, terms)
+    def add(row: _Row) -> int:
         rows.append(row)
         buckets.setdefault(row.lt[0], []).append(row)
         return len(rows) - 1
@@ -342,15 +362,13 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
                      if rows[i].lt[0] != comp or not mono_divides(lead, rows[i].lt[1])]
         active.append(h)
 
-    for g in seed:
-        t = _to_terms(g)
-        if t:
-            active.append(add(t))
+    for row in seed:
+        active.append(add(row))
 
     for g in gens:
         t = _reduce_terms(ring, _to_terms(g), buckets, budget)
         if t:
-            update(add(t))
+            update(add(_Row(ring, t)))
 
     while pairs:
         _, i, j = heappop(pairs)
@@ -361,7 +379,7 @@ def buchberger(generators, *, start=()) -> GroebnerBasis:
             continue
         r = _reduce_terms(ring, s, buckets, budget)
         if r:
-            update(add(r))
+            update(add(_Row(ring, r)))
 
     # Interreduce: keep the rows with minimal leads, in order, then reduce each
     # tail in turn, in place, against all of them (a tail is below its lead).
@@ -517,24 +535,109 @@ def dimension(gb: GroebnerBasis):
     return total
 
 
+def _component_weights(gb: GroebnerBasis) -> list:
+    """The weight that each component adds to the degree of its entries: 0
+    for an ideal, and for a module the weight of the variable of the same
+    index, so the rank may not exceed the number of variables."""
+    ring = gb.ring
+    if gb.rank is None:
+        return [0]
+    if gb.rank > ring.nvars:
+        raise ValueError(f"a module of rank {gb.rank} over {ring.nvars} variables "
+                         "has no variable to weight every component")
+    return list(ring.weights[:gb.rank])
+
+
 def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     """Staircase entries of exact weighted degree, even when the full
     staircase is infinite.  For modules the degree of (comp, m) includes the
     weight of variable comp, so component i is weighted by variable i and
     the rank may not exceed the number of variables."""
     ring = gb.ring
-    if gb.rank is not None and gb.rank > ring.nvars:
-        raise ValueError(f"a module of rank {gb.rank} over {ring.nvars} variables "
-                         "has no variable to weight every component")
     out = []
-    for comp, leads in enumerate(_component_leads(gb)):
-        weight = 0 if gb.rank is None else ring.weights[comp]
+    for comp, (leads, weight) in enumerate(zip(_component_leads(gb), _component_weights(gb))):
         d = degree - weight
         out.extend((comp, m) for m in _standard_monomials(ring.weights, leads, d, d))
     out.sort(key=lambda t: ring.module_key(*t))
     if gb.rank is None:
         return [m for _, m in out]
     return out
+
+
+def _rising_monomials(weights: tuple, leads: list):
+    """The monomials of weighted degree 0, 1, 2, ... that no monomial of
+    `leads` divides, one degree at a time, each in ascending ring order,
+    with their origins: (j, k) for a monomial x_j m' where m' is the k-th
+    monomial of degree d - w_j, None for the monomial 1.
+
+    A standard monomial of positive degree is x_j m', with j its last
+    variable of nonzero exponent and m' standard with no later variable.
+    The ring order compares the exponents from the last variable down, so
+    degree d lists, for j from last to first, the x_j m' with m' in the
+    suffix of degree d - w_j that has no variable past j, in that suffix's
+    order; a lead that divides x_j m' but not m' has exponent m'_j + 1 at
+    j and none past it.  Only the last max(w_j) degrees are kept."""
+    n = len(weights)
+    if (0,) * n in leads:
+        while True:  # the lead 1 divides every monomial
+            yield [], []
+    by_last: dict = {}  # (j, exponent at j) -> the exponents before j
+    for lm in leads:
+        j = max(i for i, e in enumerate(lm) if e)
+        by_last.setdefault((j, lm[j]), []).append(lm[:j])
+    # each degree keeps its monomials and, per j, where its suffix without
+    # a variable past j starts
+    one = (0,) * n
+    kept = {0: ([one], [0] * n)}
+    yield [one], [None]
+    width = max(weights, default=1)
+    for d in count(1):
+        out: list = []
+        origins: list = []
+        starts = [0] * n
+        for j in reversed(range(n)):
+            starts[j] = len(out)
+            below = kept.get(d - weights[j])
+            if below is None:
+                continue
+            monos, below_starts = below
+            for k in range(below_starts[j], len(monos)):
+                m = monos[k]
+                e = m[j] + 1
+                divisors = by_last.get((j, e))
+                if divisors and any(all(map(le, lm, m)) for lm in divisors):
+                    continue
+                out.append(m[:j] + (e,) + m[j + 1:])
+                origins.append((j, k))
+        kept[d] = (out, starts)
+        kept.pop(d - width, None)
+        yield out, origins
+
+
+def rising_slices(gb: GroebnerBasis):
+    """The slices `staircase_of_degree(gb, d)` for d = 0, 1, 2, ... in turn,
+    without end, each built from the slices of the degrees d - w_j below
+    rather than by a fresh walk and sort.  Each is yielded as a pair
+    (entries, origins).  For an ideal, origins[i] = (j, k) says that
+    entries[i] is x_j times entry k of degree d - w_j (None for the
+    monomial 1); for a module, origins is None.  A module's component i is
+    weighted by variable i, as in `staircase_of_degree`, and lists its
+    entries of degree d from the last component to the first."""
+    walks = [_rising_monomials(gb.ring.weights, leads) for leads in _component_leads(gb)]
+    if gb.rank is None:
+        return walks[0]
+    return _module_slices(_component_weights(gb), walks)
+
+
+def _module_slices(shifts: list, walks: list):
+    """The module slices of `rising_slices` from each component's walk;
+    component i starts at degree shifts[i]."""
+    for d in count():
+        entries: list = []
+        for comp in reversed(range(len(walks))):
+            if d >= shifts[comp]:
+                entries.extend([(comp, m) for m in next(walks[comp])[0]])
+        yield entries, None
 
 
 def _local_rank(m: tuple) -> tuple:

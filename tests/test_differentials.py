@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from unramified import linalg
+from unramified import differentials, groebner, linalg
 from unramified.algebras import (
     MODE_GRADED,
     Presentation,
@@ -20,7 +20,6 @@ from unramified.algebras import (
 from unramified.constructions import check_theorem_local_case, standard_local_corpus
 from unramified.differentials import (
     _derivations,
-    _kernel_in_degree,
     _walked_kernels,
     derivation_kernel_in_degree,
     is_omega_zero,
@@ -30,7 +29,13 @@ from unramified.differentials import (
     veronese_containment_check,
 )
 from unramified.fields import QQ, prime_field, rational_functions
-from unramified.groebner import buchberger, raw_normal_form, staircase_of_degree, step_budget
+from unramified.groebner import (
+    buchberger,
+    raw_normal_form,
+    rising_slices,
+    staircase_of_degree,
+    step_budget,
+)
 from unramified.parsing import build_algebra, parse_presentation
 from unramified.polynomials import (
     ModuleVector,
@@ -349,23 +354,31 @@ def test_walked_kernels_equal_single_degrees_over_rational_functions():
     _assert_walk_equals_single_degrees(*_rational_function_form())
 
 
-def test_walked_kernels_over_the_rationals():
+def test_walked_kernels_over_the_rationals(monkeypatch):
     """The walk runs over QQ, though the Veronese verdict refuses p = 0: its
-    recorded images are raw Fractions, and every kernel is empty, as the
-    Euler derivation gives deg(f) f = 0 for df = 0.  The derivations to
-    the residue field, sparse kernel vectors over QQ, hold elements whose
-    payloads are Fractions, the raw 1 included."""
+    recorded images, the normal forms it reduces, are raw Fractions, and
+    every kernel is empty, as the Euler derivation gives deg(f) f = 0 for
+    df = 0.  The derivations to the residue field, sparse kernel vectors
+    over QQ, hold elements whose payloads are Fractions, the raw 1
+    included."""
     ring = PolyRing(QQ, ("X", "Y", "Z"))
     X_, Y_, Z_ = map(ring.variable, ring.names)
     cubic = make_quotient(Presentation(
         ring, (X_ * Y_ ** 2 + Y_ ** 3 + X_ * Y_ * Z_ + 2 * Y_ ** 2 * Z_ + X_ * Z_ ** 2 + Z_ ** 3,),
         MODE_GRADED))
     _assert_walk_equals_single_degrees(cubic, 6)
-    images = {}
-    assert [_kernel_in_degree(cubic, d, images) for d in range(1, 5)] == [[]] * 4
-    assert all(type(c) is Fraction for d in images for image in images[d].values()
-               for c in image.values())
-    assert any(images[4].values())
+    images = []
+
+    def recording(terms, gb, **standard):
+        images.append(raw_normal_form(terms, gb, **standard))
+        return images[-1]
+
+    monkeypatch.setattr(differentials, "raw_normal_form", recording)
+    assert list(_walked_kernels(cubic, 4)) == [[]] * 4
+    monkeypatch.undo()
+    assert images and all(type(c) is Fraction for image in images for c in image.values())
+    # the module's component i adds the weight 1 of variable i
+    assert any(sum(m) + 1 == 4 for image in images for _, m in image)
     with pytest.raises(ValueError, match="positive characteristic"):
         veronese_containment_check(cubic, 6)
     cusp = make_quotient(Presentation(R, (Y ** 2 - X ** 3, X * Y)))
@@ -512,6 +525,119 @@ def test_a_standard_term_cancelled_and_made_again(field):
     index = {(0, m): i for i, m in enumerate(staircase_of_degree(gb, 3))}
     assert set(index) == {(0, (1, 2)), (0, (0, 3))}
     assert _spent_normal_form(terms, gb, standard=index) == (expected, 2)
+
+
+# ---------------------------------------------------------------------------
+# Degree slices listed from the degrees below
+# ---------------------------------------------------------------------------
+
+def _zero_algebra():
+    ring = PolyRing(prime_field(3), ("X", "Y"))
+    return make_quotient(Presentation(ring, (ring.one(),), MODE_GRADED)), 4
+
+
+def _weights_two_and_three():
+    ring = PolyRing(prime_field(3), ("X", "Y"), (2, 3))
+    X_, Y_ = ring.variable("X"), ring.variable("Y")
+    return make_quotient(Presentation(ring, (X_ ** 3 - Y_ ** 2,), MODE_GRADED)), 13
+
+
+def _without_variables():
+    return make_quotient(Presentation(PolyRing(prime_field(2), ()), (), MODE_GRADED)), 3
+
+
+SLICE_FORMS = {**STANDARD_FORMS, "weights 2 and 3": _weights_two_and_three,
+               "zero algebra": _zero_algebra, "no variables": _without_variables}
+
+
+@pytest.mark.parametrize("name", list(SLICE_FORMS))
+def test_the_walk_lists_the_reference_slices(name, monkeypatch):
+    """Oracle: every domain slice (standard monomials of the algebra) and
+    codomain slice (standard entries of the Kaehler module) that the walk
+    lists equals `oracles.reference_slice`, key order included, each listed
+    once per degree from 0 up; and each monomial's origin (j, k) names the
+    monomial of degree d - w_j that x_j multiplies to it."""
+    algebra, max_degree = SLICE_FORMS[name]()
+    listed = {}
+
+    def recording(gb):
+        seen = listed.setdefault(id(gb), (gb, []))[1]
+        for entries, origins in rising_slices(gb):
+            seen.append((entries, origins))
+            yield entries, origins
+
+    monkeypatch.setattr(differentials, "rising_slices", recording)
+    walked = list(_walked_kernels(algebra, max_degree))
+    monkeypatch.undo()
+    assert walked == [derivation_kernel_in_degree(algebra, d) for d in range(1, max_degree + 1)]
+    gbs = (algebra.groebner, kaehler(algebra).groebner)
+    assert sorted(listed) == sorted(map(id, gbs))
+    weights = algebra.ring.weights
+    for gb in gbs:
+        slices = listed[id(gb)][1]
+        assert [entries for entries, _ in slices] == [
+            oracles.reference_slice(gb, d) for d in range(max_degree + 1)]
+        for d, (entries, origins) in enumerate(slices):
+            if gb.rank is not None:
+                assert origins is None
+                continue
+            assert len(origins) == len(entries)
+            for mono, origin in zip(entries, origins):
+                if origin is None:
+                    assert d == 0
+                    continue
+                j, k = origin
+                below = slices[d - weights[j]][0][k]
+                assert mono == below[:j] + (below[j] + 1,) + below[j + 1:]
+                assert not any(below[j + 1:])
+
+
+@pytest.mark.parametrize("slices", [rising_slices, lambda gb: staircase_of_degree(gb, 1)],
+                         ids=["rising_slices", "staircase_of_degree"])
+def test_slices_refuse_a_module_of_too_high_rank(slices):
+    ring = PolyRing(QQ, ("X",))
+    module = buchberger([ModuleVector(ring, 2, {})])
+    with pytest.raises(ValueError, match="no variable to weight every component"):
+        slices(module)
+
+
+def test_the_walk_is_lazy_and_lists_no_slice_from_scratch(monkeypatch):
+    """The walk draws each degree's slices only when that degree is asked
+    for, so its first kernel comes at once however high the walk may go;
+    and a whole walk never runs the staircase walk of `polynomials` nor
+    `staircase_of_degree`, which a single degree still uses."""
+    algebra, max_degree = _graded_form("plane cubic")
+    drawn = Counter()
+
+    def counted(gb):
+        for pair in rising_slices(gb):
+            drawn[id(gb)] += 1
+            assert drawn[id(gb)] <= max_degree + 1, "the walk drew slices it was not asked for"
+            yield pair
+
+    monkeypatch.setattr(differentials, "rising_slices", counted)
+    assert next(_walked_kernels(algebra, 10 ** 9)) == []
+    assert sorted(drawn.values()) == [2, 2]  # degrees 0 and 1 of each basis
+    monkeypatch.undo()
+
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(groebner, "_standard_monomials")
+    counting(groebner, "staircase_of_degree")
+    counting(differentials, "staircase_of_degree")
+    assert veronese_containment_check(algebra, max_degree).passed
+    assert calls == Counter()
+    derivation_kernel_in_degree(algebra, 2)
+    assert calls["staircase_of_degree"] == 2 and calls["_standard_monomials"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from unramified.algebras import Presentation, make_quotient, quotient_by
 from unramified.differentials import kaehler
 from unramified.errors import BudgetExceededError
 from unramified.fields import (
@@ -271,6 +272,37 @@ def test_generators_are_made_only_when_read(field, module):
     for g in gb.generators:
         lead = max(g.terms, key=(lambda t: ring.module_key(*t)) if module else ring.monomial_key)
         assert g.terms[lead] == field.one()
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5), rational_functions(3)],
+                         ids=["QQ", "F_5", "F_3(x)"])
+def test_a_quotient_starts_from_copies_of_the_parent_rows(field):
+    """`quotient_by` seeds Buchberger with new rows that reuse the parent
+    basis's leads, keys and degrees: the parent's `generators` stay unmade,
+    its rows keep their terms (interreduction replaces the terms of the
+    rows it keeps), and the quotient's basis is the one Buchberger gives on
+    all its relations."""
+    ring = PolyRing(field, ("X", "Y"))
+    x, y = ring.variable("X"), ring.variable("Y")
+    c = field.from_int(2) + (field.generator() if field.kind == RATIONAL_FUNCTIONS else field.zero())
+    parent = make_quotient(Presentation(ring, (x ** 3 - (y ** 2).scale(c), x * y ** 2 + y ** 3)))
+    gb = parent.groebner
+
+    def snapshot(rows):
+        return [(row, row.lt, row.key, row.degree, dict(row.terms)) for row in rows]
+
+    before = snapshot(gb._rows)
+    # Y^2 - cY keeps the lead X^3 of the parent and reduces its tail
+    quotient = quotient_by(parent, [y ** 2 - y.scale(c)])
+    reference = buchberger(quotient.presentation.relations)
+    assert [(r.lt, r.terms) for r in quotient.groebner._rows] == [
+        (r.lt, r.terms) for r in reference._rows]
+    assert "generators" not in vars(gb)
+    assert snapshot(gb._rows) == before
+    assert not any(r in gb._rows for r in quotient.groebner._rows)
+    x3 = (0, (3, 0))
+    assert (next(r for r in quotient.groebner._rows if r.lt == x3).terms
+            != next(r for r in gb._rows if r.lt == x3).terms)
 
 
 def test_criterion_detects_non_basis():
