@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 
 from . import groebner, linalg
 from .errors import NotMPrimaryError
@@ -16,7 +17,7 @@ from .groebner import GroebnerBasis, Staircase, buchberger, normal_form
 from .polynomials import (
     PolyRing,
     Polynomial,
-    _standard_monomials,
+    _rising_monomials,
     cast,
     is_homogeneous,
     substitute,
@@ -145,12 +146,11 @@ def make_quotient(presentation: Presentation) -> QuotientAlgebra:
 
 def _power_generators(ring: PolyRing, n: int) -> list:
     """Monomial generators of the n-th power of the irrelevant ideal
-    (X_1, ..., X_s); unweighted total degree is used, matching the maximal
-    ideal of the local model.  They share the total degree n, so in the
-    unweighted ring order they ascend as their reversed exponents descend."""
-    monos = _standard_monomials((1,) * ring.nvars, (), n, n)
-    return [Polynomial(ring, {m: ring.field.one()})
-            for m in sorted(monos, key=lambda m: m[::-1], reverse=True)]
+    (X_1, ..., X_s), ascending in the unweighted ring order: slice n of the
+    lead-free walk with unit weights, since unweighted total degree is used,
+    matching the maximal ideal of the local model."""
+    monos = next(islice(_rising_monomials((1,) * ring.nvars, ()), n, None))[0]
+    return [Polynomial(ring, {m: ring.field.one()}) for m in monos]
 
 
 def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
@@ -162,7 +162,8 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
     (`groebner.local_leading_monomials`): its standard monomials of total
     degree j count the tangent cone's Hilbert function HF(j).  N is the
     first degree without one, and by Nakayama's lemma dim P/(I + m^N) is
-    the sum of HF(j) over j < N, so one walk over the degrees gives both.
+    the sum of HF(j) over j < N, so one walk over the degrees
+    (`polynomials._rising_monomials`) gives both.
     The reduced basis of I + m^N is built only when something reads it;
     the dimension, N and locality are assigned to the model as proven.
     The model is local with nilpotent generators, and says so without a
@@ -179,13 +180,11 @@ def artinian_local_model(ring: PolyRing, generators) -> QuotientAlgebra:
         if not g.constant_coefficient().is_zero():
             raise ValueError("generators must lie in the maximal ideal")
     leads = groebner.local_leading_monomials(gens, DEFAULT_POWER_CAP + 1)
-    ones = (1,) * ring.nvars
     hilbert = []                 # HF(0), HF(1), ... while nonzero
-    for j in range(DEFAULT_POWER_CAP + 1):
-        size = len(_standard_monomials(ones, leads, j, j))
-        if not size:
+    for monos, _ in islice(_rising_monomials((1,) * ring.nvars, leads), DEFAULT_POWER_CAP + 1):
+        if not monos:
             break
-        hilbert.append(size)
+        hilbert.append(len(monos))
     else:
         raise NotMPrimaryError(
             f"P/(I + m^N) did not stabilize by the truncation limit m^{DEFAULT_POWER_CAP}")

@@ -30,8 +30,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import count
-from operator import add, le, mul
+from itertools import count, islice
+from operator import add, mul
 
 from .errors import BudgetExceededError
 from .fields import add_multiple
@@ -39,7 +39,7 @@ from .polynomials import (
     ModuleVector,
     PolyRing,
     Polynomial,
-    _standard_monomials,
+    _rising_monomials,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -444,9 +444,12 @@ def _component_leads(gb: GroebnerBasis) -> list:
 def staircase(gb: GroebnerBasis) -> Staircase:
     """Monomials outside the leading-term ideal (submodule).  Finite exactly
     when the quotient is a finite-dimensional vector space; its cardinality
-    is that dimension."""
+    is that dimension.  Each component's entries are the slices of its walk
+    (`polynomials._rising_monomials`) up to the degree below its pure
+    powers, and the components are walked from the last to the first, so
+    the entries come out in the module order with no sort."""
     ring = gb.ring
-    entries = []
+    walks = []
     for comp, leads in enumerate(_component_leads(gb)):
         # every standard monomial lies below each variable's least pure power
         top = 0
@@ -455,8 +458,9 @@ def staircase(gb: GroebnerBasis) -> Staircase:
             if not pure:
                 return Staircase(None)
             top += (min(pure) - 1) * w
-        entries.extend((comp, m) for m in _standard_monomials(ring.weights, leads, 0, top))
-    entries.sort(key=lambda t: ring.module_key(*t))
+        # the lead 1 makes top negative, and its walk lists nothing
+        walks.append((comp, islice(_rising_monomials(ring.weights, leads), max(top + 1, 0))))
+    entries = [(comp, m) for comp, walk in reversed(walks) for monos, _ in walk for m in monos]
     if gb.rank is None:
         return Staircase(tuple(m for _, m in entries))
     return Staircase(tuple(entries))
@@ -550,79 +554,27 @@ def _component_weights(gb: GroebnerBasis) -> list:
 
 def staircase_of_degree(gb: GroebnerBasis, degree: int) -> list:
     """Staircase entries of exact weighted degree, even when the full
-    staircase is infinite.  For modules the degree of (comp, m) includes the
-    weight of variable comp, so component i is weighted by variable i and
-    the rank may not exceed the number of variables."""
-    ring = gb.ring
-    out = []
-    for comp, (leads, weight) in enumerate(zip(_component_leads(gb), _component_weights(gb))):
-        d = degree - weight
-        out.extend((comp, m) for m in _standard_monomials(ring.weights, leads, d, d))
-    out.sort(key=lambda t: ring.module_key(*t))
-    if gb.rank is None:
-        return [m for _, m in out]
-    return out
-
-
-def _rising_monomials(weights: tuple, leads: list):
-    """The monomials of weighted degree 0, 1, 2, ... that no monomial of
-    `leads` divides, one degree at a time, each in ascending ring order,
-    with their origins: (j, k) for a monomial x_j m' where m' is the k-th
-    monomial of degree d - w_j, None for the monomial 1.
-
-    A standard monomial of positive degree is x_j m', with j its last
-    variable of nonzero exponent and m' standard with no later variable.
-    The ring order compares the exponents from the last variable down, so
-    degree d lists, for j from last to first, the x_j m' with m' in the
-    suffix of degree d - w_j that has no variable past j, in that suffix's
-    order; a lead that divides x_j m' but not m' has exponent m'_j + 1 at
-    j and none past it.  Only the last max(w_j) degrees are kept."""
-    n = len(weights)
-    if (0,) * n in leads:
-        while True:  # the lead 1 divides every monomial
-            yield [], []
-    by_last: dict = {}  # (j, exponent at j) -> the exponents before j
-    for lm in leads:
-        j = max(i for i, e in enumerate(lm) if e)
-        by_last.setdefault((j, lm[j]), []).append(lm[:j])
-    # each degree keeps its monomials and, per j, where its suffix without
-    # a variable past j starts
-    one = (0,) * n
-    kept = {0: ([one], [0] * n)}
-    yield [one], [None]
-    width = max(weights, default=1)
-    for d in count(1):
-        out: list = []
-        origins: list = []
-        starts = [0] * n
-        for j in reversed(range(n)):
-            starts[j] = len(out)
-            below = kept.get(d - weights[j])
-            if below is None:
-                continue
-            monos, below_starts = below
-            for k in range(below_starts[j], len(monos)):
-                m = monos[k]
-                e = m[j] + 1
-                divisors = by_last.get((j, e))
-                if divisors and any(all(map(le, lm, m)) for lm in divisors):
-                    continue
-                out.append(m[:j] + (e,) + m[j + 1:])
-                origins.append((j, k))
-        kept[d] = (out, starts)
-        kept.pop(d - width, None)
-        yield out, origins
+    staircase is infinite: slice `degree` of `rising_slices`, so it walks
+    the degrees below it, and a negative degree has none.  For modules the
+    degree of (comp, m) includes the weight of variable comp, so component
+    i is weighted by variable i and the rank may not exceed the number of
+    variables."""
+    slices = rising_slices(gb)  # refuses a module of too high a rank at any degree
+    if degree < 0:
+        return []
+    return next(islice(slices, degree, None))[0]
 
 
 def rising_slices(gb: GroebnerBasis):
-    """The slices `staircase_of_degree(gb, d)` for d = 0, 1, 2, ... in turn,
-    without end, each built from the slices of the degrees d - w_j below
-    rather than by a fresh walk and sort.  Each is yielded as a pair
-    (entries, origins).  For an ideal, origins[i] = (j, k) says that
-    entries[i] is x_j times entry k of degree d - w_j (None for the
-    monomial 1); for a module, origins is None.  A module's component i is
-    weighted by variable i, as in `staircase_of_degree`, and lists its
-    entries of degree d from the last component to the first."""
+    """The staircase entries of weighted degree d = 0, 1, 2, ... in turn,
+    without end, each slice in ascending module order and built from the
+    slices of the degrees d - w_j below by `polynomials._rising_monomials`.
+    Each is yielded as a pair (entries, origins).  For an ideal,
+    origins[i] = (j, k) says that entries[i] is x_j times entry k of degree
+    d - w_j (None for the monomial 1); for a module, origins is None.  A
+    module's component i is weighted by variable i, so the rank may not
+    exceed the number of variables, and lists its entries of degree d from
+    the last component to the first."""
     walks = [_rising_monomials(gb.ring.weights, leads) for leads in _component_leads(gb)]
     if gb.rank is None:
         return walks[0]

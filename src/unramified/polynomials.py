@@ -13,6 +13,7 @@ canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from operator import add, le, mul, sub
 
 from .fields import (
@@ -410,58 +411,62 @@ def substitute(p: Polynomial, images: dict, target: PolyRing) -> Polynomial:
     return total
 
 
-def _standard_monomials(weights: tuple, leads, lo: int, hi: int) -> list:
-    """The exponent vectors whose weighted degree lies in [lo, hi] and that
-    no monomial of `leads` divides, in no particular order.
+def _rising_monomials(weights: tuple, leads):
+    """The monomials of weighted degree 0, 1, 2, ... that no monomial of
+    `leads` divides, one degree at a time, each in ascending ring order,
+    with their origins: (j, k) for a monomial x_j m' where m' is the k-th
+    monomial of degree d - w_j, None for the monomial 1.
 
-    Depth-first search over the variables in turn.  A lead is tested at the
-    variable of its last nonzero exponent, where the exponents past it are
-    still zero, as they are in the lead; once it divides, every higher
-    exponent there does too, so the loop breaks.  When the partial degree
-    reaches hi every later exponent is zero, and the last variable's
-    exponents are bounded by the window from both sides, so only monomials
-    of the window are built.
-    """
+    A standard monomial of positive degree is x_j m', with j its last
+    variable of nonzero exponent and m' standard with no later variable.
+    The ring order compares the exponents from the last variable down, so
+    degree d lists, for j from last to first, the x_j m' with m' in the
+    suffix of degree d - w_j that has no variable past j, in that suffix's
+    order; a lead that divides x_j m' but not m' has exponent m'_j + 1 at
+    j and none past it.  Only the last max(w_j) degrees are kept."""
     n = len(weights)
-    if hi < max(lo, 0):
-        return []
-    by_last_var: dict = {}
+    if (0,) * n in leads:
+        while True:  # the lead 1 divides every monomial
+            yield [], []
+    by_last: dict = {}  # (j, exponent at j) -> the exponents before j
     for lm in leads:
-        nonzero = [i for i, e in enumerate(lm) if e]
-        if not nonzero:
-            return []  # the lead 1 divides every monomial
-        by_last_var.setdefault(nonzero[-1], []).append(lm)
-    last = n - 1
-    out: list = []
-    exps = [0] * n
-
-    def walk(var: int, remaining: int):
-        if var == n or remaining == 0:
-            if hi - remaining >= lo:
-                out.append(tuple(exps))
-            return
-        w = weights[var]
-        divisors = by_last_var.get(var, ())
-        # only the last variable's exponent can reach lo from below
-        first = max(0, -((hi - lo - remaining) // w)) if var == last else 0
-        for e in range(first, remaining // w + 1):
-            exps[var] = e
-            if divisors and any(all(map(le, lm, exps)) for lm in divisors):
-                break  # higher exponents at this variable stay divisible
-            if var == last:
-                out.append(tuple(exps))
-            else:
-                walk(var + 1, remaining - w * e)
-        exps[var] = 0
-
-    walk(0, hi)
-    return out
+        j = max(i for i, e in enumerate(lm) if e)
+        by_last.setdefault((j, lm[j]), []).append(lm[:j])
+    # each degree keeps its monomials and, per j, where its suffix without
+    # a variable past j starts
+    one = (0,) * n
+    kept = {0: ([one], [0] * n)}
+    yield [one], [None]
+    width = max(weights, default=1)
+    for d in count(1):
+        out: list = []
+        origins: list = []
+        starts = [0] * n
+        for j in reversed(range(n)):
+            starts[j] = len(out)
+            below = kept.get(d - weights[j])
+            if below is None:
+                continue
+            monos, below_starts = below
+            for k in range(below_starts[j], len(monos)):
+                m = monos[k]
+                e = m[j] + 1
+                divisors = by_last.get((j, e))
+                if divisors and any(all(map(le, lm, m)) for lm in divisors):
+                    continue
+                out.append(m[:j] + (e,) + m[j + 1:])
+                origins.append((j, k))
+        kept[d] = (out, starts)
+        kept.pop(d - width, None)
+        yield out, origins
 
 
 def monomials_of_weighted_degree(ring: PolyRing, degree: int) -> list:
-    """All monomials of exact weighted degree, ascending in the ring order."""
-    return sorted(_standard_monomials(ring.weights, (), degree, degree),
-                  key=ring.monomial_key)
+    """All monomials of exact weighted degree, ascending in the ring order:
+    slice `degree` of the lead-free walk."""
+    if degree < 0:
+        return []
+    return next(islice(_rising_monomials(ring.weights, ()), degree, None))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,30 @@ def test_the_local_model_runs_no_buchberger(monkeypatch):
     assert len(bases) == 2 and len(runs) == 1
 
 
+def test_the_local_model_walks_its_degrees_once(monkeypatch):
+    """One walk over the degrees, under the local basis's leads, gives the
+    Hilbert function and so both the dimension and N; a second, lead-free
+    walk lists the generators of m^N.  Both walk unit weights, whatever
+    the ring's, and each stops at degree N."""
+    walks = []
+    real = algebras._rising_monomials
+
+    def spying(weights, leads):
+        walk = [weights, list(leads), 0]
+        walks.append(walk)
+        for pair in real(weights, leads):
+            walk[2] += 1
+            yield pair
+
+    monkeypatch.setattr(algebras, "_rising_monomials", spying)
+    W = PolyRing(QQ, ("X", "Y"), (2, 3))
+    model = artinian_local_model(W, _b_generators(W, 5))
+    assert (model.dimension, model.stabilization_exponent) == (11, 6)
+    leads = groebner.local_leading_monomials(_b_generators(W, 5), algebras.DEFAULT_POWER_CAP + 1)
+    assert walks == [[(1, 1), leads, 7], [(1, 1), [], 7]]
+    assert len(model.presentation.relations) == 2 + 7
+
+
 def test_the_local_model_spends_from_the_budget_in_force():
     with step_budget(1), pytest.raises(BudgetExceededError):
         artinian_local_model(R, _b_generators(R, 5))

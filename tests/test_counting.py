@@ -71,8 +71,8 @@ def test_count_equals_enumeration(gb):
 @SETTINGS
 @given(monomial_bases())
 def test_staircase_is_the_union_of_its_degree_slices(gb):
-    """The full staircase and the slices come from one walk over different
-    degree windows; a module's components take the weights of the variables
+    """The full staircase and the slices come from one walk, read up to
+    different degrees; a module's components take the weights of the variables
     of the same index, so only modules of rank at most nvars have slices."""
     assume(gb.rank is None or gb.rank <= gb.ring.nvars)
     ring = gb.ring

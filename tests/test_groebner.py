@@ -149,6 +149,36 @@ def test_unit_ideal():
     assert staircase(gb).monomials == ()
 
 
+def _unit_and_finite(unit: int) -> GroebnerBasis:
+    """A rank-2 module whose component `unit` has the lead 1 and whose other
+    component has the finite staircase 1, Y, X."""
+    finite = 1 - unit
+    rows = [oracles.vector(R, [R.one() if i == unit else R.zero() for i in range(2)])]
+    for m in (X ** 2, X * Y, Y ** 2):
+        rows.append(oracles.vector(R, [m if i == finite else R.zero() for i in range(2)]))
+    return buchberger(rows)
+
+
+@pytest.mark.parametrize("gb, expected", [
+    (buchberger([X, X + 1]), ()),
+    (_unit_and_finite(0), ((1, (0, 0)), (1, (0, 1)), (1, (1, 0)))),
+    (_unit_and_finite(1), ((0, (0, 0)), (0, (0, 1)), (0, (1, 0)))),
+], ids=["unit ideal", "unit first component", "unit last component"])
+def test_a_staircase_beside_the_lead_one(gb, expected):
+    """A lead 1 leaves its component nothing, whether that component is
+    walked first or last, and the others keep their staircase in the
+    module order; the degree slices agree, and a negative degree has
+    none."""
+    stairs = staircase(gb)
+    assert stairs.monomials == expected
+    assert dimension(gb) == len(expected)
+    slices = [oracles.reference_slice(gb, d) for d in range(6)]
+    key = R.monomial_key if gb.rank is None else (lambda t: R.module_key(*t))
+    assert tuple(sorted((e for s in slices for e in s), key=key)) == expected
+    assert [staircase_of_degree(gb, d) for d in range(6)] == slices
+    assert staircase_of_degree(gb, -1) == []
+
+
 def test_module_groebner_membership():
     rows = [oracles.vector(R, [X, Y]),
             oracles.vector(R, [R.zero(), X ** 2])]

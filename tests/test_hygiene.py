@@ -552,10 +552,11 @@ def test_private_reads_helper():
 PRIVATE_READS = {
     "constructions: differentials._outside_m_squared":
         "the one derivation test to the residue field, for the killing chain's skip test",
-    "algebras: polynomials._standard_monomials":
-        "the one staircase walk, for the local model's Hilbert function",
-    "groebner: polynomials._standard_monomials":
-        "the one staircase walk, for staircases and degree slices",
+    "algebras: polynomials._rising_monomials":
+        "the one standard-monomial walk, for the local model's Hilbert function "
+        "and the generators of m^N",
+    "groebner: polynomials._rising_monomials":
+        "the one standard-monomial walk, for staircases and degree slices",
 }
 
 
